@@ -5,7 +5,10 @@
 // runs must be bitwise-identical to serial for every WJ_THREADS value.
 #include <gtest/gtest.h>
 
+#include <sys/resource.h>
+
 #include <atomic>
+#include <chrono>
 #include <cstdlib>
 #include <cstring>
 #include <string>
@@ -154,11 +157,31 @@ void nestedBody(int64_t lo, int64_t hi, void* ctx) {
     ThreadPool::instance().parallelFor(lo, hi, fillBody, ctx);
 }
 
-void mpiFromWorkerBody(int64_t, int64_t, void*) {
-    // Comm intrinsics are only legal on the rank's main thread; the guard
-    // must trip on a pool worker (the prover keeps them out of parallel
-    // loops, so reaching this is a translator bug in real runs).
-    if (ThreadPool::onWorkerThread()) (void)wjrt_mpi_rank();
+struct MpiFromWorkerCtx {
+    std::atomic<bool> workerClaimed{false};
+    std::atomic<bool> timedOut{false};
+};
+
+void mpiFromWorkerBody(int64_t, int64_t, void* ctx) {
+    auto* c = static_cast<MpiFromWorkerCtx*>(ctx);
+    if (ThreadPool::onWorkerThread()) {
+        // Comm intrinsics are only legal on the rank's main thread; the
+        // guard must trip on a pool worker (the prover keeps them out of
+        // parallel loops, so reaching this is a translator bug in real runs).
+        c->workerClaimed.store(true);
+        (void)wjrt_mpi_rank();
+        return;
+    }
+    // The caller claims chunks too and could take every 1-element chunk
+    // itself; hold its chunk until a worker has claimed one.
+    const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (!c->workerClaimed.load()) {
+        if (std::chrono::steady_clock::now() > deadline) {
+            c->timedOut.store(true);
+            return;
+        }
+        std::this_thread::yield();
+    }
 }
 
 } // namespace
@@ -183,12 +206,14 @@ TEST(ThreadPoolTest, NestedDispatchRunsInline) {
 
 TEST(ThreadPoolTest, CommIntrinsicOnWorkerThreadTrips) {
     ScopedEnv env("WJ_THREADS", "4");
+    MpiFromWorkerCtx ctx;
     try {
-        ThreadPool::instance().parallelFor(0, 4, mpiFromWorkerBody, nullptr);
+        ThreadPool::instance().parallelFor(0, 4, mpiFromWorkerBody, &ctx);
         FAIL() << "expected the main-thread guard to throw";
     } catch (const ExecError& e) {
         EXPECT_NE(nullptr, std::strstr(e.what(), "main thread"));
     }
+    EXPECT_FALSE(ctx.timedOut.load()) << "no worker claimed a chunk within 10 s";
 }
 
 TEST(ThreadPoolTest, ConcurrentDispatchersStayCorrect) {
@@ -213,6 +238,95 @@ TEST(ThreadPoolTest, ConcurrentDispatchersStayCorrect) {
         ASSERT_EQ(i * i, outA[static_cast<size_t>(i)]);
         ASSERT_EQ(i * i, outB[static_cast<size_t>(i)]);
     }
+}
+
+TEST(ThreadPoolTest, IdlePoolParksAfterBoundedSpin) {
+    // Idle workers poll for a short bounded time, then block: a sleeping
+    // caller must not pay for spinning workers.
+    ScopedEnv env("WJ_THREADS", "4");
+    std::vector<int64_t> out(1024);
+    FillCtx ctx{out.data()};
+    ThreadPool::instance().parallelFor(0, 1024, fillBody, &ctx);
+    const auto cpuMs = [] {
+        rusage ru{};
+        getrusage(RUSAGE_SELF, &ru);
+        return (ru.ru_utime.tv_sec + ru.ru_stime.tv_sec) * 1e3 +
+               (ru.ru_utime.tv_usec + ru.ru_stime.tv_usec) / 1e3;
+    };
+    const double before = cpuMs();
+    std::this_thread::sleep_for(std::chrono::milliseconds(200));
+    const double burnt = cpuMs() - before;
+    // Workers that kept spinning through the sleep would burn up to 200 ms
+    // of CPU each.
+    EXPECT_LT(burnt, 60.0) << "idle workers kept spinning for " << burnt << " ms of CPU";
+}
+
+namespace {
+
+constexpr int kLive = 0x11fe;
+constexpr int kPoisoned = 0xdead;
+std::atomic<int> g_staleRuns{0};
+
+/// A tiny dispatch's state, on the dispatching stack. Chunks whose bit is
+/// set in throwMask throw after writing their range.
+struct StaleCtx {
+    std::atomic<int> state{kLive};
+    std::atomic<int> chunksRun{0};
+    int64_t rep = 0, n = 0;
+    int chunks = 0;
+    unsigned throwMask = 0;
+    int64_t* out = nullptr;
+};
+
+void staleBody(int64_t lo, int64_t hi, void* p) {
+    auto* c = static_cast<StaleCtx*>(p);
+    if (c->state.load() != kLive) {
+        g_staleRuns.fetch_add(1);
+        return;
+    }
+    for (int64_t i = lo; i < hi; ++i) c->out[i] = c->rep * 1000 + i;
+    c->chunksRun.fetch_add(1);
+    for (int k = 0; k < c->chunks; ++k) {
+        int64_t klo, khi;
+        staticChunk(0, c->n, c->chunks, k, &klo, &khi);
+        if (klo == lo && (c->throwMask >> k & 1u)) throw ExecError("chunk threw");
+    }
+}
+
+} // namespace
+
+TEST(ThreadPoolTest, StaleWorkersNeverRunAFinishedJob) {
+    // Back-to-back tiny dispatches: a worker that wakes late must find the
+    // job finished and claim nothing, never run a chunk of a ctx that has
+    // gone out of scope.
+    constexpr int kReps = 5000;
+    g_staleRuns.store(0);
+    for (int t : {2, 3, 8}) {
+        ScopedEnv env("WJ_THREADS", std::to_string(t).c_str());
+        const int64_t before = ThreadPool::instance().dispatches();
+        int thrown = 0, expectedThrows = 0;
+        for (int rep = 0; rep < kReps; ++rep) {
+            int64_t out[16];
+            StaleCtx ctx;
+            ctx.rep = rep;
+            ctx.n = t + rep % 5;
+            ctx.chunks = t;
+            ctx.throwMask = rep % 3 == 0 ? 1u << (rep % t) : rep % 7 == 0 ? ~0u : 0u;
+            ctx.out = out;
+            expectedThrows += ctx.throwMask != 0;
+            try {
+                ThreadPool::instance().parallelFor(0, ctx.n, staleBody, &ctx);
+            } catch (const ExecError&) {
+                ++thrown;
+            }
+            ASSERT_EQ(t, ctx.chunksRun.load()) << "rep " << rep << " at " << t << " threads";
+            for (int64_t i = 0; i < ctx.n; ++i) ASSERT_EQ(rep * 1000 + i, out[i]);
+            ctx.state.store(kPoisoned);
+        }
+        EXPECT_EQ(expectedThrows, thrown) << t << " threads";
+        EXPECT_EQ(kReps, ThreadPool::instance().dispatches() - before) << t << " threads";
+    }
+    EXPECT_EQ(0, g_staleRuns.load()) << "a worker ran a chunk of a finished job";
 }
 
 // -------------------------------------------------- prover verdicts (lint)

@@ -475,8 +475,19 @@ TEST_F(ServiceTest, ShutdownDrainsInflightCompilesFirst) {
     b.set("method", "run");
     b.set("args", "8");
     b.payload = moduleSource(nonce);
+    auto& metrics = trace::Metrics::instance();
+    const int64_t finishedBefore = metrics.histogram("wjd.request.micros").count();
     Frame req{MsgType::Compile, 9, encodeBody(b)};
     writeFrame(worker.fd(), req);
+
+    // Shutdown must race an admitted compile, not a frame the daemon has
+    // not read yet: wait until the compile is queued, running or done.
+    const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (metrics.counter("wjd.inflight.current").value() < 1 &&
+           metrics.histogram("wjd.request.micros").count() == finishedBefore) {
+        ASSERT_LT(std::chrono::steady_clock::now(), deadline) << "compile never admitted";
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
 
     Client admin = connect();
     Client::Reply sd = admin.shutdown();
