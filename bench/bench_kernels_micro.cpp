@@ -3,7 +3,8 @@
 // as an independent cross-check of the marginal-cost measurements.
 //
 // Before the gbench suite runs, main() executes the scalar-vs-simd sweep
-// (each evaluation kernel jitted twice, WJ_SIMD=0 / WJ_SIMD=1) and the
+// (each evaluation kernel, the one-rank MPI diffusion runner included,
+// jitted twice, WJ_SIMD=0 / WJ_SIMD=1) and the
 // aos-vs-soa sweep (the cells object-array stencil jitted under WJ_SOA=0 /
 // WJ_SOA=1 with SIMD on). Every pair is checked bitwise-equal, timed, and
 // persisted as rows of BENCH_kernels_micro.json via the shared jsonRow()
@@ -258,6 +259,21 @@ bool runSimdSweep(bool smoke) {
         const std::vector<Value> args = {Value::ofI32(2)};
         ok &= simdPair("diffusion " + std::to_string(n) + "^3", args, reps,
                        [&] { return WootinJ::jit(prog, runner, "run", args); });
+    }
+    {
+        // The ghost-padded MPI runner on one rank: its x sweep reads the
+        // periodic-wrap neighbours, so the simd row runs the peeled loop.
+        Program prog = stencil::buildProgram();
+        Interp in(prog);
+        const int n = smoke ? 16 : 96, nz = smoke ? 4 : 48;
+        Value runner = stencil::makeMpiRunner(in, n, n, nz, kCoeffs, kSeed);
+        const std::vector<Value> args = {Value::ofI32(smoke ? 2 : 8)};
+        ok &= simdPair("diffusion mpi " + std::to_string(n) + "^2x" + std::to_string(nz), args,
+                       reps, [&] {
+                           JitCode code = WootinJ::jit4mpi(prog, runner, "run", args);
+                           code.set4MPI(1);
+                           return code;
+                       });
     }
     {
         Program prog = matmul::buildProgram();

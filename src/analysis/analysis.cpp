@@ -674,10 +674,7 @@ private:
     void noteLoop(const ForStmt* fs, const std::string& label, ParVerdict v, std::string reason,
                   std::vector<std::pair<std::string, std::string>> pairs,
                   std::vector<Reduction> reds = {});
-    void noteVector(const ForStmt* fs, const std::string& label, VecVerdict v,
-                    std::string reason, std::vector<std::pair<std::string, std::string>> pairs,
-                    std::vector<Reduction> reds = {}, bool exact = true,
-                    std::vector<std::string> soaClasses = {});
+    void noteVector(const ForStmt* fs, const std::string& label, LoopVector v);
     void finishParallelReport();
     void finishVectorReport();
     void finishLayoutReport();
@@ -2446,21 +2443,10 @@ void Engine::finishParallelReport() {
     }
 }
 
-void Engine::noteVector(const ForStmt* fs, const std::string& label, VecVerdict v,
-                        std::string reason,
-                        std::vector<std::pair<std::string, std::string>> pairs,
-                        std::vector<Reduction> reds, bool exact,
-                        std::vector<std::string> soaClasses) {
+void Engine::noteVector(const ForStmt* fs, const std::string& label, LoopVector v) {
     auto it = out_.loopVector.find(fs);
     if (it == out_.loopVector.end()) {
-        LoopVector lv;
-        lv.verdict = v;
-        lv.reason = std::move(reason);
-        lv.overlapPairs = std::move(pairs);
-        lv.reductions = std::move(reds);
-        lv.exactReductions = exact;
-        lv.soaClasses = std::move(soaClasses);
-        out_.loopVector.emplace(fs, std::move(lv));
+        out_.loopVector.emplace(fs, std::move(v));
         vecOrder_.push_back(fs);
         vecLabel_.emplace(fs, label + ": for (" + fs->var + ")");
         return;
@@ -2470,39 +2456,42 @@ void Engine::noteVector(const ForStmt* fs, const std::string& label, VecVerdict 
     // overlap-pair sets union; exactness is the AND over contexts.
     LoopVector& lv = it->second;
     if (lv.verdict == VecVerdict::ScalarOnly) return;
-    if (v == VecVerdict::ScalarOnly) {
-        lv.verdict = v;
+    auto poison = [&](std::string reason) {
+        lv.verdict = VecVerdict::ScalarOnly;
         lv.reason = std::move(reason);
         lv.overlapPairs.clear();
         lv.reductions.clear();
         lv.soaClasses.clear();
-        return;
-    }
+        lv.wraps.clear();
+        lv.peelLo = lv.peelHi = 0;
+        lv.wrapBoundMax = 0;
+    };
+    if (v.verdict == VecVerdict::ScalarOnly) return poison(std::move(v.reason));
     // Reduction recognition is structural, so a context disagreeing about
     // whether the loop reduces means the proofs are incomparable — poison.
-    if (reds.empty() != lv.reductions.empty()) {
-        lv.verdict = VecVerdict::ScalarOnly;
-        lv.reason = "verdict differs across call contexts";
-        lv.overlapPairs.clear();
-        lv.reductions.clear();
-        lv.soaClasses.clear();
-        return;
+    // So is a context that recognized a different set of wraps: the one
+    // lowering the translator emits must hold in every context.
+    if (v.reductions.empty() != lv.reductions.empty() || v.wraps != lv.wraps) {
+        return poison("verdict differs across call contexts");
     }
-    lv.exactReductions = lv.exactReductions && exact;
-    for (auto& pr : pairs) {
+    lv.exactReductions = lv.exactReductions && v.exactReductions;
+    for (auto& pr : v.overlapPairs) {
         if (std::find(lv.overlapPairs.begin(), lv.overlapPairs.end(), pr) ==
             lv.overlapPairs.end()) {
             lv.overlapPairs.push_back(std::move(pr));
         }
     }
-    for (auto& sc : soaClasses) {
+    for (auto& sc : v.soaClasses) {
         if (std::find(lv.soaClasses.begin(), lv.soaClasses.end(), sc) == lv.soaClasses.end()) {
             lv.soaClasses.push_back(std::move(sc));
         }
     }
-    if (v == VecVerdict::CondVectorizable && lv.verdict == VecVerdict::Vectorizable) {
-        lv.verdict = v;
-        lv.reason = std::move(reason);
+    if (v.wrapBoundMax != 0 && (lv.wrapBoundMax == 0 || v.wrapBoundMax < lv.wrapBoundMax)) {
+        lv.wrapBoundMax = v.wrapBoundMax;
+    }
+    if (v.verdict == VecVerdict::CondVectorizable && lv.verdict == VecVerdict::Vectorizable) {
+        lv.verdict = v.verdict;
+        lv.reason = std::move(v.reason);
     }
 }
 
@@ -2607,7 +2596,11 @@ void Engine::proveLoops(const std::string& label, const Method& m, const Cfg& cf
 ParVerdict Engine::proveLoop(const std::string& label, const ForStmt& fs, const Cfg& cfg,
                              const std::vector<Env>& states, bool vectorOnly) {
     auto refuse = [&](std::string why) {
-        if (vectorOnly) noteVector(&fs, label, VecVerdict::ScalarOnly, std::move(why), {});
+        if (vectorOnly) {
+            LoopVector lv;  // ScalarOnly
+            lv.reason = std::move(why);
+            noteVector(&fs, label, std::move(lv));
+        }
         else noteLoop(&fs, label, ParVerdict::Serial, std::move(why), {});
         return ParVerdict::Serial;
     };
@@ -2704,8 +2697,8 @@ ParVerdict Engine::proveLoop(const std::string& label, const ForStmt& fs, const 
         int64_t k = 0;
         Itv w = Itv::top();
         Itv foot = Itv::top();   ///< footprint over the whole iteration space
-        std::string idxKey;      ///< canonical syntactic form of the index expr
-        bool idxStable = false;  ///< idxKey mentions only the loop var + invariant locals
+        std::string idxKey;      ///< idxKeyOf(index): canonical form of the index expr
+        bool idxStable = false;  ///< the index is affine in the loop var (idxIsStable)
     };
     std::vector<PAcc> accs;
     std::string why;
@@ -2749,6 +2742,205 @@ ParVerdict Engine::proveLoop(const std::string& label, const ForStmt& fs, const 
         return std::vector<std::string>(soaNeeded.begin(), soaNeeded.end());
     };
 
+    // A local name is loop-invariant when the body neither declares nor
+    // assigns it; index expressions over only such names (plus the loop var
+    // itself) evaluate identically in every iteration up to the k*i term.
+    // SIMD mode extends this to body locals declared once, never
+    // reassigned, and initialized from invariant names (the sweep's
+    // `base = z*plane + y*nx`, `ym`, `yp`): WJ forbids shadowing and
+    // use-before-declaration, so every use sees the value its declaration
+    // computed in the same iteration, which is the same in every iteration.
+    std::map<std::string, const Expr*> bodyDefs;
+    if (vectorOnly) {
+        for (const Stmt* st : ix.stmts) {
+            if (st->kind != StmtKind::Decl) continue;
+            const auto& d = as<DeclStmt>(*st);
+            if (d.init && !ix.kills.count(d.name)) bodyDefs[d.name] = d.init.get();
+        }
+    }
+    auto bodyDef = [&](const std::string& nm) -> const Expr* {
+        auto it = bodyDefs.find(nm);
+        return it == bodyDefs.end() ? nullptr : it->second;
+    };
+    std::function<bool(const Expr&)> invariantExpr;
+    auto invariantLocal = [&](const std::string& nm) {
+        if (nm == fs.var) return false;
+        if (const Expr* d = bodyDef(nm)) return invariantExpr(*d);
+        return !ix.defined.count(nm) && !ix.kills.count(nm);
+    };
+
+    // SIMD mode additionally follows arrays reached through a *stable path*
+    // of field loads (`this.cur`, `m.data`): the body cannot contain a
+    // FieldSet (refused outright) and every callee that writes state is
+    // refused too, so the binding named by the path is the same array in
+    // every iteration. Returns the canonical dotted path, or "" when the
+    // base is not such a chain (non-invariant root, computed receiver).
+    std::function<std::string(const Expr&)> stablePath = [&](const Expr& e) -> std::string {
+        switch (e.kind) {
+        case ExprKind::This: return "this";
+        case ExprKind::Local: {
+            const std::string& nm = as<LocalExpr>(e).name;
+            return invariantLocal(nm) ? nm : "";
+        }
+        case ExprKind::FieldGet: {
+            const auto& n = as<FieldGetExpr>(e);
+            const std::string base = stablePath(*n.obj);
+            return base.empty() ? "" : base + "." + n.field;
+        }
+        default: return "";
+        }
+    };
+
+    // Built from constants, invariant locals and stable field loads under
+    // arithmetic: the same value in every iteration.
+    invariantExpr = [&](const Expr& e) -> bool {
+        switch (e.kind) {
+        case ExprKind::Const: return true;
+        case ExprKind::Local: return invariantLocal(as<LocalExpr>(e).name);
+        case ExprKind::FieldGet: return !stablePath(e).empty();
+        case ExprKind::Unary: return invariantExpr(*as<UnaryExpr>(e).e);
+        case ExprKind::Binary: {
+            const auto& n = as<BinaryExpr>(e);
+            return invariantExpr(*n.l) && invariantExpr(*n.r);
+        }
+        case ExprKind::Cast: return invariantExpr(*as<CastExpr>(e).e);
+        default: return false;
+        }
+    };
+
+    // ---- periodic-wrap indices (SIMD mode). For x this loop's variable
+    // over [0, n) with step 1, n invariant and a small constant c,
+    // `(x + c + n) % n` and `(x + c) % n` equal `x + c` on the middle range
+    // [max(0, -c), n - max(0, c)). The proof treats each recognized wrap
+    // as that affine form, which only holds for the middle iterations; the
+    // translator runs the middle as one simd range and every head and tail
+    // iteration as a range of its own, in source order.
+    // `wrapNote` names the first x-dependent `%` left as written, and why.
+    constexpr int64_t kMaxWrapShift = 8;
+    std::map<const void*, int> wraps;
+    int peelLo = 0, peelHi = 0;
+    int64_t wrapBoundMax = 0;
+    std::string wrapNote;
+    const std::string boundKey = printExpr(bound);
+    auto noteWrap = [&](Env& env, const BinaryExpr& n) {
+        std::vector<std::string> reads;
+        collectReads(*n.l, reads);
+        if (std::find(reads.begin(), reads.end(), fs.var) == reads.end()) return;
+        auto keep = [&](const std::string& why) {
+            if (wrapNote.empty()) wrapNote = "'" + printExpr(n) + "' kept as written: " + why;
+        };
+        // The numerator as a signed sum of terms: x, the modulus, constants.
+        const std::string modKey = printExpr(*n.r);
+        int xs = 0, ns = 0, consts = 0;
+        int64_t c = 0;
+        bool sum = true;
+        std::function<void(const Expr&, int)> term = [&](const Expr& t, int sign) {
+            if (t.kind == ExprKind::Binary) {
+                const auto& b = as<BinaryExpr>(t);
+                if (b.op == BinOp::Add || b.op == BinOp::Sub) {
+                    term(*b.l, sign);
+                    term(*b.r, b.op == BinOp::Add ? sign : -sign);
+                    return;
+                }
+            }
+            if (t.kind == ExprKind::Local && as<LocalExpr>(t).name == fs.var) {
+                xs += sign;
+            } else if (t.kind == ExprKind::Const && as<ConstExpr>(t).type.isIntegral() &&
+                       std::llabs(as<ConstExpr>(t).i) <= kMaxWrapShift) {
+                c += sign * as<ConstExpr>(t).i;
+                ++consts;
+            } else if (printExpr(t) == modKey) {
+                ns += sign;
+            } else {
+                sum = false;
+            }
+        };
+        term(*n.l, 1);
+        if (!sum || xs != 1 || (ns != 0 && ns != 1) || consts > 1) {
+            return keep("not of the form (" + fs.var + " + c + n) % n or (" + fs.var +
+                        " + c) % n with |c| <= " + std::to_string(kMaxWrapShift));
+        }
+        if (!invariantExpr(*n.r)) return keep("the modulus is not loop-invariant");
+        // x runs up from 0 and stays below the bound, so a modulus that IS
+        // the bound is >= 1 whenever the body runs; any other needs the
+        // interval facts.
+        const bool startsAtZero =
+            fs.init->kind == ExprKind::Const && as<ConstExpr>(*fs.init).i == 0;
+        const AVal m = evalExpr(env, *n.r);
+        if (!(modKey == boundKey && startsAtZero) && (!m.num.loFinite() || m.num.lo < 1)) {
+            return keep("the divisor may be <= 0");
+        }
+        if (modKey != boundKey) {
+            return keep("the modulus differs from the loop bound '" + boundKey + "'");
+        }
+        if (!startsAtZero) return keep("the loop does not start at 0");
+        // x + c + n (or x + c) must not overflow for any x < n: constant
+        // terms are at most kMaxWrapShift, so this bound suffices.
+        const int64_t tmax =
+            m.type.isPrim(Prim::I64) || fs.varType.isPrim(Prim::I64) ? INT64_MAX : INT32_MAX;
+        const int64_t limit = ns ? (tmax - kMaxWrapShift) / 2 : tmax - kMaxWrapShift;
+        if (!boundV.hiFinite() || boundV.hi > limit) {
+            wrapBoundMax = wrapBoundMax == 0 ? limit : std::min(wrapBoundMax, limit);
+        }
+        wraps[&n] = static_cast<int>(c);
+        peelLo = std::max(peelLo, static_cast<int>(c < 0 ? -c : 0));
+        peelHi = std::max(peelHi, static_cast<int>(c > 0 ? c : 0));
+    };
+
+    // True when `e` is affine in the loop variable over invariant terms —
+    // k*x + C, with recognized wraps read as x + c and stable body locals
+    // read through their definitions. Then two accesses with equal
+    // idxKeyOf keys touch the SAME address in the same iteration, so with
+    // stride k != 0 they can never collide across distinct iterations.
+    std::function<bool(const Expr&)> idxIsStable = [&](const Expr& e) -> bool {
+        if (invariantExpr(e)) return true;
+        switch (e.kind) {
+        case ExprKind::Local: {
+            const std::string& nm = as<LocalExpr>(e).name;
+            if (nm == fs.var) return true;
+            const Expr* d = bodyDef(nm);
+            return d && idxIsStable(*d);
+        }
+        case ExprKind::Unary: {
+            const auto& n = as<UnaryExpr>(e);
+            return n.op == UnOp::Neg && idxIsStable(*n.e);
+        }
+        case ExprKind::Binary: {
+            const auto& n = as<BinaryExpr>(e);
+            if (wraps.count(&n)) return true;
+            if (n.op == BinOp::Add || n.op == BinOp::Sub) {
+                return idxIsStable(*n.l) && idxIsStable(*n.r);
+            }
+            if (n.op == BinOp::Mul) {
+                return (invariantExpr(*n.l) && idxIsStable(*n.r)) ||
+                       (idxIsStable(*n.l) && invariantExpr(*n.r));
+            }
+            return false;
+        }
+        case ExprKind::Cast: return idxIsStable(*as<CastExpr>(e).e);
+        default: return false;
+        }
+    };
+    // Canonical key of a stable index: body locals expanded to their
+    // definitions and wraps to `x + c`, so `nxt[base + x]` keys the same
+    // in every iteration and through every spelling of base.
+    std::function<std::string(const Expr&)> idxKeyOf = [&](const Expr& e) -> std::string {
+        switch (e.kind) {
+        case ExprKind::Local: {
+            const std::string& nm = as<LocalExpr>(e).name;
+            const Expr* d = bodyDef(nm);
+            return d ? "(" + idxKeyOf(*d) + ")" : nm;
+        }
+        case ExprKind::Binary: {
+            const auto& n = as<BinaryExpr>(e);
+            auto w = wraps.find(&n);
+            if (w != wraps.end()) return "(" + fs.var + " + " + std::to_string(w->second) + ")";
+            return "(" + idxKeyOf(*n.l) + " " + binOpName(n.op) + " " + idxKeyOf(*n.r) + ")";
+        }
+        default: return printExpr(e);
+        }
+    };
+
     // Linear form of an index expression in the candidate variable. Never
     // fails: the fallback (k = 0, node interval) is sound by construction.
     std::function<LinForm(Env&, const Expr&)> linOf = [&](Env& env, const Expr& e) -> LinForm {
@@ -2768,6 +2960,8 @@ ParVerdict Engine::proveLoop(const std::string& label, const ForStmt& fs, const 
         }
         case ExprKind::Binary: {
             const auto& n = as<BinaryExpr>(e);
+            auto w = wraps.find(&n);
+            if (w != wraps.end()) return {1, Itv::of(w->second)};  // x + c on the middle range
             if (n.op == BinOp::Add || n.op == BinOp::Sub) {
                 const LinForm l = linOf(env, *n.l);
                 const LinForm r = linOf(env, *n.r);
@@ -2795,58 +2989,6 @@ ParVerdict Engine::proveLoop(const std::string& label, const ForStmt& fs, const 
         }
     };
 
-    // A local name is loop-invariant when the body neither declares nor
-    // assigns it; index expressions over only such names (plus the loop var
-    // itself) evaluate identically in every iteration up to the k*i term.
-    auto invariantLocal = [&](const std::string& nm) {
-        return nm != fs.var && !ix.defined.count(nm) && !ix.kills.count(nm);
-    };
-
-    // SIMD mode additionally follows arrays reached through a *stable path*
-    // of field loads (`this.cur`, `m.data`): the body cannot contain a
-    // FieldSet (refused outright) and every callee that writes state is
-    // refused too, so the binding named by the path is the same array in
-    // every iteration. Returns the canonical dotted path, or "" when the
-    // base is not such a chain (non-invariant root, computed receiver).
-    std::function<std::string(const Expr&)> stablePath = [&](const Expr& e) -> std::string {
-        switch (e.kind) {
-        case ExprKind::This: return "this";
-        case ExprKind::Local: {
-            const std::string& nm = as<LocalExpr>(e).name;
-            return invariantLocal(nm) ? nm : "";
-        }
-        case ExprKind::FieldGet: {
-            const auto& n = as<FieldGetExpr>(e);
-            const std::string base = stablePath(*n.obj);
-            return base.empty() ? "" : base + "." + n.field;
-        }
-        default: return "";
-        }
-    };
-
-    // True when `e` is built purely from constants, the loop variable,
-    // invariant locals and stable field loads under arithmetic — then
-    // printExpr(e) is a faithful cross-iteration key: two accesses with
-    // equal keys touch the SAME address in the same iteration, so with
-    // stride k != 0 they can never collide across distinct iterations.
-    std::function<bool(const Expr&)> idxIsStable = [&](const Expr& e) -> bool {
-        switch (e.kind) {
-        case ExprKind::Const: return true;
-        case ExprKind::Local: {
-            const std::string& nm = as<LocalExpr>(e).name;
-            return nm == fs.var || invariantLocal(nm);
-        }
-        case ExprKind::FieldGet: return !stablePath(e).empty();
-        case ExprKind::Unary: return idxIsStable(*as<UnaryExpr>(e).e);
-        case ExprKind::Binary: {
-            const auto& n = as<BinaryExpr>(e);
-            return idxIsStable(*n.l) && idxIsStable(*n.r);
-        }
-        case ExprKind::Cast: return idxIsStable(*as<CastExpr>(e).e);
-        default: return false;
-        }
-    };
-
     auto fillPAcc = [&](Env& env, PAcc& a, bool isWrite, const std::string& name,
                         const Expr& idx) {
         a.isWrite = isWrite;
@@ -2855,7 +2997,7 @@ ParVerdict Engine::proveLoop(const std::string& label, const ForStmt& fs, const 
         a.k = lf.k;
         a.w = lf.w;
         a.foot = Itv::of(lf.k).mul(V).add(lf.w);
-        a.idxKey = printExpr(idx);
+        a.idxKey = idxKeyOf(idx);
         a.idxStable = idxIsStable(idx);
     };
 
@@ -2889,7 +3031,9 @@ ParVerdict Engine::proveLoop(const std::string& label, const ForStmt& fs, const 
         case ExprKind::Unary: return checkExpr(env, *as<UnaryExpr>(e).e);
         case ExprKind::Binary: {
             const auto& n = as<BinaryExpr>(e);
-            return checkExpr(env, *n.l) && checkExpr(env, *n.r);
+            if (!checkExpr(env, *n.l) || !checkExpr(env, *n.r)) return false;
+            if (vectorOnly && n.op == BinOp::Rem) noteWrap(env, n);
+            return true;
         }
         case ExprKind::Cond: {
             const auto& n = as<CondExpr>(e);
@@ -3177,6 +3321,35 @@ ParVerdict Engine::proveLoop(const std::string& label, const ForStmt& fs, const 
         }
     }
 
+    // A SIMD verdict: this loop's SoA needs and wrap lowering ride along,
+    // and the reason names the peel.
+    auto proven = [&](VecVerdict v, std::string desc,
+                      std::vector<std::pair<std::string, std::string>> pairs = {},
+                      std::vector<Reduction> vreds = {}, bool exact = true) {
+        if (!wraps.empty()) {
+            desc += "; periodic wraps as " + fs.var + " + c on [" + std::to_string(peelLo) +
+                    ", " + boundKey + (peelHi ? " - " + std::to_string(peelHi) : "") +
+                    ") (peel " + std::to_string(peelLo) + " head + " + std::to_string(peelHi) +
+                    " tail";
+            if (wrapBoundMax != 0) {
+                desc += "; runtime guard " + boundKey + " <= " + std::to_string(wrapBoundMax);
+            }
+            desc += ")";
+        }
+        if (!wrapNote.empty()) desc += "; " + wrapNote;
+        noteVector(&fs, label,
+                   {.verdict = v,
+                    .reason = std::move(desc),
+                    .overlapPairs = std::move(pairs),
+                    .reductions = std::move(vreds),
+                    .exactReductions = exact,
+                    .soaClasses = soaList(),
+                    .wraps = wraps,
+                    .peelLo = peelLo,
+                    .peelHi = peelHi,
+                    .wrapBoundMax = wrapBoundMax});
+    };
+
     // ---- reduction audit. Each sanctioned update contributes exactly one
     // read of its accumulator (Form A: the binop operand; Form B: the
     // comparison operand), so the body-wide read count must equal the
@@ -3217,8 +3390,8 @@ ParVerdict Engine::proveLoop(const std::string& label, const ForStmt& fs, const 
     // unknown coefficients fall back to whole-footprint overlap.
     auto collides = [&](const PAcc& a, const PAcc& b) -> bool {
         if (span <= 0) return false;  // at most one iteration
-        // Syntactically identical stable indices address the same element in
-        // the same iteration; with a nonzero stride, iterations i != j are
+        // Stable indices with equal keys address the same element in the
+        // same iteration; with a nonzero stride, iterations i != j are
         // then k*(i-j) apart — never a cross-lane collision. This is what
         // lets `cr[i*n+j] = cr[i*n+j] + ...` prove: the interval for the
         // invariant i*n term is wide, but the symbolic difference is 0.
@@ -3299,8 +3472,7 @@ ParVerdict Engine::proveLoop(const std::string& label, const ForStmt& fs, const 
                 }
                 desc += "; unit-stride via the SoA layout of " + soaJoin();
             }
-            noteVector(&fs, label, VecVerdict::Vectorizable, std::move(desc), {},
-                       std::move(reds), exact, soaList());
+            proven(VecVerdict::Vectorizable, std::move(desc), {}, std::move(reds), exact);
             return ParVerdict::Parallel;
         }
         if (lint_) {
@@ -3334,8 +3506,7 @@ ParVerdict Engine::proveLoop(const std::string& label, const ForStmt& fs, const 
                 }
                 desc += "; unit-stride via the SoA layout of " + soaJoin();
             }
-            noteVector(&fs, label, VecVerdict::CondVectorizable, std::move(desc),
-                       std::move(pairs), {}, true, soaList());
+            proven(VecVerdict::CondVectorizable, std::move(desc), std::move(pairs));
             return ParVerdict::CondParallel;
         }
         std::string desc = "iterations are independent provided ";
@@ -3356,14 +3527,11 @@ ParVerdict Engine::proveLoop(const std::string& label, const ForStmt& fs, const 
                               " are struct-strided under AoS -- vectorizable under --soa "
                               "(WJ_SOA=1)");
             }
-            noteVector(&fs, label, VecVerdict::Vectorizable,
-                       "unit-stride accesses via the SoA layout of " + soaJoin() +
-                       "; no cross-lane dependence",
-                       {}, {}, true, soaList());
+            proven(VecVerdict::Vectorizable, "unit-stride accesses via the SoA layout of " +
+                                                 soaJoin() + "; no cross-lane dependence");
             return ParVerdict::Parallel;
         }
-        noteVector(&fs, label, VecVerdict::Vectorizable,
-                   "unit-stride accesses; no cross-lane dependence", {});
+        proven(VecVerdict::Vectorizable, "unit-stride accesses; no cross-lane dependence");
         return ParVerdict::Parallel;
     }
     noteLoop(&fs, label, ParVerdict::Parallel, "no loop-carried dependence", {});

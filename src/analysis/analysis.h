@@ -118,6 +118,20 @@ struct LoopVector {
     /// it the loop reports ScalarOnly with a "vectorizable under --soa"
     /// reason. Joined across contexts by set union.
     std::vector<std::string> soaClasses;
+    /// Periodic-wrap index expressions `(x + c + n) % n` / `(x + c) % n`
+    /// over this loop's variable x in [0, n), keyed by their BinaryExpr node,
+    /// with their shift c. On the middle range [peelLo, n - peelHi) each
+    /// equals `x + c`, which is what the proof assumed: the translator runs
+    /// that range as one simd range with the wraps lowered to `x + c` and
+    /// every head and tail iteration as a range of its own, in source order.
+    /// Joined across contexts by equality (a mismatch poisons the loop).
+    std::map<const void*, int> wraps;
+    int peelLo = 0;
+    int peelHi = 0;
+    /// Largest loop bound for which no wrap numerator can overflow; the
+    /// translator adds `bound <= wrapBoundMax` to the runtime guard. 0 when
+    /// the interval facts already exclude overflow.
+    int64_t wrapBoundMax = 0;
 
     bool needsSoa() const { return !soaClasses.empty(); }
 };

@@ -160,8 +160,11 @@ void wjGpusimFastChunk(int64_t lo, int64_t hi, void* ctx) {
         const int by = static_cast<int>((b / L.grid.x) % L.grid.y);
         const int bz = static_cast<int>(b / (static_cast<int64_t>(L.grid.x) * L.grid.y));
         tc.blockIdx = {bx, by, bz};
-        // Shared memory is per-block: reset between blocks.
-        std::memset(shared.data(), 0, static_cast<size_t>(L.sharedFloats) * sizeof(float));
+        // Shared memory is per-block: reset between blocks. Without shared
+        // memory data() may be null, which memset must not be handed.
+        if (L.sharedFloats > 0) {
+            std::memset(shared.data(), 0, static_cast<size_t>(L.sharedFloats) * sizeof(float));
+        }
         for (int tz = 0; tz < L.block.z; ++tz)
             for (int ty = 0; ty < L.block.y; ++ty)
                 for (int tx = 0; tx < L.block.x; ++tx) {
@@ -193,7 +196,9 @@ void Device::launchFibered(KernelFn k, void* args, Dim3 grid, Dim3 block, float*
     for (int bz = 0; bz < grid.z; ++bz)
         for (int by = 0; by < grid.y; ++by)
             for (int bx = 0; bx < grid.x; ++bx) {
-                std::memset(shared, 0, static_cast<size_t>(sharedFloats) * sizeof(float));
+                if (sharedFloats > 0) {
+                    std::memset(shared, 0, static_cast<size_t>(sharedFloats) * sizeof(float));
+                }
                 // Arm one fiber per thread of this block. A single flat loop
                 // keeps no induction state live across swapcontext (which
                 // has setjmp-like clobber semantics).

@@ -100,7 +100,8 @@ public:
     /// restrict-qualified element pointers and a `#pragma omp simd` line —
     /// inside chunk functions and on the serial path alike; CondVectorizable
     /// loops additionally get a wjrt_ranges_disjoint runtime guard with the
-    /// scalar loop as the else branch.
+    /// scalar loop as the else branch. Loops with periodic-wrap verdicts run
+    /// as peeled simd ranges on the serial path (genPeeledSimdFor).
     void setSimd(const std::map<const void*, analysis::LoopVector>* verdicts) {
         vecLoops_ = verdicts;
     }
@@ -172,6 +173,8 @@ private:
     void genStmt(Env& env, const Stmt& s);
     void genSerialFor(Env& env, const ForStmt& n);
     void genSimdFor(Env& env, const ForStmt& n, const analysis::LoopVector& lv);
+    void genPeeledSimdFor(Env& env, const ForStmt& n, const analysis::LoopVector& lv,
+                          const Expr& boundE);
     void genParallelFor(Env& env, const ForStmt& n, const analysis::LoopParallel& lp);
     void genParallelReduce(Env& env, const ForStmt& n, const analysis::LoopParallel& lp);
     /// SIMD verdict usable in this emission context, or null. Resolves the
@@ -230,6 +233,11 @@ private:
     /// text, so the key spaces cannot collide). Vector verdicts only exist
     /// for innermost loops, so substitutions never nest.
     std::map<std::string, std::string> simdPtrs_;
+    /// Active periodic-wrap lowering inside a peeled simd loop: the
+    /// verdict's wrap nodes and the C text genExpr emits for each instead
+    /// of its `%` (see genPeeledSimdFor).
+    const std::map<const void*, std::string>* simdWraps_ = nullptr;
+    int peelCount_ = 0;
     int pfCount_ = 0;
     Translation out_;
 
@@ -842,8 +850,10 @@ void CodeGen::genParallelFor(Env& env, const ForStmt& n, const analysis::LoopPar
         // chunk iterations through `#pragma omp simd` — threads across
         // chunks, lanes within one. The range guard re-checks inside the
         // chunk function; the scalar chunk loop is the else-branch.
+        // Parallel loops carry no accumulators, and a chunk range is not the
+        // peeled iteration space a wrap lowering needs.
         const analysis::LoopVector* lv = simdVerdict(benv, n);
-        if (lv && !lv->reductions.empty()) lv = nullptr;  // Parallel loops carry no accumulators
+        if (lv && (!lv->reductions.empty() || !lv->wraps.empty())) lv = nullptr;
         benv.vars[n.var] = {"v_" + n.var, vs, true};
         auto emitChunkLoop = [&](bool simd) {
             std::vector<std::string> keys;
@@ -1015,8 +1025,9 @@ void CodeGen::genParallelReduce(Env& env, const ForStmt& n, const analysis::Loop
         // the ordered combine — stay bitwise-stable. f32/f64 +/* never get a
         // vector verdict here (exactReductions gate in simdVerdict), keeping
         // the chunk fold serial and the documented determinism contract.
+        // Reduce loops prove guard-free; wrap lowering needs the whole range.
         const analysis::LoopVector* lv = simdVerdict(benv, n);
-        if (lv && !lv->overlapPairs.empty()) lv = nullptr;  // reduce loops prove guard-free
+        if (lv && (!lv->overlapPairs.empty() || !lv->wraps.empty())) lv = nullptr;
         benv.vars[n.var] = {"v_" + n.var, vs, true};
         std::vector<std::string> keys;
         if (lv) {
@@ -1235,6 +1246,10 @@ void CodeGen::genSimdFor(Env& env, const ForStmt& n, const analysis::LoopVector&
         genSerialFor(env, n);
         return;
     }
+    if (!lv.wraps.empty()) {
+        genPeeledSimdFor(env, n, lv, *condB->r);
+        return;
+    }
 
     const std::string guard = simdGuard(env, lv);
     em.open(guard.empty() ? "{" : "if (" + guard + ") {");
@@ -1259,6 +1274,96 @@ void CodeGen::genSimdFor(Env& env, const ForStmt& n, const analysis::LoopVector&
         em.line("wjrt_simd_fallback();");
         genSerialFor(env, n);
     }
+    em.close();
+    ++out_.vectorLoops;
+}
+
+// A loop whose verdict lowered periodic wraps (analysis::LoopVector::wraps)
+// runs as a sequence of ranges over [init, bound), each one `#pragma omp
+// simd` loop over the SAME body: the middle range [lo, hi) in one go, every
+// other iteration (the peeled head and tail, in source order) as a range of
+// its own. A wrap is lowered to `x + c + o`, where o is its correction at
+// the range start, `wrap(x0) - (x0 + c)`: 0 on the middle range, where the
+// wrap equals x + c, and exact on a one-iteration range. So the body is
+// compiled once, the middle range indexes contiguously, and no `idiv` is
+// left in the vector body. lo = min(peelLo, bound) and hi = max(lo, bound -
+// peelHi) are set only when the runtime guard (overlap pairs, plus `bound
+// <= wrapBoundMax` when the interval facts could not exclude numerator
+// overflow) holds; otherwise lo = hi = 0 and every iteration is its own
+// range, which is the scalar loop. That path may run over overlapping
+// arrays, so no restrict pointers are hoisted: `omp simd` alone licenses
+// the lanes.
+void CodeGen::genPeeledSimdFor(Env& env, const ForStmt& n, const analysis::LoopVector& lv,
+                               const Expr& boundE) {
+    Emitter& em = *env.em;
+    const Shape* vs = shapes_.ofType(n.varType);
+    const std::string vct = cTypeVal(vs);
+    const std::string var = "v_" + n.var;
+    const int id = peelCount_++;
+    const std::string lo = format("wj_vlo%d", id), hi = format("wj_vhi%d", id);
+    const std::string x0 = format("wj_vx%d", id), x1 = format("wj_vend%d", id);
+    em.open("{");
+    auto saved = env.vars;
+    const CVal init = genExpr(env, *n.init);
+    const CVal bound = materialize(env, genExpr(env, boundE));
+    const std::string& b = bound.text;
+    std::string guard = simdGuard(env, lv);
+    if (lv.wrapBoundMax != 0) {
+        if (!guard.empty()) guard += " && ";
+        guard += "(" + b + " <= " + primLiteral(bound.shape->prim(), lv.wrapBoundMax, 0) + ")";
+    }
+
+    // One correction per distinct wrap text (sorted, so the C is stable).
+    env.vars[n.var] = {x0, vs, true};
+    std::map<std::string, std::pair<int, const Shape*>> atStart;  // wrap(x0) -> c, shape
+    std::map<const void*, std::string> startText;
+    for (const auto& [node, c] : lv.wraps) {
+        const CVal w = genExpr(env, *static_cast<const Expr*>(node));
+        atStart.emplace(w.text, std::make_pair(c, w.shape));
+        startText[node] = w.text;
+    }
+    auto plusC = [](const std::string& x, int c) {
+        return c == 0 ? x : x + (c < 0 ? " - " : " + ") + std::to_string(std::abs(c));
+    };
+    std::map<std::string, std::string> offsetVar;
+    std::vector<std::string> offsetLines;
+    for (const auto& [text, cs] : atStart) {
+        const std::string o = format("wj_vo%d_%d", id, static_cast<int>(offsetVar.size()));
+        offsetVar[text] = o;
+        offsetLines.push_back(cTypeVal(cs.second) + " " + o + " = " + text + " - (" +
+                              plusC(x0, cs.first) + ");");
+    }
+    std::map<const void*, std::string> lowered;
+    for (const auto& [node, c] : lv.wraps) {
+        lowered[node] = "(" + plusC(var, c) + " + " + offsetVar.at(startText.at(node)) + ")";
+    }
+
+    em.line(vct + " " + lo + " = 0, " + hi + " = 0;");
+    if (!guard.empty()) em.open("if (" + guard + ") {");
+    em.line(lo + " = " + b + " < " + std::to_string(lv.peelLo) + " ? " + b + " : " +
+            std::to_string(lv.peelLo) + ";");
+    const std::string ph = std::to_string(lv.peelHi);
+    em.line(hi + " = " + b + " - " + lo + " > " + ph + " ? " + b + " - " + ph + " : " + lo + ";");
+    if (!guard.empty()) {
+        em.mid("} else {");
+        em.line("wjrt_simd_fallback();");
+        em.close();
+    }
+    em.open("for (" + vct + " " + x0 + " = " + init.text + "; " + x0 + " < " + b + ";) {");
+    em.line(vct + " " + x1 + " = " + x0 + " == " + lo + " && " + lo + " < " + hi + " ? " + hi +
+            " : " + x0 + " + 1;");
+    for (const std::string& l : offsetLines) em.line(l);
+    env.vars[n.var] = {var, vs, true};
+    em.line("#pragma omp simd" + simdRedClause(env, lv));
+    em.open("for (" + vct + " " + var + " = " + x0 + "; " + var + " < " + x1 + "; ++" + var +
+            ") {");
+    simdWraps_ = &lowered;
+    genStmts(env, n.body);
+    simdWraps_ = nullptr;
+    em.close();
+    em.line(x0 + " = " + x1 + ";");
+    em.close();
+    env.vars = saved;
     em.close();
     ++out_.vectorLoops;
 }
@@ -1381,6 +1486,10 @@ CodeGen::CVal CodeGen::genExpr(Env& env, const Expr& e) {
     case ExprKind::Binary: {
         const auto& n = as<BinaryExpr>(e);
         CVal l = genExpr(env, *n.l);
+        if (simdWraps_) {
+            auto w = simdWraps_->find(&e);
+            if (w != simdWraps_->end()) return {w->second, l.shape, true};
+        }
         CVal r = genExpr(env, *n.r);
         const bool simple = l.simple && r.simple;
         const Shape* boolShape = shapes_.ofPrim(Prim::Bool);

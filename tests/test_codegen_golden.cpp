@@ -129,6 +129,17 @@ Translation translateDiffusion() {
     return translate(prog, runner, "run", {Value::ofI32(1)});
 }
 
+/// The ghost-padded MPI runner (the perfbench `diffusion` composition):
+/// its x sweep reads the periodic-wrap neighbours `(x - 1 + nx) % nx` and
+/// `(x + 1) % nx`.
+Translation translateDiffusionMpi() {
+    static Program prog = stencil::buildProgram();
+    Interp in(prog);
+    const auto coeffs = stencil::DiffusionCoeffs::forKappa(0.1f, 0.1f, 1.0f);
+    Value runner = stencil::makeMpiRunner(in, 8, 8, 4, coeffs, 7);
+    return translate(prog, runner, "run", {Value::ofI32(1)});
+}
+
 Translation translateMatmul() {
     static Program prog = matmul::buildProgram();
     Interp in(prog);
@@ -224,6 +235,16 @@ TEST_F(CodegenGolden, DotProductParallelReduce) {
 TEST_F(CodegenGolden, Diffusion3DCpuSimd) {
     setenv("WJ_SIMD", "1", 1);
     checkGolden("diffusion3d_cpu_simd.c.golden", translateDiffusion().cSource);
+}
+
+// The MPI sweep under WJ_SIMD=1: the peeled loop as a sequence of `#pragma
+// omp simd` ranges over one body — the middle range [lo, hi) set only
+// under the cur/nxt overlap guard, the head and tail iterations as ranges
+// of their own — with each wrap lowered to `x + c` plus its per-range
+// correction, and no restrict hoists (the same loop is the fallback).
+TEST_F(CodegenGolden, Diffusion3DMpiSimd) {
+    setenv("WJ_SIMD", "1", 1);
+    checkGolden("diffusion3d_mpi_simd.c.golden", translateDiffusionMpi().cSource);
 }
 
 TEST_F(CodegenGolden, MatmulCpuSimd) {

@@ -30,9 +30,11 @@
 // denominators, and unbounded growth only happens in doubles.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
+#include <memory>
 
 #include <string>
 #include <vector>
@@ -437,3 +439,147 @@ TEST_P(ReductionDifferential, ParallelReduceConfigsBitwiseAgree) {
 }
 
 INSTANTIATE_TEST_SUITE_P(ReduceSweep, ReductionDifferential, ::testing::Range(0, 24));
+
+// ------------------------------------------------- periodic-wrap family
+//
+// Row sweeps `dst[base + x] = sum of w * src[base + wrap]` whose reads index
+// through periodic wraps `(x + c + n) % n` / `(x + c) % n`, c in [-3, 3] and
+// n in {1, 2, 3, 4, 7, 64} (so n at or below the peel widths is covered),
+// with the row base a body local and, for some seeds, the wrap itself a
+// body local or the bound hidden behind a double round trip (so the
+// overflow condition moves into the runtime guard). Whether dst aliases src
+// is decided by array data the analysis cannot fold, so the simd configs
+// must take both the peeled simd path and the scalar fallback. Every config
+// must agree with the interpreter BITWISE: lowering a wrap to x + c is exact
+// on the middle range and the elementwise f32 math is never reassociated.
+
+namespace {
+
+Program wrapFamilyProgram(uint64_t seed) {
+    SplitMix64 rng(seed);
+    static const int32_t kWidths[] = {1, 2, 3, 4, 7, 64};
+    static const int32_t kRows[] = {1, 2, 5};
+    const int32_t n = kWidths[rng.nextBelow(6)];
+    const int32_t rows = kRows[rng.nextBelow(3)];
+    const bool hiddenBound = rng.nextBelow(3) == 0;
+
+    // A wrap read of src at shift c, spelled one of the recognized ways.
+    auto wrapIdx = [&](int32_t c) -> ExprPtr {
+        const bool plusN = c < 0 || rng.nextBelow(2) == 0;
+        ExprPtr x = c < 0 && rng.nextBelow(2) == 0 ? sub(lv("x"), ci(-c)) : add(lv("x"), ci(c));
+        return rem(plusN ? add(std::move(x), lv("w")) : std::move(x), lv("w"));
+    };
+
+    Block inner;
+    inner.push_back(decl("base", Type::i32(), mul(lv("y"), lv("w"))));
+    ExprPtr value = mul(cf(0.5f), aget(lv("src"), add(lv("base"), lv("x"))));
+    const int reads = 1 + static_cast<int>(rng.nextBelow(3));
+    for (int k = 0; k < reads; ++k) {
+        // c < 0 stays >= -n so the numerator x + c + n is never negative.
+        const int32_t c = std::max(static_cast<int32_t>(rng.nextBelow(7)) - 3, -n);
+        const float wk = 0.125f * static_cast<float>(1 + rng.nextBelow(7));
+        ExprPtr idx = wrapIdx(c);
+        if (rng.nextBelow(2) == 0) {
+            const std::string local = "xw" + std::to_string(k);
+            inner.push_back(decl(local, Type::i32(), std::move(idx)));
+            idx = lv(local);
+        }
+        value = add(std::move(value), mul(cf(wk), aget(lv("src"), add(lv("base"), std::move(idx)))));
+    }
+    inner.push_back(aset(lv("dst"), add(lv("base"), lv("x")), std::move(value)));
+
+    ProgramBuilder pb;
+    auto& c = pb.cls("W");
+    c.method("sweep", Type::voidTy())
+        .param("dst", Type::array(Type::f32()))
+        .param("src", Type::array(Type::f32()))
+        .param("n", Type::i32())
+        .param("rows", Type::i32())
+        .body(blk(decl("w", Type::i32(),
+                       hiddenBound ? cast(Type::i32(), cast(Type::f64(), lv("n"))) : lv("n")),
+                  forRange("y", ci(0), lv("rows"),
+                           blk(forRange("x", ci(0), lv("w"), std::move(inner))))));
+    c.method("run", Type::f64())
+        .param("p", Type::i32())
+        .body(blk(
+            decl("n", Type::i32(), ci(n)),
+            decl("rows", Type::i32(), ci(rows)),
+            decl("a", Type::array(Type::f32()), newArr(Type::f32(), mul(lv("rows"), lv("n")))),
+            decl("b", Type::array(Type::f32()), newArr(Type::f32(), mul(lv("rows"), lv("n")))),
+            forRange("i", ci(0), mul(lv("rows"), lv("n")),
+                     blk(aset(lv("a"), lv("i"),
+                              mul(cf(0.25f), cast(Type::f32(), rem(add(mul(lv("i"), ci(7)),
+                                                                       lv("p")),
+                                                                   ci(13))))))),
+            // Aliased (in-place) or disjoint, decided by float data.
+            ifs(lt(aget(lv("a"), ci(0)), cf(1.0f)),
+                blk(exprS(call(self(), "sweep", lv("a"), lv("a"), lv("n"), lv("rows")))),
+                blk(exprS(call(self(), "sweep", lv("b"), lv("a"), lv("n"), lv("rows"))))),
+            decl("s", Type::f64(), cd(0.0)),
+            // s * 0.75 + ... is no recognized reduction: a serial fold.
+            forRange("i", ci(0), mul(lv("rows"), lv("n")),
+                     blk(assign("s", add(mul(lv("s"), cd(0.75)),
+                                         add(cast(Type::f64(), aget(lv("a"), lv("i"))),
+                                             cast(Type::f64(), aget(lv("b"), lv("i")))))))),
+            ret(lv("s"))));
+    return pb.build();
+}
+
+} // namespace
+
+class WrapDifferential : public ::testing::TestWithParam<int> {};
+
+TEST_P(WrapDifferential, PeeledWrapSweepsBitwiseAgree) {
+    const uint64_t seed = static_cast<uint64_t>(GetParam()) * 0x2545f491u + 5;
+    ScopedEnv pinB("WJ_BOUNDS", nullptr);
+    ScopedEnv pinP("WJ_PARALLEL", nullptr);
+    ScopedEnv pinT("WJ_THREADS", nullptr);
+    ScopedEnv pinS("WJ_SIMD", nullptr);
+    ScopedEnv pinL("WJ_SOA", nullptr);
+
+    Program p = wrapFamilyProgram(seed);
+    Interp in(p);
+    Value obj = in.instantiate("W", {});
+    const std::vector<Value> jitArgs{Value::ofI32(0)};
+    auto jitWith = [&](std::initializer_list<std::pair<const char*, const char*>> env) {
+        std::vector<std::unique_ptr<ScopedEnv>> scopes;
+        for (const auto& [k, v] : env) scopes.push_back(std::make_unique<ScopedEnv>(k, v));
+        return WootinJ::jit(p, obj, "run", jitArgs);
+    };
+    JitCode plain = jitWith({});
+    JitCode bounds = jitWith({{"WJ_BOUNDS", "all"}});
+    JitCode par = jitWith({{"WJ_PARALLEL", "1"}});
+    JitCode simd = jitWith({{"WJ_SIMD", "1"}});
+    EXPECT_NE(std::string::npos, simd.generatedC().find("wj_vlo0"))
+        << "the row sweep must prove and peel: seed=" << seed;
+    JitCode parSimd = jitWith({{"WJ_PARALLEL", "1"}, {"WJ_SIMD", "1"}});
+    JitCode soa = jitWith({{"WJ_SOA", "1"}});
+    JitCode parSimdSoa = jitWith({{"WJ_PARALLEL", "1"}, {"WJ_SIMD", "1"}, {"WJ_SOA", "1"}});
+
+    for (int arg : {0, 1, 7, -5, 123}) {
+        const std::vector<Value> args{Value::ofI32(arg)};
+        const uint64_t ref = bitsOf(in.call(obj, "run", args).asF64());
+        struct Row {
+            const char* config;
+            JitCode* code;
+            const char* threads;
+        };
+        const Row rows[] = {{"jit", &plain, nullptr},
+                            {"jit+bounds=all", &bounds, nullptr},
+                            {"jit+parallel@1", &par, "1"},
+                            {"jit+parallel@4", &par, "4"},
+                            {"jit+simd", &simd, nullptr},
+                            {"jit+parallel+simd@4", &parSimd, "4"},
+                            {"jit+soa", &soa, nullptr},
+                            {"jit+parallel+simd+soa@4", &parSimdSoa, "4"}};
+        for (const Row& r : rows) {
+            ScopedEnv t("WJ_THREADS", r.threads);
+            EXPECT_EQ(ref, bitsOf(r.code->invokeWith(args).asF64()))
+                << "config=" << r.config << " diverged from the interpreter: seed=" << seed
+                << " arg=" << arg << " (replay: WrapDifferential sweep index " << GetParam()
+                << ")";
+        }
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(WrapSweep, WrapDifferential, ::testing::Range(0, 24));

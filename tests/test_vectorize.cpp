@@ -119,6 +119,32 @@ Program aliasedCopyProgram() {
     return pb.build();
 }
 
+/// The verdict of the only analyzed loop over `var`, or null when there is
+/// none or more than one.
+const analysis::LoopVector* loopVectorOf(const analysis::Result& r, const std::string& var) {
+    const analysis::LoopVector* found = nullptr;
+    for (const auto& [fs, lv] : r.loopVector) {
+        if (static_cast<const ForStmt*>(fs)->var != var) continue;
+        if (found) return nullptr;
+        found = &lv;
+    }
+    return found;
+}
+
+/// `b[x] = 0.5f * a[wrapIdx]` over x in [init, n) inside T.run(n), with a
+/// and b freshly allocated (so distinct): the wrap-recognition probe.
+Program wrapProgram(ExprPtr wrapIdx, ExprPtr init = ci(0), Block prefix = {}) {
+    Block body;
+    for (auto& s : prefix) body.push_back(std::move(s));
+    body.push_back(aset(lv("b"), lv("x"), mul(cf(0.5f), aget(lv("a"), std::move(wrapIdx)))));
+    return oneMethodProgram(blk(
+        decl("a", Type::array(Type::f32()), newArr(Type::f32(), lv("n"))),
+        decl("b", Type::array(Type::f32()), newArr(Type::f32(), lv("n"))),
+        decl("m", Type::i32(), sub(lv("n"), ci(1))),
+        forRange("x", std::move(init), lv("n"), std::move(body)),
+        ret(cast(Type::f64(), aget(lv("b"), ci(0))))));
+}
+
 } // namespace
 
 // ------------------------------------------------------------ vector prover
@@ -180,6 +206,137 @@ TEST(VectorProver, ReductionExactnessSplitsByOperatorAndType) {
     EXPECT_TRUE(vectorReportHas(res, "reassociation is inexact; accumulator stays chunk-serial"));
 }
 
+// ---------------------------------------------------- periodic-wrap peeling
+
+TEST(VectorProver, WrapFormsProveWithPeelWidths) {
+    // (x - 2 + n) % n and (x + 3) % n: x + c on [2, n - 3).
+    auto res = analyzeRun(oneMethodProgram(blk(
+        decl("a", Type::array(Type::f32()), newArr(Type::f32(), lv("n"))),
+        decl("b", Type::array(Type::f32()), newArr(Type::f32(), lv("n"))),
+        forRange("x", ci(0), lv("n"),
+                 blk(aset(lv("b"), lv("x"),
+                          add(aget(lv("a"), rem(add(sub(lv("x"), ci(2)), lv("n")), lv("n"))),
+                              aget(lv("a"), rem(add(lv("x"), ci(3)), lv("n"))))))),
+        ret(cast(Type::f64(), aget(lv("b"), ci(0)))))));
+    EXPECT_TRUE(vectorReportHas(res, "T.run: for (x): vectorizable"));
+    EXPECT_TRUE(vectorReportHas(res, "periodic wraps as x + c on [2, n - 3) (peel 2 head + 3 tail)"));
+    const analysis::LoopVector* lv = loopVectorOf(res, "x");
+    ASSERT_NE(nullptr, lv);
+    EXPECT_EQ(2u, lv->wraps.size());
+    EXPECT_EQ(2, lv->peelLo);
+    EXPECT_EQ(3, lv->peelHi);
+    EXPECT_EQ(0, lv->wrapBoundMax) << "n = 192 is far from overflow";
+}
+
+TEST(VectorProver, WrapModulusMustBeTheLoopBound) {
+    auto res = analyzeRun(wrapProgram(rem(add(lv("x"), ci(1)), lv("m"))));
+    EXPECT_TRUE(vectorReportHas(res, "the modulus differs from the loop bound 'n'"));
+    const analysis::LoopVector* lv = loopVectorOf(res, "x");
+    ASSERT_NE(nullptr, lv);
+    EXPECT_TRUE(lv->wraps.empty());
+}
+
+TEST(VectorProver, WrapLoopMustStartAtZero) {
+    auto res = analyzeRun(wrapProgram(rem(add(lv("x"), ci(1)), lv("n")), ci(1)));
+    EXPECT_TRUE(vectorReportHas(res, "the loop does not start at 0"));
+    const analysis::LoopVector* lv = loopVectorOf(res, "x");
+    ASSERT_NE(nullptr, lv);
+    EXPECT_TRUE(lv->wraps.empty());
+}
+
+TEST(VectorProver, WrapLoopMustStepByOne) {
+    auto res = analyzeRun(oneMethodProgram(blk(
+        decl("a", Type::array(Type::f32()), newArr(Type::f32(), lv("n"))),
+        decl("b", Type::array(Type::f32()), newArr(Type::f32(), lv("n"))),
+        forI32("x", ci(0), lt(lv("x"), lv("n")), add(lv("x"), ci(2)),
+               blk(aset(lv("b"), lv("x"), aget(lv("a"), rem(add(lv("x"), ci(1)), lv("n")))))),
+        ret(cast(Type::f64(), aget(lv("b"), ci(0)))))));
+    EXPECT_TRUE(vectorReportHas(res, "T.run: for (x): scalar -- step is not `x + 1`"));
+}
+
+TEST(VectorProver, WrapModulusWrittenInTheBodyIsKept) {
+    auto res = analyzeRun(wrapProgram(rem(add(lv("x"), ci(1)), lv("k")), ci(0),
+                                      blk(decl("k", Type::i32(), lv("n")),
+                                          assign("k", lv("n")))));
+    EXPECT_TRUE(vectorReportHas(res, "the modulus is not loop-invariant"));
+    const analysis::LoopVector* lv = loopVectorOf(res, "x");
+    ASSERT_NE(nullptr, lv);
+    EXPECT_TRUE(lv->wraps.empty());
+}
+
+TEST(VectorProver, WrapDivisorMayBeNonPositive) {
+    // Lint: the parameter m is unknown, so `% m` may divide by <= 0.
+    ProgramBuilder pb;
+    pb.cls("T").method("f", Type::voidTy())
+        .param("a", Type::array(Type::f32()))
+        .param("b", Type::array(Type::f32()))
+        .param("n", Type::i32())
+        .param("m", Type::i32())
+        .body(blk(forRange("x", ci(0), lv("n"),
+                           blk(aset(lv("b"), lv("x"),
+                                    aget(lv("a"), rem(add(lv("x"), ci(1)), lv("m"))))))));
+    auto res = analysis::lintProgram(pb.build());
+    EXPECT_TRUE(vectorReportHas(res, "the divisor may be <= 0"));
+}
+
+TEST(VectorProver, WrapWithUnknownBoundFoldsOverflowIntoTheGuard) {
+    // Lint: n is unknown, so x + 1 + n could overflow i32 for n near
+    // INT32_MAX; the verdict carries the runtime bound check instead.
+    ProgramBuilder pb;
+    pb.cls("T").method("f", Type::voidTy())
+        .param("a", Type::array(Type::f32()))
+        .param("b", Type::array(Type::f32()))
+        .param("n", Type::i32())
+        .body(blk(forRange(
+            "x", ci(0), lv("n"),
+            blk(aset(lv("b"), lv("x"),
+                     aget(lv("a"), rem(add(sub(lv("x"), ci(1)), lv("n")), lv("n"))))))));
+    auto res = analysis::lintProgram(pb.build());
+    EXPECT_TRUE(vectorReportHas(
+        res, "periodic wraps as x + c on [1, n) (peel 1 head + 0 tail; runtime guard n <= "
+             "1073741819)"));
+    const analysis::LoopVector* lv = loopVectorOf(res, "x");
+    ASSERT_NE(nullptr, lv);
+    EXPECT_EQ(1073741819, lv->wrapBoundMax);
+}
+
+/// for y in [0, 4): for x in [0, n): { int base = y * n; [reassign]
+/// dst[base + x] = 2 * src[base + x]; } — the stable-body-local probe.
+Program baseLocalProgram(bool reassign) {
+    Block inner;
+    inner.push_back(decl("base", Type::i32(), mul(lv("y"), lv("n"))));
+    if (reassign) inner.push_back(assign("base", mul(lv("base"), ci(1))));
+    inner.push_back(aset(lv("dst"), add(lv("base"), lv("x")),
+                         mul(cf(2.0f), aget(lv("src"), add(lv("base"), lv("x"))))));
+    return oneMethodProgram(blk(
+        decl("src", Type::array(Type::f32()), newArr(Type::f32(), mul(ci(4), lv("n")))),
+        decl("dst", Type::array(Type::f32()), newArr(Type::f32(), mul(ci(4), lv("n")))),
+        forRange("y", ci(0), ci(4), blk(forRange("x", ci(0), lv("n"), std::move(inner)))),
+        ret(cast(Type::f64(), aget(lv("dst"), ci(0))))));
+}
+
+TEST(VectorProver, StableBodyLocalKeysTheStore) {
+    auto res = analyzeRun(baseLocalProgram(false));
+    EXPECT_TRUE(vectorReportHas(res, "T.run: for (x): vectorizable"));
+}
+
+// Equal index keys prove nothing when the loop variable sits under a
+// non-affine operator: x + x % 4 writes a[4] at x = 2 and at x = 4.
+TEST(VectorProver, NonAffineIndexKeyIsNotStable) {
+    auto res = analyzeRun(oneMethodProgram(blk(
+        decl("a", Type::array(Type::f32()), newArr(Type::f32(), mul(ci(2), lv("n")))),
+        forRange("x", ci(0), lv("n"),
+                 blk(aset(lv("a"), add(lv("x"), rem(lv("x"), ci(4))), cast(Type::f32(), lv("x"))))),
+        ret(cast(Type::f64(), aget(lv("a"), ci(4)))))));
+    EXPECT_TRUE(vectorReportHas(res, "T.run: for (x): scalar -- accesses to 'a' may collide"));
+}
+
+TEST(VectorProver, ReassignedBodyLocalIsNotStable) {
+    auto res = analyzeRun(baseLocalProgram(true));
+    EXPECT_TRUE(
+        vectorReportHas(res, "T.run: for (x): scalar -- accesses to 'dst' may collide"));
+}
+
 // ------------------------------------------------------------ simd codegen
 
 TEST(SimdCodegen, EmitsPragmaAndRestrictOnlyUnderWjSimd) {
@@ -236,6 +393,34 @@ TEST(SimdCodegen, GuardedLoopKeepsScalarFallback) {
     EXPECT_NE(std::string::npos, t.cSource.find("wjrt_ranges_disjoint"));
     EXPECT_NE(std::string::npos, t.cSource.find("wjrt_simd_fallback"));
     EXPECT_NE(std::string::npos, t.cSource.find("#pragma omp simd"));
+}
+
+// A bound the interval facts cannot cap (m goes through a double) folds the
+// wrap-overflow condition into the runtime guard; the peeled loop must
+// still match the interpreter bit for bit.
+TEST(SimdCodegen, PeeledWrapLoopWithUnknownBoundGuardsOverflow) {
+    Program p = oneMethodProgram(blk(
+        decl("m", Type::i32(), cast(Type::i32(), cast(Type::f64(), lv("n")))),
+        decl("a", Type::array(Type::f32()), newArr(Type::f32(), lv("m"))),
+        decl("b", Type::array(Type::f32()), newArr(Type::f32(), lv("m"))),
+        forRange("x", ci(0), lv("m"),
+                 blk(aset(lv("a"), lv("x"), cast(Type::f32(), mul(lv("x"), lv("x")))))),
+        forRange("x", ci(0), lv("m"),
+                 blk(aset(lv("b"), lv("x"),
+                          sub(aget(lv("a"), rem(add(lv("x"), ci(2)), lv("m"))),
+                              aget(lv("a"), rem(add(sub(lv("x"), ci(1)), lv("m")), lv("m"))))))),
+        decl("s", Type::f64(), cd(0.0)),
+        forRange("x", ci(0), lv("m"),
+                 blk(assign("s", add(mul(lv("s"), cd(0.5)), cast(Type::f64(), aget(lv("b"), lv("x"))))))),
+        ret(lv("s"))));
+    Interp in(p);
+    Value obj = in.instantiate("T", {});
+    const std::vector<Value> args{Value::ofI32(kProbeN)};
+    ScopedEnv on("WJ_SIMD", "1");
+    JitCode code = WootinJ::jit(p, obj, "run", args);
+    EXPECT_NE(std::string::npos, code.generatedC().find("(v_m <= 1073741819)"));
+    EXPECT_NE(std::string::npos, code.generatedC().find("wj_vlo0"));
+    EXPECT_TRUE(bitEq(in.call(obj, "run", args).asF64(), code.invokeWith(args).asF64()));
 }
 
 // --------------------------------------------------------------- end to end
@@ -327,6 +512,64 @@ TEST(KernelVectorization, DiffusionGridLoopsProve) {
     // the refusal must name that call, not a generic "unsupported".
     EXPECT_TRUE(vectorReportHas(res, "StencilCPU3DDblB.step: for (x): scalar"));
     EXPECT_TRUE(vectorReportHas(res, "calls 'get'"));
+}
+
+// The MPI sweep: `base`, `ym` and `yp` are stable body locals and the
+// x-neighbours are periodic wraps, so the loop proves with one peeled
+// iteration at each end (ghost planes make cur/nxt a guarded pair).
+TEST(KernelVectorization, MpiSweepProvesPeeled) {
+    Program prog = stencil::buildProgram();
+    Interp in(prog);
+    const auto coeffs = stencil::DiffusionCoeffs::forKappa(0.1f, 0.1f, 1.0f);
+    Value runner = stencil::makeMpiRunner(in, 8, 8, 4, coeffs, 7);
+    auto res = analysis::analyzeEntry(prog, runner, "run", {Value::ofI32(1)});
+    EXPECT_TRUE(vectorReportHas(res, "StencilCPU3D_MPI.step: for (x): vectorizable (guarded)"));
+    EXPECT_TRUE(vectorReportHas(res, "'cur'/'nxt'"));
+    EXPECT_TRUE(vectorReportHas(res, "periodic wraps as x + c on [1, nx - 1) (peel 1 head + 1 tail)"));
+    const analysis::LoopVector* lv = loopVectorOf(res, "x");
+    ASSERT_NE(nullptr, lv);
+    EXPECT_EQ(2u, lv->wraps.size());  // xm and xp; ym/yp do not depend on x
+    EXPECT_EQ(1, lv->peelLo);
+    EXPECT_EQ(1, lv->peelHi);
+    EXPECT_EQ(0, lv->wrapBoundMax);
+}
+
+// The `wjc lint` row (README) for the same loop: without an entry context
+// nx is unknown, so the overflow condition rides in the runtime guard.
+TEST(KernelVectorization, MpiSweepLintRowShowsThePeel) {
+    auto res = analysis::lintProgram(stencil::buildProgram());
+    EXPECT_TRUE(vectorReportHas(
+        res, "StencilCPU3D_MPI.step: for (x): vectorizable (guarded) -- lanes are independent "
+             "provided the data ranges of 'cur'/'nxt' are disjoint (runtime overlap guard); "
+             "periodic wraps as x + c on [1, nx - 1) (peel 1 head + 1 tail; runtime guard nx "
+             "<= 1073741819)"));
+}
+
+// Bitwise on every slab width, including nx at and below the peel widths
+// (head + tail = 2): the peeled loop must degenerate to the scalar one.
+TEST(KernelVectorization, MpiSweepBitwiseUnderSimdAcrossWidths) {
+    Program prog = stencil::buildProgram();
+    Interp in(prog);
+    const auto coeffs = stencil::DiffusionCoeffs::forKappa(0.1f, 0.1f, 1.0f);
+    const std::vector<Value> args = {Value::ofI32(3)};
+    for (int nx : {1, 2, 3, 5, 16}) {
+        for (int ranks : {1, 2}) {
+            // nzLocal = 3 keeps every stepRange call of the overlap runner
+            // non-empty (an unreachable context would poison its verdict).
+            const double ref = stencil::referenceDiffusion3D(nx, 4, 3 * ranks, coeffs, 7, 3);
+            Value runner = stencil::makeMpiRunner(in, nx, 4, 3, coeffs, 7);
+            Value overlap = stencil::makeMpiOverlapRunner(in, nx, 4, 3, coeffs, 7);
+            ScopedEnv simd("WJ_SIMD", "1");
+            for (const Value* r : {&runner, &overlap}) {
+                JitCode code = WootinJ::jit4mpi(prog, *r, "run", args);
+                EXPECT_GE(code.vectorLoops(), 3);
+                code.set4MPI(ranks);
+                EXPECT_TRUE(bitEq(ref, code.invokeWith(args).asF64()))
+                    << "nx=" << nx << " ranks=" << ranks
+                    << (r == &overlap ? " (overlap runner)" : "");
+            }
+        }
+    }
 }
 
 TEST(KernelVectorization, MatmulInnerLoopProvesWithBrCrGuard) {

@@ -2,7 +2,9 @@
 # Refreshes the checked-in codegen snapshots in tests/golden/ after an
 # INTENTIONAL translator change. Builds test_codegen_golden, reruns it in
 # update mode (WJ_UPDATE_GOLDEN=1), then shows the resulting diff so it can
-# be reviewed like any other source change.
+# be reviewed like any other source change. Every snapshot test_codegen_golden
+# pins is refreshed: the scalar, WJ_BOUNDS, WJ_PARALLEL, WJ_SIMD (including the
+# peeled MPI sweep, diffusion3d_mpi_simd.c.golden) and WJ_SOA variants.
 #
 # Usage: tests/update_goldens.sh [build-dir]   (default: ./build)
 set -eu
