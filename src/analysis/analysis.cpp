@@ -14,6 +14,7 @@
 #include "analysis/dataflow.h"
 #include "analysis/effects.h"
 #include "analysis/interval.h"
+#include "ir/clone.h"
 #include "ir/intrinsics.h"
 #include "ir/printer.h"
 #include "ir/typecheck.h"
@@ -47,51 +48,9 @@ std::string fieldKeyOf(const Program& prog, const std::string& cls, const std::s
 
 /// Collects every local name read by an expression tree.
 void collectReads(const Expr& e, std::vector<std::string>& out) {
-    switch (e.kind) {
-    case ExprKind::Const:
-    case ExprKind::This:
-    case ExprKind::StaticGet: return;
-    case ExprKind::Local: out.push_back(as<LocalExpr>(e).name); return;
-    case ExprKind::FieldGet: collectReads(*as<FieldGetExpr>(e).obj, out); return;
-    case ExprKind::ArrayGet: {
-        const auto& n = as<ArrayGetExpr>(e);
-        collectReads(*n.arr, out);
-        collectReads(*n.idx, out);
-        return;
-    }
-    case ExprKind::ArrayLen: collectReads(*as<ArrayLenExpr>(e).arr, out); return;
-    case ExprKind::Unary: collectReads(*as<UnaryExpr>(e).e, out); return;
-    case ExprKind::Binary: {
-        const auto& n = as<BinaryExpr>(e);
-        collectReads(*n.l, out);
-        collectReads(*n.r, out);
-        return;
-    }
-    case ExprKind::Cond: {
-        const auto& n = as<CondExpr>(e);
-        collectReads(*n.c, out);
-        collectReads(*n.t, out);
-        collectReads(*n.f, out);
-        return;
-    }
-    case ExprKind::Call: {
-        const auto& n = as<CallExpr>(e);
-        collectReads(*n.recv, out);
-        for (const auto& a : n.args) collectReads(*a, out);
-        return;
-    }
-    case ExprKind::StaticCall:
-        for (const auto& a : as<StaticCallExpr>(e).args) collectReads(*a, out);
-        return;
-    case ExprKind::New:
-        for (const auto& a : as<NewExpr>(e).args) collectReads(*a, out);
-        return;
-    case ExprKind::NewArray: collectReads(*as<NewArrayExpr>(e).len, out); return;
-    case ExprKind::Cast: collectReads(*as<CastExpr>(e).e, out); return;
-    case ExprKind::IntrinsicCall:
-        for (const auto& a : as<IntrinsicExpr>(e).args) collectReads(*a, out);
-        return;
-    }
+    visitExpr(e, [&](const Expr& x) {
+        if (x.kind == ExprKind::Local) out.push_back(as<LocalExpr>(x).name);
+    });
 }
 
 /// Local names a CFG node reads (in its expressions, before its own defs).
@@ -161,30 +120,18 @@ const std::string* nodeDef(const CfgNode& nd, bool& uninit) {
 }
 
 bool exprHasEffects(const Expr& e) {
-    switch (e.kind) {
-    case ExprKind::Call:
-    case ExprKind::StaticCall:
-    case ExprKind::IntrinsicCall:
-    case ExprKind::New:
-    case ExprKind::NewArray: return true;
-    case ExprKind::FieldGet: return exprHasEffects(*as<FieldGetExpr>(e).obj);
-    case ExprKind::ArrayGet: {
-        const auto& n = as<ArrayGetExpr>(e);
-        return exprHasEffects(*n.arr) || exprHasEffects(*n.idx);
-    }
-    case ExprKind::ArrayLen: return exprHasEffects(*as<ArrayLenExpr>(e).arr);
-    case ExprKind::Unary: return exprHasEffects(*as<UnaryExpr>(e).e);
-    case ExprKind::Binary: {
-        const auto& n = as<BinaryExpr>(e);
-        return exprHasEffects(*n.l) || exprHasEffects(*n.r);
-    }
-    case ExprKind::Cond: {
-        const auto& n = as<CondExpr>(e);
-        return exprHasEffects(*n.c) || exprHasEffects(*n.t) || exprHasEffects(*n.f);
-    }
-    case ExprKind::Cast: return exprHasEffects(*as<CastExpr>(e).e);
-    default: return false;
-    }
+    bool effects = false;
+    visitExpr(e, [&](const Expr& x) {
+        switch (x.kind) {
+        case ExprKind::Call:
+        case ExprKind::StaticCall:
+        case ExprKind::IntrinsicCall:
+        case ExprKind::New:
+        case ExprKind::NewArray: effects = true; break;
+        default: break;
+        }
+    });
+    return effects;
 }
 
 // ------------------------------------------------------- definite assignment
@@ -409,14 +356,17 @@ bool joinEnv(Env& a, const Env& b) {
         a = b;
         return true;
     }
+    // Both maps are sorted by name: merge in one pass.
     bool changed = false;
+    auto it = a.vars.begin();
     for (const auto& [k, v] : b.vars) {
-        auto it = a.vars.find(k);
-        if (it == a.vars.end()) {
-            a.vars.emplace(k, v);
-            changed = true;
-        } else {
+        while (it != a.vars.end() && it->first < k) ++it;
+        if (it != a.vars.end() && it->first == k) {
             changed |= joinAVal(it->second, v);
+            ++it;
+        } else {
+            a.vars.emplace_hint(it, k, v);
+            changed = true;
         }
     }
     return changed;
@@ -600,7 +550,8 @@ public:
         soaOn_ = soa && *soa && std::string(soa) != "0";
     }
 
-    void runEntry(const Value& receiver, const std::string& method, const std::vector<Value>& args);
+    void runEntry(const Value& receiver, const std::string& method, const std::vector<Value>& args,
+                  const Method* entryBody);
     void runLint();
 
     // -- shared helpers used by the dataflow domain (public for the local
@@ -663,13 +614,13 @@ private:
         Itv w = Itv::top();
     };
     void proveLoops(const std::string& label, const Method& m, const Cfg& cfg,
-                    const std::vector<Env>& states);
+                    std::vector<Env>& states);
     /// `vectorOnly` switches the prover into the SIMD-legality mode of the
     /// proveVectors pass: verdicts flow to noteVector instead of noteLoop,
     /// accesses must additionally be unit-stride, and the alias pairs widen
     /// to every may-aliasing written/other pair (restrict soundness).
     ParVerdict proveLoop(const std::string& label, const ForStmt& fs, const Cfg& cfg,
-                         const std::vector<Env>& states, bool vectorOnly = false);
+                         std::vector<Env>& states, bool vectorOnly = false);
     bool ctorAllowsParallel(const ClassDecl* cls);
     void noteLoop(const ForStmt* fs, const std::string& label, ParVerdict v, std::string reason,
                   std::vector<std::pair<std::string, std::string>> pairs,
@@ -695,6 +646,10 @@ private:
     Result& out_;
     bool lint_;
     bool soaOn_ = false;  ///< WJ_SOA=1: the translator will split Inline classes
+    /// A rewritten entry body analyzed in place of `entryOrig_`; its effect
+    /// summary is the original's (inlining moves effects, it adds none).
+    const Method* entryBody_ = nullptr;
+    const Method* entryOrig_ = nullptr;
     FieldGroups groups_;
     std::map<const Method*, Effects> effects_;
 
@@ -882,7 +837,11 @@ struct IntervalDomain {
         if (e.guard && s.reach) eng.refineGuard(s, *e.guard, e.sense);
     }
 
-    bool join(State& into, const State& from) { return joinEnv(into, from); }
+    bool join(State& into, State&& from) {
+        if (into.reach || !from.reach) return joinEnv(into, from);
+        into = std::move(from);  // first path into the node
+        return true;
+    }
     void widen(State& s, const State& prev) { widenEnv(s, prev); }
 };
 
@@ -924,7 +883,7 @@ AVal Engine::analyzeCall(const ClassDecl& owner, const Method& m, const AVal* se
 
     const Cfg cfg = Cfg::build(m);
     IntervalDomain dom{*this, cfg, entry, unknownOf(m.ret), false};
-    const auto nodeStates = solve(cfg, dom, Direction::Forward);
+    auto nodeStates = solve(cfg, dom, Direction::Forward);
 
     AVal ret = dom.retSet || m.ret.isVoid() ? dom.ret : unknownOf(m.ret);
     if (ret.type.isVoid() && !m.ret.isVoid()) ret.type = m.ret;
@@ -1086,7 +1045,7 @@ void Engine::execCtor(const ClassDecl& cls, const AbsObjPtr& obj, const std::vec
 
 const Effects& Engine::effectsOf(const Method& m) const {
     static const Effects kNone{};
-    auto it = effects_.find(&m);
+    auto it = effects_.find(&m == entryBody_ ? entryOrig_ : &m);
     return it != effects_.end() ? it->second : kNone;
 }
 
@@ -1648,7 +1607,14 @@ void Engine::raceStmt(Env& env, const Stmt& st, std::vector<Pending>& p) {
     case StmtKind::If: {
         const auto& n = as<IfStmt>(st);
         raceExpr(env, *n.cond, p);
+        // Each branch sees its guard, as in the interval pass: the walk
+        // evaluates every access it passes, and `if (i > 0) a[i - 1]` at
+        // i = 0 is not an execution.
         Env envT = env, envF = env;
+        if (env.reach) {
+            refineGuard(envT, *n.cond, true);
+            refineGuard(envF, *n.cond, false);
+        }
         std::vector<Pending> pT = p, pF = p;
         raceBlock(envT, n.thenB, pT);
         raceBlock(envF, n.elseB, pF);
@@ -1974,8 +1940,7 @@ struct ParBodyIndex {
 };
 
 void indexParBody(const Block& b, ParBodyIndex& ix) {
-    for (const auto& stp : b) {
-        const Stmt& st = *stp;
+    visitBlock(b, {}, [&](const Stmt& st) {
         ix.stmts.insert(&st);
         switch (st.kind) {
         case StmtKind::Decl: {
@@ -1987,52 +1952,27 @@ void indexParBody(const Block& b, ParBodyIndex& ix) {
         case StmtKind::AssignLocal:
             ix.kills.insert(as<AssignLocalStmt>(st).name);
             break;
-        case StmtKind::If: {
-            const auto& n = as<IfStmt>(st);
-            ix.conds.insert(n.cond.get());
-            indexParBody(n.thenB, ix);
-            indexParBody(n.elseB, ix);
-            break;
-        }
-        case StmtKind::While: {
-            const auto& n = as<WhileStmt>(st);
-            ix.conds.insert(n.cond.get());
-            indexParBody(n.body, ix);
-            break;
-        }
+        case StmtKind::If: ix.conds.insert(as<IfStmt>(st).cond.get()); break;
+        case StmtKind::While: ix.conds.insert(as<WhileStmt>(st).cond.get()); break;
         case StmtKind::For: {
             const auto& n = as<ForStmt>(st);
             ix.fors.insert(&n);
             ix.conds.insert(n.cond.get());
             ix.defined.insert(n.var);
             ix.kills.insert(n.var);
-            indexParBody(n.body, ix);
             break;
         }
         default: break;
         }
-    }
+    });
 }
 
 /// Any ArrayGet in the tree? (Loop bounds must not read array elements the
 /// body could write — the parallel dispatch evaluates the bound once.)
 bool exprReadsArray(const Expr& e) {
-    switch (e.kind) {
-    case ExprKind::ArrayGet: return true;
-    case ExprKind::FieldGet: return exprReadsArray(*as<FieldGetExpr>(e).obj);
-    case ExprKind::ArrayLen: return exprReadsArray(*as<ArrayLenExpr>(e).arr);
-    case ExprKind::Unary: return exprReadsArray(*as<UnaryExpr>(e).e);
-    case ExprKind::Binary: {
-        const auto& n = as<BinaryExpr>(e);
-        return exprReadsArray(*n.l) || exprReadsArray(*n.r);
-    }
-    case ExprKind::Cond: {
-        const auto& n = as<CondExpr>(e);
-        return exprReadsArray(*n.c) || exprReadsArray(*n.t) || exprReadsArray(*n.f);
-    }
-    case ExprKind::Cast: return exprReadsArray(*as<CastExpr>(e).e);
-    default: return false;
-    }
+    bool reads = false;
+    visitExpr(e, [&](const Expr& x) { reads = reads || x.kind == ExprKind::ArrayGet; });
+    return reads;
 }
 
 bool rangesIntersect(int64_t lo1, int64_t hi1, int64_t lo2, int64_t hi2) {
@@ -2061,106 +2001,20 @@ struct RedUpdate {
 
 /// Number of `Local(name)` reads in an expression tree.
 int countLocalReads(const Expr& e, const std::string& name) {
-    switch (e.kind) {
-    case ExprKind::Local: return as<LocalExpr>(e).name == name ? 1 : 0;
-    case ExprKind::FieldGet: return countLocalReads(*as<FieldGetExpr>(e).obj, name);
-    case ExprKind::ArrayGet: {
-        const auto& n = as<ArrayGetExpr>(e);
-        return countLocalReads(*n.arr, name) + countLocalReads(*n.idx, name);
-    }
-    case ExprKind::ArrayLen: return countLocalReads(*as<ArrayLenExpr>(e).arr, name);
-    case ExprKind::Unary: return countLocalReads(*as<UnaryExpr>(e).e, name);
-    case ExprKind::Binary: {
-        const auto& n = as<BinaryExpr>(e);
-        return countLocalReads(*n.l, name) + countLocalReads(*n.r, name);
-    }
-    case ExprKind::Cond: {
-        const auto& n = as<CondExpr>(e);
-        return countLocalReads(*n.c, name) + countLocalReads(*n.t, name) +
-               countLocalReads(*n.f, name);
-    }
-    case ExprKind::Cast: return countLocalReads(*as<CastExpr>(e).e, name);
-    case ExprKind::Call: {
-        const auto& n = as<CallExpr>(e);
-        int c = countLocalReads(*n.recv, name);
-        for (const auto& a : n.args) c += countLocalReads(*a, name);
-        return c;
-    }
-    case ExprKind::StaticCall: {
-        const auto& n = as<StaticCallExpr>(e);
-        int c = 0;
-        for (const auto& a : n.args) c += countLocalReads(*a, name);
-        return c;
-    }
-    case ExprKind::New: {
-        const auto& n = as<NewExpr>(e);
-        int c = 0;
-        for (const auto& a : n.args) c += countLocalReads(*a, name);
-        return c;
-    }
-    case ExprKind::NewArray: return countLocalReads(*as<NewArrayExpr>(e).len, name);
-    case ExprKind::IntrinsicCall: {
-        const auto& n = as<IntrinsicExpr>(e);
-        int c = 0;
-        for (const auto& a : n.args) c += countLocalReads(*a, name);
-        return c;
-    }
-    default: return 0;  // Const, This, StaticGet
-    }
+    int c = 0;
+    visitExpr(e, [&](const Expr& x) {
+        c += x.kind == ExprKind::Local && as<LocalExpr>(x).name == name;
+    });
+    return c;
 }
 
-int countLocalReadsBlock(const Block& b, const std::string& name);
-
-/// Reads of `name` across every expression of one statement, including
-/// nested control flow (the proveLoop read audit).
-int countLocalReadsStmt(const Stmt& st, const std::string& name) {
-    switch (st.kind) {
-    case StmtKind::Decl: {
-        const auto& n = as<DeclStmt>(st);
-        return n.init ? countLocalReads(*n.init, name) : 0;
-    }
-    case StmtKind::AssignLocal: return countLocalReads(*as<AssignLocalStmt>(st).value, name);
-    case StmtKind::FieldSet: {
-        const auto& n = as<FieldSetStmt>(st);
-        return countLocalReads(*n.obj, name) + countLocalReads(*n.value, name);
-    }
-    case StmtKind::ArraySet: {
-        const auto& n = as<ArraySetStmt>(st);
-        return countLocalReads(*n.arr, name) + countLocalReads(*n.idx, name) +
-               countLocalReads(*n.value, name);
-    }
-    case StmtKind::If: {
-        const auto& n = as<IfStmt>(st);
-        return countLocalReads(*n.cond, name) + countLocalReadsBlock(n.thenB, name) +
-               countLocalReadsBlock(n.elseB, name);
-    }
-    case StmtKind::While: {
-        const auto& n = as<WhileStmt>(st);
-        return countLocalReads(*n.cond, name) + countLocalReadsBlock(n.body, name);
-    }
-    case StmtKind::For: {
-        const auto& n = as<ForStmt>(st);
-        return countLocalReads(*n.init, name) + countLocalReads(*n.cond, name) +
-               countLocalReads(*n.step, name) + countLocalReadsBlock(n.body, name);
-    }
-    case StmtKind::Return: {
-        const auto& n = as<ReturnStmt>(st);
-        return n.value ? countLocalReads(*n.value, name) : 0;
-    }
-    case StmtKind::ExprStmt: return countLocalReads(*as<ExprStmt>(st).e, name);
-    case StmtKind::SuperCtor: {
-        const auto& n = as<SuperCtorStmt>(st);
-        int c = 0;
-        for (const auto& a : n.args) c += countLocalReads(*a, name);
-        return c;
-    }
-    }
-    return 0;
-}
-
+/// Reads of `name` across every expression of a block, including nested
+/// control flow (the proveLoop read audit).
 int countLocalReadsBlock(const Block& b, const std::string& name) {
     int c = 0;
-    for (const auto& st : b) c += countLocalReadsStmt(*st, name);
+    visitBlock(b, [&](const Expr& x) {
+        c += x.kind == ExprKind::Local && as<LocalExpr>(x).name == name;
+    });
     return c;
 }
 
@@ -2547,7 +2401,7 @@ bool blockHasLoop(const Block& b) {
 /// proof for each. A refused loop's nested loops are tried instead, so a
 /// serial driver loop still gets its compute-heavy inner loops outlined.
 void Engine::proveLoops(const std::string& label, const Method& m, const Cfg& cfg,
-                        const std::vector<Env>& states) {
+                        std::vector<Env>& states) {
     std::function<void(const Block&)> scan = [&](const Block& b) {
         for (const auto& stp : b) {
             switch (stp->kind) {
@@ -2594,7 +2448,7 @@ void Engine::proveLoops(const std::string& label, const Method& m, const Cfg& cf
 }
 
 ParVerdict Engine::proveLoop(const std::string& label, const ForStmt& fs, const Cfg& cfg,
-                             const std::vector<Env>& states, bool vectorOnly) {
+                             std::vector<Env>& states, bool vectorOnly) {
     auto refuse = [&](std::string why) {
         if (vectorOnly) {
             LoopVector lv;  // ScalarOnly
@@ -2676,7 +2530,7 @@ ParVerdict Engine::proveLoop(const std::string& label, const ForStmt& fs, const 
         return refuse("loop is unreachable in this context");
     }
 
-    Env preEnv = states[static_cast<size_t>(initNode)];
+    Env& preEnv = states[static_cast<size_t>(initNode)];
     const Itv initV = evalExpr(preEnv, *fs.init).num;
     const Itv boundV = evalExpr(preEnv, bound).num;
     const Itv V{initV.lo, Itv::satAdd(boundV.hi, -1)};
@@ -3214,7 +3068,9 @@ ParVerdict Engine::proveLoop(const std::string& label, const ForStmt& fs, const 
         }
         if (mapped < 0) continue;
         if (!states[static_cast<size_t>(node)].reach) continue;  // dead body code
-        Env env = states[static_cast<size_t>(node)];
+        // Evaluation only reads the environment, so the fixed-point state
+        // serves directly.
+        Env& env = states[static_cast<size_t>(node)];
 
         if (branchCond) {
             legal = checkExpr(env, *branchCond);
@@ -3569,7 +3425,7 @@ void collectBoundaryClasses(const Value& v, std::set<const Obj*>& seen,
 } // namespace
 
 void Engine::runEntry(const Value& receiver, const std::string& method,
-                      const std::vector<Value>& args) {
+                      const std::vector<Value>& args, const Method* entryBody) {
     {
         std::set<const Obj*> seen;
         std::set<std::string> boundary;
@@ -3589,7 +3445,11 @@ void Engine::runEntry(const Value& receiver, const std::string& method,
         const Type declared = i < m->params.size() ? m->params[i].type : Type::voidTy();
         argVals.push_back(absOfValue(args[i], declared));
     }
-    analyzeCall(*owner, *m, &self, argVals);
+    if (entryBody) {
+        entryBody_ = entryBody;
+        entryOrig_ = m;
+    }
+    analyzeCall(*owner, entryBody ? *entryBody : *m, &self, argVals);
     finishParallelReport();
     finishVectorReport();
     finishLayoutReport();
@@ -3658,10 +3518,10 @@ Result lintProgram(const Program& prog) {
 }
 
 Result analyzeEntry(const Program& prog, const Value& receiver, const std::string& method,
-                    const std::vector<Value>& args) {
+                    const std::vector<Value>& args, const Method* entryBody) {
     Result out;
     Engine eng(prog, out, /*lint=*/false);
-    eng.runEntry(receiver, method, args);
+    eng.runEntry(receiver, method, args, entryBody);
     tally(out);
     return out;
 }

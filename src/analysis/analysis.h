@@ -24,6 +24,7 @@
 #pragma once
 
 #include <map>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -171,6 +172,14 @@ struct Result {
     /// One line per element class explaining its layout verdict (the
     /// "wjc lint" layout table). Filled by both drivers.
     std::vector<std::string> layoutReport;
+    /// Loop fusion (analyzeEntryFused only; see fusion.h): the entry method
+    /// with its fused groups rewritten in, which the translator emits in
+    /// place of the source body — null when nothing fused — plus the number
+    /// of fused groups and one "fused:" / "not fused:" line per considered
+    /// producer/consumer pair (also appended to parallelReport).
+    std::shared_ptr<const Method> fusedEntry;
+    int fusedLoops = 0;
+    std::vector<std::string> fusionReport;
 
     bool clean() const { return errors.empty(); }
     /// Throws AnalysisError if any error-level finding was recorded.
@@ -193,7 +202,9 @@ Result lintProgram(const Program& prog);
 /// `receiver` with `args`, covering everything reachable. Field primitives
 /// and array lengths from the receiver graph are treated as constants —
 /// exactly the specialization contract the translator itself uses.
+/// `entryBody`, when given, is analyzed in place of the entry method (the
+/// fusion pass's rewritten copy: same name, parameters and return type).
 Result analyzeEntry(const Program& prog, const Value& receiver, const std::string& method,
-                    const std::vector<Value>& args);
+                    const std::vector<Value>& args, const Method* entryBody = nullptr);
 
 } // namespace wj::analysis

@@ -117,10 +117,15 @@ private:
 
 } // namespace
 
-Cfg Cfg::build(const Method& m) { return Builder().build(m); }
+Cfg Cfg::build(const Method& m) {
+    Cfg cfg = Builder().build(m);
+    cfg.computeRpo();
+    return cfg;
+}
 
-std::vector<int> Cfg::rpo() const {
-    std::vector<int> order;
+void Cfg::computeRpo() {
+    std::vector<int>& order = rpo_;
+    order.clear();
     std::vector<char> seen(nodes.size(), 0);
     // Iterative postorder DFS, then reverse.
     std::vector<std::pair<int, size_t>> stack{{entry, 0}};
@@ -139,7 +144,6 @@ std::vector<int> Cfg::rpo() const {
         }
     }
     std::reverse(order.begin(), order.end());
-    return order;
 }
 
 } // namespace wj::analysis

@@ -55,8 +55,13 @@ struct Cfg {
     static Cfg build(const Method& m);
 
     /// Reverse postorder over forward edges — the efficient worklist seed
-    /// for forward analyses (reverse it for backward ones).
-    std::vector<int> rpo() const;
+    /// for forward analyses (reverse it for backward ones). Computed once,
+    /// by build().
+    const std::vector<int>& rpo() const { return rpo_; }
+
+private:
+    std::vector<int> rpo_;
+    void computeRpo();
 };
 
 } // namespace wj::analysis

@@ -8,6 +8,8 @@
 //   State transfer(int node, State in);      // flow through one node
 //   void refine(const CfgEdge& e, State& s); // assume e.guard (forward only)
 //   bool join(State& into, const State& from);   // returns true if `into` grew
+//                                            // (the solver passes an rvalue:
+//                                            // a State&& overload may move)
 //   void widen(State& s, const State& prev);     // accelerate at loop heads
 //
 // The solver iterates to a fixed point. Monotone clients on finite-height
@@ -17,6 +19,7 @@
 #pragma once
 
 #include <deque>
+#include <utility>
 #include <vector>
 
 #include "analysis/cfg.h"
@@ -53,13 +56,16 @@ std::vector<typename D::State> solve(const Cfg& cfg, D& d,
 
         const auto& outEdges =
             dir == Direction::Forward ? cfg.nodes[node].succ : cfg.nodes[node].pred;
-        for (int ei : outEdges) {
-            const CfgEdge& e = cfg.edges[ei];
+        for (size_t k = 0; k < outEdges.size(); ++k) {
+            const CfgEdge& e = cfg.edges[outEdges[k]];
             const int to = dir == Direction::Forward ? e.to : e.from;
-            typename D::State s = out;
+            // States are maps: copy only what the last edge cannot take
+            // over, and the pre-join state only where widening reads it.
+            typename D::State s = k + 1 == outEdges.size() ? std::move(out) : out;
             if (dir == Direction::Forward) d.refine(e, s);
-            typename D::State prev = in[to];
-            if (d.join(in[to], s)) {
+            const bool widens = e.backEdge && joins[to] >= kWidenAfter;
+            typename D::State prev = widens ? in[to] : typename D::State{};
+            if (d.join(in[to], std::move(s))) {
                 if (e.backEdge && ++joins[to] > kWidenAfter) d.widen(in[to], prev);
                 if (!queued[to]) {
                     queued[to] = 1;

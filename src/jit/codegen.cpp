@@ -7,7 +7,8 @@
 #include <map>
 #include <set>
 
-#include "analysis/analysis.h"
+#include "analysis/fusion.h"
+#include "ir/clone.h"
 #include "jit/shape.h"
 #include "support/diagnostics.h"
 #include "support/strings.h"
@@ -119,6 +120,10 @@ public:
         soaLayouts_ = layouts;
     }
 
+    /// The entry method body the fusion pass rewrote (analysis/fusion.h),
+    /// emitted in place of the source body; null keeps the source.
+    void setEntryBody(const Method* body) { entryBody_ = body; }
+
     Translation run(const Value& receiver, const std::string& method,
                     const std::vector<Value>& args);
 
@@ -198,6 +203,11 @@ private:
                     std::map<std::string, const Shape*>& fieldShapes);
     CVal materialize(Env& env, CVal v);
     std::string freshTmp() { return format("t%d", tmpCount_++); }
+    /// What an outlined loop body needs from the enclosing frame: `self`
+    /// when the body uses `this`, then every in-scope local it names (in
+    /// name order), minus `skip`.
+    std::vector<std::pair<std::string, const Shape*>> captures(
+        const Env& env, const ForStmt& n, const std::set<std::string>& skip) const;
 
     // ---- statics
     std::string staticRef(const std::string& cls, const std::string& field);
@@ -224,6 +234,7 @@ private:
     const std::map<const void*, analysis::LoopParallel>* parLoops_ = nullptr;
     const std::map<const void*, analysis::LoopVector>* vecLoops_ = nullptr;
     const std::map<std::string, analysis::ClassLayout>* soaLayouts_ = nullptr;
+    const Method* entryBody_ = nullptr;
     /// Element classes whose arrays this translation actually allocated SoA.
     std::set<std::string> soaUsed_;
     /// Active restrict-pointer substitutions: array CVal text -> hoisted
@@ -656,110 +667,16 @@ bool safeToHoist(const Expr& e) {
 /// under the node — the restrict-hoisting candidates of a simd loop
 /// (locals and stable field-load chains like `this.cur`). Skipping a base
 /// here only forgoes its hoist, never correctness: unhoisted accesses keep
-/// the wj_array_data form.
-void arrayBasesExpr(const Expr& e, std::vector<const Expr*>& out);
-
+/// the wj_array_data form. In source order.
 void arrayBasesBlock(const Block& b, std::vector<const Expr*>& out) {
-    for (const auto& stp : b) {
-        const Stmt& s = *stp;
-        switch (s.kind) {
-        case StmtKind::Decl:
-            if (as<DeclStmt>(s).init) arrayBasesExpr(*as<DeclStmt>(s).init, out);
-            break;
-        case StmtKind::AssignLocal: arrayBasesExpr(*as<AssignLocalStmt>(s).value, out); break;
-        case StmtKind::FieldSet: {
-            const auto& n = as<FieldSetStmt>(s);
-            arrayBasesExpr(*n.obj, out);
-            arrayBasesExpr(*n.value, out);
-            break;
-        }
-        case StmtKind::ArraySet: {
-            const auto& n = as<ArraySetStmt>(s);
-            out.push_back(n.arr.get());
-            arrayBasesExpr(*n.arr, out);
-            arrayBasesExpr(*n.idx, out);
-            arrayBasesExpr(*n.value, out);
-            break;
-        }
-        case StmtKind::If: {
-            const auto& n = as<IfStmt>(s);
-            arrayBasesExpr(*n.cond, out);
-            arrayBasesBlock(n.thenB, out);
-            arrayBasesBlock(n.elseB, out);
-            break;
-        }
-        case StmtKind::While: {
-            const auto& n = as<WhileStmt>(s);
-            arrayBasesExpr(*n.cond, out);
-            arrayBasesBlock(n.body, out);
-            break;
-        }
-        case StmtKind::For: {
-            const auto& n = as<ForStmt>(s);
-            arrayBasesExpr(*n.init, out);
-            arrayBasesExpr(*n.cond, out);
-            arrayBasesExpr(*n.step, out);
-            arrayBasesBlock(n.body, out);
-            break;
-        }
-        case StmtKind::Return:
-            if (as<ReturnStmt>(s).value) arrayBasesExpr(*as<ReturnStmt>(s).value, out);
-            break;
-        case StmtKind::ExprStmt: arrayBasesExpr(*as<ExprStmt>(s).e, out); break;
-        case StmtKind::SuperCtor:
-            for (const auto& a : as<SuperCtorStmt>(s).args) arrayBasesExpr(*a, out);
-            break;
-        }
-    }
-}
-
-void arrayBasesExpr(const Expr& e, std::vector<const Expr*>& out) {
-    switch (e.kind) {
-    case ExprKind::Const:
-    case ExprKind::Local:
-    case ExprKind::This:
-    case ExprKind::StaticGet: return;
-    case ExprKind::FieldGet: arrayBasesExpr(*as<FieldGetExpr>(e).obj, out); return;
-    case ExprKind::ArrayGet: {
-        const auto& n = as<ArrayGetExpr>(e);
-        out.push_back(n.arr.get());
-        arrayBasesExpr(*n.arr, out);
-        arrayBasesExpr(*n.idx, out);
-        return;
-    }
-    case ExprKind::ArrayLen: arrayBasesExpr(*as<ArrayLenExpr>(e).arr, out); return;
-    case ExprKind::Unary: arrayBasesExpr(*as<UnaryExpr>(e).e, out); return;
-    case ExprKind::Binary: {
-        const auto& n = as<BinaryExpr>(e);
-        arrayBasesExpr(*n.l, out);
-        arrayBasesExpr(*n.r, out);
-        return;
-    }
-    case ExprKind::Cond: {
-        const auto& n = as<CondExpr>(e);
-        arrayBasesExpr(*n.c, out);
-        arrayBasesExpr(*n.t, out);
-        arrayBasesExpr(*n.f, out);
-        return;
-    }
-    case ExprKind::Cast: arrayBasesExpr(*as<CastExpr>(e).e, out); return;
-    case ExprKind::New:
-        for (const auto& a : as<NewExpr>(e).args) arrayBasesExpr(*a, out);
-        return;
-    case ExprKind::NewArray: arrayBasesExpr(*as<NewArrayExpr>(e).len, out); return;
-    case ExprKind::IntrinsicCall:
-        for (const auto& a : as<IntrinsicExpr>(e).args) arrayBasesExpr(*a, out);
-        return;
-    case ExprKind::Call: {
-        const auto& n = as<CallExpr>(e);
-        arrayBasesExpr(*n.recv, out);
-        for (const auto& a : n.args) arrayBasesExpr(*a, out);
-        return;
-    }
-    case ExprKind::StaticCall:
-        for (const auto& a : as<StaticCallExpr>(e).args) arrayBasesExpr(*a, out);
-        return;
-    }
+    visitBlock(
+        b,
+        [&](const Expr& e) {
+            if (e.kind == ExprKind::ArrayGet) out.push_back(as<ArrayGetExpr>(e).arr.get());
+        },
+        [&](const Stmt& s) {
+            if (s.kind == StmtKind::ArraySet) out.push_back(as<ArraySetStmt>(s).arr.get());
+        });
 }
 
 /// Identifier-shaped C text — the only thing the restrict hoist and the
@@ -774,11 +691,28 @@ bool isIdentText(const std::string& s) {
 
 } // namespace
 
+std::vector<std::pair<std::string, const Shape*>> CodeGen::captures(
+    const Env& env, const ForStmt& n, const std::set<std::string>& skip) const {
+    std::set<std::string> named;
+    bool usesThis = false;
+    visitBlock(n.body, [&](const Expr& e) {
+        if (e.kind == ExprKind::Local) named.insert(as<LocalExpr>(e).name);
+        usesThis = usesThis || e.kind == ExprKind::This;
+    });
+    std::vector<std::pair<std::string, const Shape*>> caps;
+    if (env.hasThis && usesThis) caps.emplace_back(env.self.text, env.self.shape);
+    for (const auto& [name, cv] : env.vars) {
+        if (cv.text.empty() || !named.count(name) || skip.count(name)) continue;
+        caps.emplace_back(cv.text, cv.shape);
+    }
+    return caps;
+}
+
 // Outlines a proven loop body into `static void wj_pfbN(lo, hi, ctx)` and
 // replaces the loop with a wjrt_parallel_for dispatch over [init, bound).
-// Every in-scope local (and `self`) is packed by value into a capture
-// struct: the analysis guarantees the body only reads them, and array/object
-// captures are pointers into the caller's frame. CondParallel loops get a
+// Every in-scope local the body names (and `self`, when used) is packed by
+// value into a capture struct: the analysis guarantees the body only reads
+// them, and array/object captures are pointers into the caller's frame. CondParallel loops get a
 // runtime pointer-inequality guard with the serial loop as the else-branch,
 // so aliased calls (e.g. multiplyAcc(c, c, c)) keep exact serial semantics.
 void CodeGen::genParallelFor(Env& env, const ForStmt& n, const analysis::LoopParallel& lp) {
@@ -815,13 +749,9 @@ void CodeGen::genParallelFor(Env& env, const ForStmt& n, const analysis::LoopPar
     const std::string sname = format("wj_pfc%d", id);
     const std::string fnName = format("wj_pfb%d", id);
 
-    // ---- capture struct: every named local in scope, plus the receiver.
-    std::vector<std::pair<std::string, const Shape*>> caps;
-    if (env.hasThis) caps.emplace_back(env.self.text, env.self.shape);
-    for (const auto& [name, cv] : env.vars) {
-        if (name.rfind("@p:", 0) == 0 || cv.text.empty()) continue;
-        caps.emplace_back(cv.text, cv.shape);
-    }
+    // ---- capture struct: the receiver and the in-scope locals the body
+    // reads.
+    const auto caps = captures(env, n, {});
     std::string def = "/* parallel-for captures (loop over " + n.var + ") */\n";
     def += "typedef struct " + sname + " {\n";
     if (caps.empty()) def += "  int32_t wj_empty;\n";
@@ -975,17 +905,12 @@ void CodeGen::genParallelReduce(Env& env, const ForStmt& n, const analysis::Loop
     const std::string pname = format("wj_rp%d", id);   // partials record
     const std::string fnName = format("wj_rb%d", id);
 
-    // ---- capture struct: in-scope locals minus the accumulators (chunks
-    // fold from the identity; the caller's running value enters only in the
-    // ordered combine below), plus the receiver.
+    // ---- capture struct: the locals the body reads minus the accumulators
+    // (chunks fold from the identity; the caller's running value enters only
+    // in the ordered combine below), plus the receiver when used.
     std::set<std::string> accNames;
     for (const auto& r : lp.reductions) accNames.insert(r.var);
-    std::vector<std::pair<std::string, const Shape*>> caps;
-    if (env.hasThis) caps.emplace_back(env.self.text, env.self.shape);
-    for (const auto& [name, cv] : env.vars) {
-        if (name.rfind("@p:", 0) == 0 || cv.text.empty() || accNames.count(name)) continue;
-        caps.emplace_back(cv.text, cv.shape);
-    }
+    const auto caps = captures(env, n, accNames);
     std::string def = "/* parallel-reduce partials + captures (loop over " + n.var + ") */\n";
     def += "typedef struct " + pname + " {\n";
     for (const auto& r : lp.reductions) {
@@ -2007,7 +1932,8 @@ void CodeGen::genEntry(const Value& receiver, const std::string& method,
         }
     }
 
-    Spec& spec = specialize(*owner, *m, recvShape, argShapes, /*device=*/false);
+    Spec& spec =
+        specialize(*owner, entryBody_ ? *entryBody_ : *m, recvShape, argShapes, /*device=*/false);
 
     std::vector<std::string> callArgs{"(&self_s)"};
     for (auto& t : argTexts) callArgs.push_back(t);
@@ -2077,36 +2003,48 @@ int boundsModeFromEnv() {
 
 Translation translate(const Program& prog, const Value& receiver, const std::string& method,
                       const std::vector<Value>& args) {
-    // The analysis passes are mandatory: translation refuses statically
-    // unsound entries (uninit reads, proven out-of-bounds, halo races)
-    // regardless of the guard mode. The guard mode only decides what the
-    // interval verdicts are *used* for.
-    analysis::Result facts = analysis::analyzeEntry(prog, receiver, method, args);
-    facts.require();
-
-    const int mode = boundsModeFromEnv();
-    CodeGen cg(prog);
-    cg.setBounds(mode, mode == 1 ? &facts.accessSafety : nullptr);
+    auto flag = [](const char* name) {
+        const char* v = std::getenv(name);
+        return v && *v && std::string(v) != "0";
+    };
     // WJ_PARALLEL=1 turns proven loops into wjrt_parallel_for dispatches
     // (the worker count is a pure runtime decision via WJ_THREADS, so the
-    // generated code — and its cache key — is thread-count independent).
-    const char* par = std::getenv("WJ_PARALLEL");
-    if (par && *par && std::string(par) != "0") cg.setParallel(&facts.loopParallel);
+    // generated code — and its cache key — is thread-count independent),
+    // after fusing same-range producer/consumer loops (analysis/fusion.h).
+    const bool par = flag("WJ_PARALLEL");
     // WJ_SIMD=1 turns proveVectors verdicts into `#pragma omp simd` loops
     // with restrict-hoisted element pointers (and runtime range guards for
     // CondVectorizable). Like WJ_PARALLEL this is a translation-time choice
     // baked into the generated C, independent of WJ_THREADS, so the cache
     // key stays thread-count independent.
-    const char* simd = std::getenv("WJ_SIMD");
-    if (simd && *simd && std::string(simd) != "0") cg.setSimd(&facts.loopVector);
+    const bool simd = flag("WJ_SIMD");
+
+    // The analysis passes are mandatory: translation refuses statically
+    // unsound entries (uninit reads, proven out-of-bounds, halo races)
+    // regardless of the guard mode. The guard mode only decides what the
+    // interval verdicts are *used* for.
+    analysis::Result facts = par ? analysis::analyzeEntryFused(prog, receiver, method, args, simd)
+                                 : analysis::analyzeEntry(prog, receiver, method, args);
+    facts.require();
+
+    const int mode = boundsModeFromEnv();
+    CodeGen cg(prog);
+    cg.setBounds(mode, mode == 1 ? &facts.accessSafety : nullptr);
+    if (par) {
+        cg.setParallel(&facts.loopParallel);
+        cg.setEntryBody(facts.fusedEntry.get());
+    }
+    if (simd) cg.setSimd(&facts.loopVector);
     // WJ_SOA=1 stores arrays of Inline-verdict element classes (the
     // proveLayout pass) as packed per-field lane regions instead of arrays
     // of structs. Element field paths become unit-stride loads the simd
     // pass can vectorize; the pass proved no use can observe the split, so
     // results stay bitwise-identical to every other configuration.
-    const char* soa = std::getenv("WJ_SOA");
-    if (soa && *soa && std::string(soa) != "0") cg.setSoa(&facts.layoutClasses);
-    return cg.run(receiver, method, args);
+    if (flag("WJ_SOA")) cg.setSoa(&facts.layoutClasses);
+    Translation t = cg.run(receiver, method, args);
+    t.fusedLoops = facts.fusedLoops;
+    t.fusionReport = std::move(facts.fusionReport);
+    return t;
 }
 
 } // namespace wj

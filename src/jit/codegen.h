@@ -60,6 +60,10 @@ struct Translation {
     int64_t parallelLoops = 0;     ///< loops outlined through wjrt_parallel_for (WJ_PARALLEL)
     int64_t reduceLoops = 0;       ///< reduction loops outlined through wjrt_parallel_reduce
     int64_t vectorLoops = 0;       ///< loops emitted under `#pragma omp simd` (WJ_SIMD)
+    int64_t fusedLoops = 0;        ///< producer/consumer loop pairs fused into one (WJ_PARALLEL)
+    /// One "fused:" / "not fused:" line per producer/consumer pair the
+    /// fusion pass considered (analysis/fusion.h).
+    std::vector<std::string> fusionReport;
     int64_t soaArrays = 0;         ///< allocation sites emitted SoA via wjrt_alloc_soa (WJ_SOA)
     /// Element classes actually stored SoA in this translation (sorted).
     /// A class appears only when proveLayout proved it Inline AND the

@@ -101,6 +101,12 @@ public:
     /// emitted under `#pragma omp simd` (WJ_SIMD) — including vectorized
     /// chunk loops inside parallel-for/reduce outlines.
     int64_t vectorLoops() const noexcept { return translation_.vectorLoops; }
+    /// Producer/consumer loop pairs fused into one loop (WJ_PARALLEL): each
+    /// saves a pool dispatch. fusionReport() names every pair considered.
+    int64_t fusedLoops() const noexcept { return translation_.fusedLoops; }
+    const std::vector<std::string>& fusionReport() const noexcept {
+        return translation_.fusionReport;
+    }
     /// Allocation sites the translator emitted as SoA (wjrt_alloc_soa)
     /// because the proveLayout pass proved the element class Inline and
     /// WJ_SOA=1 was set at translation time.

@@ -4,6 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdlib>
+#include <cstring>
+#include <string>
 
 #include "cg/cg_lib.h"
 #include "interp/interp.h"
@@ -91,6 +94,42 @@ TEST(CgLib, ComponentsAreDevirtualized) {
     EXPECT_NE(code.generatedC().find("Laplacian1D_apply"), std::string::npos);
     EXPECT_NE(code.generatedC().find("LocalDot_dot"), std::string::npos);
     EXPECT_EQ(code.generatedC().find("(*"), std::string::npos);  // no fn pointers
+}
+
+TEST(CgLib, ParallelFusedSolverIsThreadCountInvariant) {
+    // WJ_PARALLEL=1: the apply/update loops fuse with their dot products
+    // into three reduce dispatches per iteration. This suite carries the
+    // tsan and san labels, so the fused chunk bodies run under both.
+    struct Env {
+        const char* name;
+        std::string old;
+        bool had;
+        Env(const char* n, const char* v) : name(n), had(std::getenv(n) != nullptr) {
+            if (had) old = std::getenv(n);
+            setenv(n, v, 1);
+        }
+        ~Env() {
+            if (had) setenv(name, old.c_str(), 1);
+            else unsetenv(name);
+        }
+    };
+    constexpr int n = 1000, iters = 10;
+    Program p = buildProgram();
+    Interp in(p);
+    Value solver = makeCpuSolver(in);
+    const std::vector<Value> args{Value::ofI32(n), Value::ofI32(kSeed), Value::ofI32(iters)};
+    Env par("WJ_PARALLEL", "1");
+    JitCode code = WootinJ::jit(p, solver, "run", args);
+    EXPECT_EQ(3, code.fusedLoops());
+    const double expect = referenceCgResidual(n, kSeed, iters);
+    double first = 0;
+    for (const char* t : {"1", "2", "4"}) {
+        Env threads("WJ_THREADS", t);
+        const double got = code.invoke().asF64();
+        if (std::strcmp(t, "1") == 0) first = got;
+        EXPECT_EQ(0, std::memcmp(&first, &got, sizeof got)) << "WJ_THREADS=" << t;
+        EXPECT_NEAR(expect, got, std::abs(expect) * 1e-9) << "WJ_THREADS=" << t;
+    }
 }
 
 class CgIterSweep : public ::testing::TestWithParam<std::tuple<int, int>> {};

@@ -21,6 +21,7 @@
 #include <sstream>
 #include <string>
 
+#include "cg/cg_lib.h"
 #include "interp/interp.h"
 #include "ir/builder.h"
 #include "jit/codegen.h"
@@ -147,10 +148,6 @@ Translation translateMatmul() {
     return translate(prog, app, "run", {Value::ofI32(8), Value::ofI32(7)});
 }
 
-/// Array fill + dot product — the CG reduction kernel in miniature. Under
-/// WJ_PARALLEL the fill outlines through wjrt_parallel_for and the dot
-/// through wjrt_parallel_reduce (chunk fn + identity seeding + ordered
-/// combine), which is exactly what this snapshot pins.
 /// The cell-chain workload over Cell[] buffers (see stencil_lib): the
 /// canonical subject of the proveLayout AoS→SoA split.
 Translation translateCells() {
@@ -160,6 +157,20 @@ Translation translateCells() {
     return translate(prog, runner, "run", {Value::ofI32(2)});
 }
 
+/// Matrix-free CG (the perfbench `cg` composition): under WJ_PARALLEL the
+/// fusion pass inlines the devirtualized apply/dot calls and fuses three
+/// producer/consumer pairs, so each iteration dispatches three loops.
+Translation translateCg() {
+    static Program prog = cg::buildProgram();
+    Interp in(prog);
+    Value solver = cg::makeCpuSolver(in);
+    return translate(prog, solver, "run", {Value::ofI32(64), Value::ofI32(9), Value::ofI32(8)});
+}
+
+/// Array fill + dot product — the CG reduction kernel in miniature. Under
+/// WJ_PARALLEL the fill fuses into the dot's loop, which outlines through
+/// wjrt_parallel_reduce (chunk fn + identity seeding + ordered combine);
+/// that is what the parallel snapshot pins.
 Translation translateDot() {
     static Program prog = [] {
         ProgramBuilder pb;
@@ -220,11 +231,20 @@ TEST_F(CodegenGolden, MatmulCpuParallel) {
 }
 
 // The WJ_PARALLEL=1 dot-product variant pins the ParallelReduce outlining:
-// per-chunk partial record, exact-identity seeding, fixed chunk grid, and
-// the ordered combine loop.
+// per-chunk partial record, exact-identity seeding, fixed chunk grid, the
+// ordered combine loop, and the fill loop fused into the reduce body.
 TEST_F(CodegenGolden, DotProductParallelReduce) {
     setenv("WJ_PARALLEL", "1", 1);
     checkGolden("cg_dot_parallel.c.golden", translateDot().cSource);
+}
+
+// Matrix-free CG under WJ_PARALLEL=1 pins the fusion across devirtualized
+// calls: three fused reduce dispatches (fill + dot, apply + dot, update +
+// dot) and the p update's parallel-for, captures trimmed to what each body
+// reads.
+TEST_F(CodegenGolden, CgSolverParallelFused) {
+    setenv("WJ_PARALLEL", "1", 1);
+    checkGolden("cg_solver_parallel.c.golden", translateCg().cSource);
 }
 
 // The WJ_SIMD=1 variants pin the vectorized emission: `#pragma omp simd`

@@ -583,3 +583,246 @@ TEST_P(WrapDifferential, PeeledWrapSweepsBitwiseAgree) {
 }
 
 INSTANTIATE_TEST_SUITE_P(WrapSweep, WrapDifferential, ::testing::Range(0, 24));
+
+// ------------------------------------------------- loop-fusion family
+//
+// Producer -> consumer loop pairs for the fusion pass (analysis/fusion.h):
+// a producer writes `a` from `src` and the loop right after it reads `a`,
+// each written inline or as the single loop of a method on a strict-final
+// helper the receiver graph resolves, with an optional pure declaration in
+// between. The consumer reads `a` at the same index, which fuses under
+// WJ_PARALLEL, or at a shifted one (`a[i + 1]`, `a[i + 2]`), the mutant
+// whose fused order would read elements before they are produced: it must
+// never fuse. Trip counts stay within the 64-chunk reduce grid, so every
+// config agrees with the interpreter bitwise.
+
+namespace {
+
+struct FusionCase {
+    Program prog;
+    int shift = 0;  ///< index shift of the read right after the producer
+};
+
+FusionCase fusionFamilyProgram(uint64_t seed) {
+    SplitMix64 rng(seed);
+    const int32_t n = 1 + static_cast<int32_t>(rng.nextBelow(64));
+    const bool producerCall = rng.nextBelow(2) == 0;
+    const bool dotCall = rng.nextBelow(2) == 0;
+    const bool dotFirst = rng.nextBelow(2) == 0;  // else the elementwise consumer
+    const bool between = rng.nextBelow(2) == 0;
+    const int shift = static_cast<int>(rng.nextBelow(3));
+    const int otherShift = static_cast<int>(rng.nextBelow(3));
+    const float w = 0.25f + 0.125f * static_cast<float>(rng.nextBelow(6));
+
+    auto at = [](const char* arr, int s) {
+        return aget(lv(arr), s == 0 ? lv("i") : add(lv("i"), ci(s)));
+    };
+    auto produce = [&](const char* dst, const char* src) {
+        return aset(lv(dst), lv("i"),
+                    add(mul(aget(lv(src), lv("i")), cf(w)),
+                        cast(Type::f32(), rem(lv("i"), ci(5)))));
+    };
+    auto dotTerm = [&](const char* x, const char* y, int s) {
+        return mul(cast(Type::f64(), at(x, s)), cast(Type::f64(), aget(lv(y), lv("i"))));
+    };
+
+    ProgramBuilder pb;
+    {
+        auto& c = pb.cls("P").finalClass();
+        c.method("fill", Type::voidTy())
+            .param("dst", Type::array(Type::f32()))
+            .param("src", Type::array(Type::f32()))
+            .param("m", Type::i32())
+            .body(blk(forRange("i", ci(0), lv("m"), blk(produce("dst", "src"))), retVoid()));
+        c.method("dot", Type::f64())
+            .param("x", Type::array(Type::f32()))
+            .param("y", Type::array(Type::f32()))
+            .param("m", Type::i32())
+            .body(blk(decl("acc", Type::f64(), cd(0.0)),
+                      forRange("i", ci(0), lv("m"),
+                               blk(assign("acc", add(lv("acc"), dotTerm("x", "y",
+                                                                        dotFirst ? shift
+                                                                                 : otherShift))))),
+                      ret(lv("acc"))));
+    }
+
+    const int dotShift = dotFirst ? shift : otherShift;
+    const int elemShift = dotFirst ? otherShift : shift;
+    Block dot;
+    if (dotCall) {
+        dot.push_back(decl("s", Type::f64(),
+                           call(selff("k"), "dot", lv("a"), lv("src"), lv("n"))));
+    } else {
+        dot.push_back(decl("s", Type::f64(), cd(0.0)));
+        dot.push_back(forRange("i", ci(0), lv("n"),
+                               blk(assign("s", add(lv("s"), dotTerm("a", "src", dotShift))))));
+    }
+    Block elem;
+    elem.push_back(forRange(
+        "i", ci(0), lv("n"),
+        blk(aset(lv("b"), lv("i"), add(mul(at("a", elemShift), cf(0.5f)), aget(lv("src"), lv("i")))))));
+
+    Block body;
+    body.push_back(decl("n", Type::i32(), ci(n)));
+    for (const char* arr : {"a", "b", "src"}) {
+        body.push_back(decl(arr, Type::array(Type::f32()), newArr(Type::f32(), add(lv("n"), ci(2)))));
+    }
+    body.push_back(forRange(
+        "j", ci(0), add(lv("n"), ci(2)),
+        blk(aset(lv("src"), lv("j"),
+                 mul(cf(0.25f), cast(Type::f32(), rem(add(mul(lv("j"), ci(7)), lv("p")), ci(13))))))));
+    if (producerCall) {
+        body.push_back(exprS(call(selff("k"), "fill", lv("a"), lv("src"), lv("n"))));
+    } else {
+        body.push_back(forRange("i", ci(0), lv("n"), blk(produce("a", "src"))));
+    }
+    if (between) body.push_back(decl("w", Type::f64(), mul(cast(Type::f64(), lv("p")), cd(0.125))));
+    Block& firstC = dotFirst ? dot : elem;
+    Block& secondC = dotFirst ? elem : dot;
+    for (auto& st : firstC) body.push_back(std::move(st));
+    for (auto& st : secondC) body.push_back(std::move(st));
+    // s * 0.75 + ... is no recognized reduction: a serial fold over b.
+    body.push_back(decl("t", Type::f64(), cd(0.0)));
+    body.push_back(forRange("j", ci(0), add(lv("n"), ci(2)),
+                            blk(assign("t", add(mul(lv("t"), cd(0.75)),
+                                                cast(Type::f64(), aget(lv("b"), lv("j"))))))));
+    body.push_back(ret(add(between ? mul(lv("s"), lv("w")) : lv("s"), lv("t"))));
+    {
+        auto& c = pb.cls("F");
+        c.field("k", Type::cls("P"));
+        c.ctor().param("k_", Type::cls("P")).body(blk(setSelf("k", lv("k_"))));
+        c.method("run", Type::f64()).param("p", Type::i32()).body(std::move(body));
+    }
+    return {pb.build(), shift};
+}
+
+/// `F.run(p)` with a producer loop and a consumer that both add into one
+/// f64 local `s`: the fused body would hold two sanctioned updates of `s`
+/// and prove ParallelReduce, but its chunked sum interleaves the two loops'
+/// terms, so the pair must never fuse. n <= 64 keeps the unfused reduce
+/// grid at one iteration per chunk, bitwise equal to the interpreter.
+Program sharedAccumulatorProgram(uint64_t seed) {
+    SplitMix64 rng(seed);
+    const int32_t n = 2 + static_cast<int32_t>(rng.nextBelow(63));
+    const double w = 0.1 + 0.05 * static_cast<double>(rng.nextBelow(7));
+    auto term = [&](ExprPtr e) { return mul(cast(Type::f64(), std::move(e)), cd(w)); };
+    Block body;
+    body.push_back(decl("n", Type::i32(), ci(n)));
+    body.push_back(decl("a", Type::array(Type::f32()), newArr(Type::f32(), lv("n"))));
+    body.push_back(decl("s", Type::f64(), cast(Type::f64(), lv("p"))));
+    body.push_back(forRange(
+        "i", ci(0), lv("n"),
+        blk(aset(lv("a"), lv("i"),
+                 mul(cf(0.375f), cast(Type::f32(), rem(add(mul(lv("i"), ci(7)), lv("p")), ci(11))))),
+            assign("s", add(lv("s"), term(aget(lv("a"), lv("i"))))))));
+    body.push_back(forRange("i", ci(0), lv("n"),
+                            blk(assign("s", add(lv("s"), term(mul(aget(lv("a"), lv("i")),
+                                                                  aget(lv("a"), lv("i")))))))));
+    body.push_back(ret(lv("s")));
+    ProgramBuilder pb;
+    pb.cls("P").finalClass();
+    auto& c = pb.cls("F");
+    c.field("k", Type::cls("P"));
+    c.ctor().param("k_", Type::cls("P")).body(blk(setSelf("k", lv("k_"))));
+    c.method("run", Type::f64()).param("p", Type::i32()).body(std::move(body));
+    return pb.build();
+}
+
+/// Jits `obj.run` under every translation config and checks each result
+/// against the interpreter bitwise; returns the WJ_PARALLEL=1 translation.
+JitCode expectConfigsMatchInterp(const Program& p, Interp& in, const Value& obj, uint64_t seed,
+                                 const char* suite, int index) {
+    const std::vector<Value> jitArgs{Value::ofI32(0)};
+    auto jitWith = [&](std::initializer_list<std::pair<const char*, const char*>> env) {
+        std::vector<std::unique_ptr<ScopedEnv>> scopes;
+        for (const auto& [k, v] : env) scopes.push_back(std::make_unique<ScopedEnv>(k, v));
+        return WootinJ::jit(p, obj, "run", jitArgs);
+    };
+    JitCode plain = jitWith({});
+    JitCode bounds = jitWith({{"WJ_BOUNDS", "all"}});
+    JitCode par = jitWith({{"WJ_PARALLEL", "1"}});
+    JitCode simd = jitWith({{"WJ_SIMD", "1"}});
+    JitCode parSimd = jitWith({{"WJ_PARALLEL", "1"}, {"WJ_SIMD", "1"}});
+    JitCode soa = jitWith({{"WJ_SOA", "1"}});
+    JitCode parSimdSoa = jitWith({{"WJ_PARALLEL", "1"}, {"WJ_SIMD", "1"}, {"WJ_SOA", "1"}});
+    EXPECT_LE(parSimd.fusedLoops(), par.fusedLoops()) << "seed=" << seed;
+
+    for (int arg : {0, 1, 7, -5, 123}) {
+        const std::vector<Value> args{Value::ofI32(arg)};
+        const uint64_t ref = bitsOf(in.call(obj, "run", args).asF64());
+        struct Row {
+            const char* config;
+            JitCode* code;
+            const char* threads;
+        };
+        const Row rows[] = {{"jit", &plain, nullptr},
+                            {"jit+bounds=all", &bounds, nullptr},
+                            {"jit+parallel@1", &par, "1"},
+                            {"jit+parallel@4", &par, "4"},
+                            {"jit+simd", &simd, nullptr},
+                            {"jit+parallel+simd@4", &parSimd, "4"},
+                            {"jit+soa", &soa, nullptr},
+                            {"jit+parallel+simd+soa@4", &parSimdSoa, "4"}};
+        for (const Row& r : rows) {
+            ScopedEnv t("WJ_THREADS", r.threads);
+            EXPECT_EQ(ref, bitsOf(r.code->invokeWith(args).asF64()))
+                << "config=" << r.config << " diverged from the interpreter: seed=" << seed
+                << " arg=" << arg << " (replay: " << suite << " sweep index " << index << ")";
+        }
+    }
+    return par;
+}
+
+} // namespace
+
+class FusionDifferential : public ::testing::TestWithParam<int> {};
+
+TEST_P(FusionDifferential, FusedPairsBitwiseAgreeAndShiftedReadsNeverFuse) {
+    const uint64_t seed = static_cast<uint64_t>(GetParam()) * 0x6c8e9cf5u + 7;
+    ScopedEnv pinB("WJ_BOUNDS", nullptr);
+    ScopedEnv pinP("WJ_PARALLEL", nullptr);
+    ScopedEnv pinT("WJ_THREADS", nullptr);
+    ScopedEnv pinS("WJ_SIMD", nullptr);
+    ScopedEnv pinL("WJ_SOA", nullptr);
+
+    FusionCase fc = fusionFamilyProgram(seed);
+    Interp in(fc.prog);
+    Value obj = in.instantiate("F", {in.instantiate("P", {})});
+    JitCode par =
+        expectConfigsMatchInterp(fc.prog, in, obj, seed, "FusionDifferential", GetParam());
+
+    std::string report;
+    for (const auto& line : par.fusionReport()) report += "\n  " + line;
+    if (fc.shift == 0) {
+        EXPECT_EQ(1, par.fusedLoops()) << "same-index pair must fuse: seed=" << seed << report;
+    } else {
+        EXPECT_EQ(0, par.fusedLoops()) << "shifted read fused: seed=" << seed << report;
+        EXPECT_NE(std::string::npos, report.find("not fused:")) << "seed=" << seed << report;
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(FusionSweep, FusionDifferential, ::testing::Range(0, 24));
+
+class SharedAccumulatorDifferential : public ::testing::TestWithParam<int> {};
+
+TEST_P(SharedAccumulatorDifferential, TwoReductionsIntoOneLocalNeverFuse) {
+    const uint64_t seed = static_cast<uint64_t>(GetParam()) * 0x2545f491u + 3;
+    ScopedEnv pinB("WJ_BOUNDS", nullptr);
+    ScopedEnv pinP("WJ_PARALLEL", nullptr);
+    ScopedEnv pinT("WJ_THREADS", nullptr);
+    ScopedEnv pinS("WJ_SIMD", nullptr);
+    ScopedEnv pinL("WJ_SOA", nullptr);
+
+    Program p = sharedAccumulatorProgram(seed);
+    Interp in(p);
+    Value obj = in.instantiate("F", {in.instantiate("P", {})});
+    JitCode par = expectConfigsMatchInterp(p, in, obj, seed, "SharedAccumulatorDifferential",
+                                           GetParam());
+    std::string report;
+    for (const auto& line : par.fusionReport()) report += "\n  " + line;
+    EXPECT_EQ(0, par.fusedLoops()) << "shared accumulator fused: seed=" << seed << report;
+    EXPECT_NE(std::string::npos, report.find("both loops use 's'")) << "seed=" << seed << report;
+}
+
+INSTANTIATE_TEST_SUITE_P(SharedAccumulatorSweep, SharedAccumulatorDifferential,
+                         ::testing::Range(0, 6));

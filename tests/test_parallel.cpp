@@ -16,12 +16,14 @@
 #include <vector>
 
 #include "analysis/analysis.h"
+#include "analysis/fusion.h"
 #include "cg/cg_lib.h"
 #include "gpusim/gpusim.h"
 #include "interp/interp.h"
 #include "ir/builder.h"
 #include "jit/jit.h"
 #include "matmul/matmul_lib.h"
+#include "runtime/rng_hash.h"
 #include "runtime/threadpool.h"
 #include "runtime/wjrt.h"
 #include "stencil/stencil_lib.h"
@@ -514,6 +516,23 @@ TEST(ReductionProver, SmallOuterLoopCollapsesInFavorOfInner) {
     EXPECT_TRUE(reportHas(res, "T.run: for (i): parallel"));
 }
 
+TEST(ParallelProverBound, ArrayReadInsideAnIntrinsicArgumentIsRefused) {
+    // The dispatch evaluates the bound once; `fabs(a[0])` reads an element
+    // the body writes. Calls and intrinsics already refuse the bound as
+    // effectful, so the array read inside the argument is refused either way.
+    Program p = oneMethodProgram(blk(
+        decl("a", Type::array(Type::f32()), newArr(Type::f32(), lv("n"))),
+        aset(lv("a"), ci(0), cast(Type::f32(), lv("n"))),
+        forRange("i", ci(0),
+                 cast(Type::i32(),
+                      intr(Intrinsic::MathFabsF64, cast(Type::f64(), aget(lv("a"), ci(0))))),
+                 blk(aset(lv("a"), lv("i"), cf(0.5f)))),
+        ret(cast(Type::f64(), aget(lv("a"), ci(0))))));
+    auto res = analyzeRun(p);
+    EXPECT_TRUE(reportHas(res, "T.run: for (i): serial"));
+    EXPECT_TRUE(reportHas(res, "bound is not a pure expression"));
+}
+
 // --------------------------------------------- reduction codegen + runtime
 
 namespace {
@@ -546,12 +565,16 @@ TEST(ReductionCodegen, OutlinesThroughWjrtParallelReduce) {
         EXPECT_EQ(std::string::npos, t.cSource.find("wjrt_parallel_reduce"));
     }
     {
+        // The fill loop produces `a`, the dot consumes it at the same index
+        // over the same range: one fused reduce dispatch, no parallel-for.
         ScopedEnv on("WJ_PARALLEL", "1");
         Translation t = translate(p, obj, "run", {Value::ofI32(kProbeN)});
         EXPECT_EQ(1, t.reduceLoops);
-        EXPECT_GE(t.parallelLoops, 1);  // the fill loop
+        EXPECT_EQ(1, t.fusedLoops);
+        EXPECT_EQ(0, t.parallelLoops);
         EXPECT_NE(std::string::npos, t.cSource.find("wjrt_parallel_reduce"));
         EXPECT_NE(std::string::npos, t.cSource.find("wj_rb"));  // outlined chunk fn
+        EXPECT_EQ(std::string::npos, t.cSource.find("wj_pfb"));
     }
 }
 
@@ -634,6 +657,237 @@ TEST(ReductionEndToEnd, CgDotProvesAndRunsBitwiseUnderMiniMpi) {
     EXPECT_TRUE(bitEq(t1, t2));
     EXPECT_TRUE(bitEq(t1, t8));
     EXPECT_NEAR(serial, t1, std::abs(serial) * 1e-6);
+}
+
+// ------------------------------------------------------------ loop fusion
+
+namespace {
+
+/// The unfused CG kernels replayed in C++ with every dot product folded
+/// over the fixed wjrt_parallel_reduce grid: K = min(n, 64) staticChunk
+/// ranges, each folded from -0.0, combined in chunk order onto 0.0.
+double gridCgResidual(int n, int seed, int iters) {
+    const size_t un = static_cast<size_t>(n);
+    std::vector<float> x(un, 0.0f), r(un), p(un), ap(un);
+    for (size_t i = 0; i < un; ++i) {
+        r[i] = wj_rng_hash_f32(seed, static_cast<int32_t>(i));
+        p[i] = r[i];
+    }
+    auto dot = [&](const std::vector<float>& a, const std::vector<float>& b) {
+        const int k = n < WJRT_REDUCE_MAX_CHUNKS ? n : WJRT_REDUCE_MAX_CHUNKS;
+        double s = 0.0;
+        for (int c = 0; c < k; ++c) {
+            int64_t lo = 0, hi = 0;
+            staticChunk(0, n, k, c, &lo, &hi);
+            double part = -0.0;
+            for (int64_t i = lo; i < hi; ++i) {
+                part = part + static_cast<double>(a[static_cast<size_t>(i)]) *
+                                  static_cast<double>(b[static_cast<size_t>(i)]);
+            }
+            s = s + part;
+        }
+        return s;
+    };
+    double rs = dot(r, r);
+    for (int it = 0; it < iters; ++it) {
+        for (int i = 0; i < n; ++i) {
+            float acc = 2.0f * p[static_cast<size_t>(i)];
+            if (i > 0) acc = acc - p[static_cast<size_t>(i - 1)];
+            if (i < n - 1) acc = acc - p[static_cast<size_t>(i + 1)];
+            ap[static_cast<size_t>(i)] = acc;
+        }
+        const double pap = dot(p, ap);
+        const float alpha = static_cast<float>(rs / pap);
+        for (size_t i = 0; i < un; ++i) {
+            x[i] = x[i] + alpha * p[i];
+            r[i] = r[i] - alpha * ap[i];
+        }
+        const double rsNew = dot(r, r);
+        const float beta = static_cast<float>(rsNew / rs);
+        for (size_t i = 0; i < un; ++i) p[i] = r[i] + beta * p[i];
+        rs = rsNew;
+    }
+    return rs;
+}
+
+bool fusionHas(const analysis::Result& r, const std::string& needle) {
+    for (const auto& line : r.fusionReport) {
+        if (line.find(needle) != std::string::npos) return true;
+    }
+    return false;
+}
+
+/// `T.run(n)`: a = new float[n + 1], a producer loop over [0, n), then
+/// `between`, then `consumer`; returns the consumer's sum `s`.
+Program fusionProgram(Block between, StmtPtr consumer, Block prefix = {}) {
+    Block body;
+    body.push_back(decl("a", Type::array(Type::f32()), newArr(Type::f32(), add(lv("n"), ci(1)))));
+    body.push_back(decl("c", Type::array(Type::f32()), newArr(Type::f32(), add(lv("n"), ci(1)))));
+    for (auto& st : prefix) body.push_back(std::move(st));
+    body.push_back(forRange("i", ci(0), lv("n"),
+                            blk(aset(lv("a"), lv("i"),
+                                     cast(Type::f32(), mul(cast(Type::f64(), lv("i")), cd(0.5)))))));
+    body.push_back(decl("s", Type::f64(), cd(0.0)));
+    for (auto& st : between) body.push_back(std::move(st));
+    body.push_back(std::move(consumer));
+    body.push_back(ret(lv("s")));
+    return oneMethodProgram(std::move(body));
+}
+
+ExprPtr sumA(ExprPtr idx) {
+    return add(lv("s"), cast(Type::f64(), aget(lv("a"), std::move(idx))));
+}
+
+/// Jit under WJ_PARALLEL=1 and check the interpreter's answer at several
+/// thread counts — a refused fusion must leave the program's meaning alone.
+void expectParallelMatchesInterp(const Program& p) {
+    Interp in(p);
+    Value obj = in.instantiate("T", {});
+    const std::vector<Value> args{Value::ofI32(kProbeN)};
+    const double ref = in.call(obj, "run", args).asF64();
+    ScopedEnv on("WJ_PARALLEL", "1");
+    JitCode code = WootinJ::jit(p, obj, "run", args);
+    EXPECT_EQ(0, code.fusedLoops());
+    for (int t : {1, 2, 8}) {
+        ScopedEnv e("WJ_THREADS", std::to_string(t).c_str());
+        EXPECT_TRUE(bitEq(ref, code.invokeWith(args).asF64())) << "WJ_THREADS=" << t;
+    }
+}
+
+analysis::Result analyzeFused(const Program& p) {
+    Interp in(p);
+    Value obj = in.instantiate("T", {});
+    return analysis::analyzeEntryFused(p, obj, "run", {Value::ofI32(kProbeN)}, false);
+}
+
+} // namespace
+
+TEST(LoopFusion, CgRunsThreeDispatchesPerIterationBitwise) {
+    // Matrix-free CG: apply + dot(p, ap), the x/r update + dot(r, r), and
+    // the initial r/p fill + dot(r, r) fuse across the devirtualized calls;
+    // the p update stays alone (the next apply reads p[i +/- 1]).
+    constexpr int n = 4096, seed = 7, iters = 256;
+    Program p = cg::buildProgram();
+    Interp in(p);
+    Value solver = cg::makeCpuSolver(in);
+    const std::vector<Value> args{Value::ofI32(n), Value::ofI32(seed), Value::ofI32(iters)};
+    auto res = analysis::analyzeEntryFused(p, solver, "run", args, false);
+    EXPECT_EQ(3, res.fusedLoops);
+    EXPECT_TRUE(fusionHas(
+        res, "fused: CGSolver.run: for (i) [Laplacian1D.apply] + for (i) [LocalDot.dot] -- "
+             "parallel (reduction)"));
+    EXPECT_TRUE(fusionHas(res, "fused: CGSolver.run: for (i) + for (i) [LocalDot.dot]"));
+    for (const auto& line : res.fusionReport) {
+        EXPECT_EQ(0u, line.rfind("fused: ", 0)) << line;
+    }
+    EXPECT_TRUE(reportHas(res, "fused: CGSolver.run"));
+
+    ScopedEnv on("WJ_PARALLEL", "1");
+    JitCode code = WootinJ::jit(p, solver, "run", args);
+    EXPECT_EQ(3, code.fusedLoops());
+    EXPECT_EQ(3, code.reduceLoops());
+    EXPECT_EQ(1, code.parallelLoops());
+    const double expect = gridCgResidual(n, seed, iters);
+    for (int t : {1, 2, 8}) {
+        ScopedEnv e("WJ_THREADS", std::to_string(t).c_str());
+        const int64_t before = ThreadPool::instance().dispatches();
+        const double got = code.invoke().asF64();
+        EXPECT_TRUE(bitEq(expect, got)) << "WJ_THREADS=" << t << ": " << got << " vs " << expect;
+        if (t == 2) {
+            EXPECT_EQ(769, ThreadPool::instance().dispatches() - before)
+                << "1 fused fill + 3 per iteration";
+        }
+    }
+}
+
+TEST(LoopFusion, ShiftedConsumerReadIsRefused) {
+    Program p = fusionProgram({}, forRange("i", ci(0), lv("n"),
+                                           blk(assign("s", sumA(add(lv("i"), ci(1)))))));
+    auto res = analyzeFused(p);
+    EXPECT_EQ(0, res.fusedLoops);
+    EXPECT_TRUE(fusionHas(res, "not fused: T.run: for (i) + for (i) -- the fused loop is serial: "
+                               "accesses to 'a' may collide across iterations"));
+    expectParallelMatchesInterp(p);
+}
+
+TEST(LoopFusion, MayAliasFusedLoopIsRefused) {
+    // b is a or c, decided by array data: the fused body needs an 'a'/'b'
+    // pointer guard, whose serial fallback would be the fused loop.
+    Block prefix;
+    prefix.push_back(decl("b", Type::array(Type::f32()), lv("c")));
+    prefix.push_back(ifs(lt(aget(lv("c"), ci(0)), cf(1.0f)), blk(assign("b", lv("a")))));
+    Program p = fusionProgram(
+        {},
+        forRange("i", ci(0), lv("n"),
+                 blk(aset(lv("c"), lv("i"),
+                          add(aget(lv("a"), lv("i")), aget(lv("b"), add(lv("i"), ci(1))))))),
+        std::move(prefix));
+    auto res = analyzeFused(p);
+    EXPECT_EQ(0, res.fusedLoops);
+    EXPECT_TRUE(fusionHas(res, "not fused: T.run: for (i) + for (i) -- the fused loop is parallel "
+                               "only under a runtime alias guard"));
+    EXPECT_TRUE(fusionHas(res, "serial fallback would not be the unfused program"));
+    expectParallelMatchesInterp(p);
+}
+
+TEST(LoopFusion, UnequalTripRangesAreRefused) {
+    Program p = fusionProgram(
+        {}, forRange("i", ci(0), sub(lv("n"), ci(1)), blk(assign("s", sumA(lv("i"))))));
+    auto res = analyzeFused(p);
+    EXPECT_EQ(0, res.fusedLoops);
+    EXPECT_TRUE(fusionHas(res, "not fused: T.run: for (i) + for (i) -- trip ranges differ: "
+                               "[0, n) vs [0, n - 1)"));
+    expectParallelMatchesInterp(p);
+}
+
+TEST(LoopFusion, InterveningReadOfProducerOutputIsRefused) {
+    Block between;
+    between.push_back(decl("t", Type::f32(), aget(lv("a"), ci(0))));
+    Program p = fusionProgram(
+        std::move(between),
+        forRange("i", ci(0), lv("n"),
+                 blk(assign("s", add(lv("s"), cast(Type::f64(),
+                                                   mul(aget(lv("a"), lv("i")), lv("t"))))))));
+    auto res = analyzeFused(p);
+    EXPECT_EQ(0, res.fusedLoops);
+    EXPECT_TRUE(fusionHas(res, "between the loops reads the first loop's output"));
+    EXPECT_TRUE(fusionHas(res, "a[0]"));
+    expectParallelMatchesInterp(p);
+}
+
+TEST(LoopFusion, SharedAccumulatorIsRefused) {
+    // Both loops add into `s`: the fused body has two sanctioned updates and
+    // proves ParallelReduce, but its chunked sum would interleave the terms
+    // of the two loops instead of summing one loop and then the other.
+    Program p = oneMethodProgram(blk(
+        decl("a", Type::array(Type::f32()), newArr(Type::f32(), lv("n"))),
+        decl("s", Type::f64(), cd(0.0)),
+        forRange("i", ci(0), lv("n"),
+                 blk(aset(lv("a"), lv("i"),
+                          cast(Type::f32(), mul(cast(Type::f64(), lv("i")), cd(0.5)))),
+                     assign("s", sumA(lv("i"))))),
+        forRange("i", ci(0), lv("n"),
+                 blk(assign("s", add(lv("s"), cast(Type::f64(), mul(aget(lv("a"), lv("i")),
+                                                                     aget(lv("a"), lv("i")))))))),
+        ret(lv("s"))));
+    auto res = analyzeFused(p);
+    EXPECT_EQ(0, res.fusedLoops);
+    EXPECT_TRUE(fusionHas(res, "not fused: T.run: for (i) + for (i) -- both loops use 's', "
+                               "which the first loop updates"));
+    expectParallelMatchesInterp(p);
+}
+
+TEST(LoopFusion, SimdKeepsAMemberThatVectorizesAlone) {
+    // Under WJ_SIMD=1 the fill loop alone runs as simd lanes; fused with the
+    // f64 dot it would join the chunk-serial reduction, so it stays apart.
+    Program p = dotProgram();
+    Interp in(p);
+    Value obj = in.instantiate("T", {});
+    auto res = analysis::analyzeEntryFused(p, obj, "run", {Value::ofI32(kProbeN)}, true);
+    EXPECT_EQ(0, res.fusedLoops);
+    EXPECT_TRUE(fusionHas(res, "not fused: T.run: for (i) + for (i) -- under WJ_SIMD=1 the fused "
+                               "loop would run scalar"));
+    EXPECT_EQ(nullptr, res.fusedEntry);
 }
 
 // ------------------------------------------------------- codegen outlining

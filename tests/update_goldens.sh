@@ -3,8 +3,9 @@
 # INTENTIONAL translator change. Builds test_codegen_golden, reruns it in
 # update mode (WJ_UPDATE_GOLDEN=1), then shows the resulting diff so it can
 # be reviewed like any other source change. Every snapshot test_codegen_golden
-# pins is refreshed: the scalar, WJ_BOUNDS, WJ_PARALLEL, WJ_SIMD (including the
-# peeled MPI sweep, diffusion3d_mpi_simd.c.golden) and WJ_SOA variants.
+# pins is refreshed: the scalar, WJ_BOUNDS, WJ_PARALLEL (including the fused
+# CG solver, cg_solver_parallel.c.golden), WJ_SIMD (including the peeled MPI
+# sweep, diffusion3d_mpi_simd.c.golden) and WJ_SOA variants.
 #
 # Usage: tests/update_goldens.sh [build-dir]   (default: ./build)
 set -eu

@@ -279,14 +279,18 @@ int runMain(int argc, char** argv) {
         std::fprintf(stderr,
                      "// %lld specializations, %lld devirtualized calls, %lld kernels, "
                      "%lld parallel loops, %lld reduction loops, %lld vector loops, "
-                     "%lld soa arrays\n",
+                     "%lld soa arrays, %lld fused loops\n",
                      static_cast<long long>(code.specializations()),
                      static_cast<long long>(code.devirtualizedCalls()),
                      static_cast<long long>(code.kernels()),
                      static_cast<long long>(code.parallelLoops()),
                      static_cast<long long>(code.reduceLoops()),
                      static_cast<long long>(code.vectorLoops()),
-                     static_cast<long long>(code.soaArrays()));
+                     static_cast<long long>(code.soaArrays()),
+                     static_cast<long long>(code.fusedLoops()));
+        // The fusion pass's verdicts (--threads): which producer/consumer
+        // loop pairs share one dispatch, and why the rest do not.
+        for (const auto& line : code.fusionReport()) std::fprintf(stderr, "// %s\n", line.c_str());
         return 0;
     }
     Value result = code.invoke();
