@@ -2,22 +2,22 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cstdlib>
 #include <functional>
 #include <memory>
 #include <optional>
 #include <set>
-#include <sstream>
+#include <unordered_map>
+#include <unordered_set>
 
 #include "analysis/callgraph.h"
 #include "analysis/cfg.h"
 #include "analysis/dataflow.h"
 #include "analysis/effects.h"
+#include "analysis/facts.h"
 #include "analysis/interval.h"
 #include "ir/clone.h"
 #include "ir/intrinsics.h"
 #include "ir/printer.h"
-#include "ir/typecheck.h"
 
 namespace wj::analysis {
 
@@ -33,17 +33,6 @@ std::string strBound(int64_t v) {
 
 std::string strItv(const Itv& v) {
     return "[" + strBound(v.lo) + ", " + strBound(v.hi) + "]";
-}
-
-/// "Cls.field" keyed by the class in `cls`'s superclass chain that declares
-/// the field (so FloatGrid.cur and a subclass's view of it share one key).
-std::string fieldKeyOf(const Program& prog, const std::string& cls, const std::string& field) {
-    const ClassDecl* c = prog.cls(cls);
-    while (c) {
-        if (c->ownField(field)) return c->name + "." + field;
-        c = c->superName.empty() ? nullptr : prog.cls(c->superName);
-    }
-    return cls + "." + field;  // unresolvable: private key, still deterministic
 }
 
 /// Collects every local name read by an expression tree.
@@ -217,11 +206,15 @@ std::vector<Violation> checkDefiniteAssignment(const Program& prog, const ClassD
                                                const Method& m,
                                                std::vector<Violation>* warnings) {
     (void)prog;
+    return checkDefiniteAssignment(Cfg::build(m), cls, m, warnings);
+}
+
+std::vector<Violation> checkDefiniteAssignment(const Cfg& cfg, const ClassDecl& cls,
+                                               const Method& m,
+                                               std::vector<Violation>* warnings) {
     std::vector<Violation> errors;
     if (m.isAbstract) return errors;
     const std::string where = cls.name + "." + (m.isCtor() ? "<init>" : m.name);
-
-    const Cfg cfg = Cfg::build(m);
 
     DaDomain da{cfg, {}};
     da.entryState.reach = true;
@@ -344,10 +337,58 @@ bool joinAVal(AVal& a, const AVal& b) {
     return changed;
 }
 
+/// Abstract values of the locals in scope, sorted by name in one contiguous
+/// vector: an environment holds a handful of locals, and the solver copies
+/// and joins one at every CFG node. The interface is std::map's subset the
+/// engine uses.
+class Vars {
+public:
+    using Entry = std::pair<std::string, AVal>;
+    using iterator = std::vector<Entry>::iterator;
+    using const_iterator = std::vector<Entry>::const_iterator;
+
+    iterator begin() { return v_.begin(); }
+    iterator end() { return v_.end(); }
+    const_iterator begin() const { return v_.begin(); }
+    const_iterator end() const { return v_.end(); }
+
+    iterator find(const std::string& k) {
+        auto it = lowerBound(k);
+        return it != v_.end() && it->first == k ? it : v_.end();
+    }
+    const_iterator find(const std::string& k) const {
+        return const_cast<Vars*>(this)->find(k);
+    }
+
+    AVal& operator[](const std::string& k) {
+        auto it = lowerBound(k);
+        if (it == v_.end() || it->first != k) it = v_.insert(it, Entry(k, AVal{}));
+        return it->second;
+    }
+
+    /// Inserts `k` -> `v` unless `k` is present (std::map::emplace).
+    void emplace(const std::string& k, AVal v) {
+        auto it = lowerBound(k);
+        if (it == v_.end() || it->first != k) v_.insert(it, Entry(k, std::move(v)));
+    }
+
+    /// Inserts `e` before `pos`, which must keep the order; returns the
+    /// position after it (`pos` itself is invalidated).
+    iterator insertBefore(iterator pos, Entry e) { return v_.insert(pos, std::move(e)) + 1; }
+
+private:
+    iterator lowerBound(const std::string& k) {
+        return std::lower_bound(v_.begin(), v_.end(), k,
+                                [](const Entry& e, const std::string& key) { return e.first < key; });
+    }
+
+    std::vector<Entry> v_;
+};
+
 /// The abstract environment at a program point.
 struct Env {
     bool reach = false;  // default-constructed = bottom
-    std::map<std::string, AVal> vars;
+    Vars vars;
 };
 
 bool joinEnv(Env& a, const Env& b) {
@@ -356,7 +397,7 @@ bool joinEnv(Env& a, const Env& b) {
         a = b;
         return true;
     }
-    // Both maps are sorted by name: merge in one pass.
+    // Both are sorted by name: merge in one pass.
     bool changed = false;
     auto it = a.vars.begin();
     for (const auto& [k, v] : b.vars) {
@@ -365,7 +406,7 @@ bool joinEnv(Env& a, const Env& b) {
             changed |= joinAVal(it->second, v);
             ++it;
         } else {
-            a.vars.emplace_hint(it, k, v);
+            it = a.vars.insertBefore(it, {k, v});
             changed = true;
         }
     }
@@ -382,156 +423,53 @@ void widenEnv(Env& s, const Env& prev) {
     }
 }
 
-// ----------------------------------------------------- mutated field groups
+// -------------------------------------------------------------- memo keys
 
-/// Which array fields are reassigned after construction, and which fields
-/// can alias each other through those reassignments (the double-buffer swap
-/// `t = cur; cur = nxt; nxt = t` puts cur and nxt in one group). A read of a
-/// mutated field on a known object is the join of that object's values over
-/// its whole group; a group is "open" (unknown) when some store's source
-/// could not be traced to a same-object field.
-class FieldGroups {
-public:
-    void build(const Program& prog) {
-        for (const ClassDecl* cls : prog.classes()) {
-            if (cls->ctor) scanMethod(prog, *cls, *cls->ctor, /*inCtor=*/true);
-            for (const auto& m : cls->methods) {
-                if (!m->isAbstract) scanMethod(prog, *cls, *m, /*inCtor=*/false);
-            }
-        }
+// The call and `new` memos key a context by its exact abstract values,
+// written as raw bytes: every set is prefixed by its size and every name by
+// its length, so distinct contexts never share a key.
+
+template <class T>
+void keyAppend(std::string& key, T x) {
+    key.append(reinterpret_cast<const char*>(&x), sizeof x);
+}
+
+void keyAppend(std::string& key, const Type& t) {
+    keyAppend(key, static_cast<uint8_t>(t.kind()));
+    if (t.isPrim()) {
+        keyAppend(key, static_cast<uint8_t>(t.prim()));
+    } else if (t.isArray()) {
+        keyAppend(key, t.elem());
+    } else if (t.isClass()) {
+        keyAppend(key, t.className().size());
+        key += t.className();
     }
+}
 
-    bool isMutated(const std::string& key) const { return mutated_.count(key) > 0; }
-    bool isOpen(const std::string& key) const { return open_.count(find(key)) > 0; }
+void keyAppend(std::string& key, const AVal& v) {
+    keyAppend(key, v.type);
+    keyAppend(key, v.num.lo);
+    keyAppend(key, v.num.hi);
+    keyAppend(key, v.len.lo);
+    keyAppend(key, v.len.hi);
+    keyAppend(key, v.roots.size());
+    for (int r : v.roots) keyAppend(key, r);
+    keyAppend(key, v.objs.size());
+    for (const AbsObjPtr& o : v.objs) keyAppend(key, o.get());
+    keyAppend(key, v.tokens.size());
+    for (const void* t : v.tokens) keyAppend(key, t);
+}
 
-    /// Every key in `key`'s group (including itself).
-    std::vector<std::string> groupOf(const std::string& key) const {
-        const std::string leader = find(key);
-        std::vector<std::string> out;
-        for (const auto& [k, _] : parent_) {
-            if (find(k) == leader) out.push_back(k);
-        }
-        if (out.empty()) out.push_back(key);
-        return out;
-    }
-
-private:
-    // Union-find over field keys.
-    std::string find(const std::string& k) const {
-        auto it = parent_.find(k);
-        if (it == parent_.end() || it->second == k) return k;
-        return find(it->second);
-    }
-    void ensure(const std::string& k) {
-        if (!parent_.count(k)) parent_[k] = k;
-    }
-    void unite(const std::string& a, const std::string& b) {
-        ensure(a);
-        ensure(b);
-        const std::string ra = find(a), rb = find(b);
-        if (ra == rb) return;
-        const bool openUnion = open_.count(ra) || open_.count(rb);
-        parent_[ra] = rb;
-        if (openUnion) open_.insert(rb);
-    }
-    void markOpen(const std::string& k) {
-        ensure(k);
-        open_.insert(find(k));
-    }
-
-    void scanMethod(const Program& prog, const ClassDecl& cls, const Method& m, bool inCtor) {
-        // Per-method syntactic bindings: array local -> traced source field
-        // keys, or nullopt meaning "untraceable".
-        std::map<std::string, std::optional<std::set<std::string>>> localSrc;
-
-        auto traceExpr = [&](const Expr& e) -> std::optional<std::set<std::string>> {
-            if (e.kind == ExprKind::FieldGet) {
-                const auto& fg = as<FieldGetExpr>(e);
-                if (fg.obj->kind == ExprKind::This) {
-                    return std::set<std::string>{fieldKeyOf(prog, cls.name, fg.field)};
-                }
-                return std::nullopt;
-            }
-            if (e.kind == ExprKind::Local) {
-                auto it = localSrc.find(as<LocalExpr>(e).name);
-                if (it != localSrc.end()) return it->second;
-                return std::nullopt;
-            }
-            return std::nullopt;  // NewArray, calls, ... — not a same-object field
-        };
-
-        std::function<void(const Block&)> walk = [&](const Block& b) {
-            for (const auto& stp : b) {
-                const Stmt& st = *stp;
-                switch (st.kind) {
-                case StmtKind::Decl: {
-                    const auto& n = as<DeclStmt>(st);
-                    if (n.type.isArray()) localSrc[n.name] = n.init ? traceExpr(*n.init) : std::nullopt;
-                    break;
-                }
-                case StmtKind::AssignLocal: {
-                    const auto& n = as<AssignLocalStmt>(st);
-                    if (localSrc.count(n.name)) localSrc[n.name] = traceExpr(*n.value);
-                    break;
-                }
-                case StmtKind::FieldSet: {
-                    const auto& n = as<FieldSetStmt>(st);
-                    const bool selfStore = n.obj->kind == ExprKind::This;
-                    if (inCtor && selfStore) break;  // construction, not mutation
-                    // Which field? Only array fields matter (rule: post-ctor
-                    // stores are legal only for arrays anyway).
-                    const std::string key = fieldKeyOf(
-                        prog, selfStore ? cls.name : staticClassOf(prog, cls, m, *n.obj), n.field);
-                    mutated_.insert(key);
-                    ensure(key);
-                    if (!selfStore) {
-                        markOpen(key);
-                        break;
-                    }
-                    auto src = traceExpr(*n.value);
-                    if (!src) {
-                        markOpen(key);
-                    } else {
-                        for (const std::string& s : *src) unite(key, s);
-                    }
-                    break;
-                }
-                case StmtKind::If: {
-                    const auto& n = as<IfStmt>(st);
-                    walk(n.thenB);
-                    walk(n.elseB);
-                    break;
-                }
-                case StmtKind::While: walk(as<WhileStmt>(st).body); break;
-                case StmtKind::For: walk(as<ForStmt>(st).body); break;
-                default: break;
-                }
-            }
-        };
-        try {
-            walk(m.body);
-        } catch (const WjError&) {
-            // Ill-typed lint input; the typechecker reports it separately.
-        }
-    }
-
-    /// Static class of a FieldSet receiver for keying; best effort (falls
-    /// back to a per-class private key when untypeable).
-    static std::string staticClassOf(const Program& prog, const ClassDecl& cls, const Method& m,
-                                     const Expr& obj) {
-        try {
-            TypeScope scope(prog, &cls, m);
-            const Type t = typeOf(scope, obj);
-            if (t.isClass()) return t.className();
-        } catch (const WjError&) {
-        }
-        return cls.name;
-    }
-
-    std::map<std::string, std::string> parent_;
-    std::set<std::string> mutated_;
-    std::set<std::string> open_;  // group leaders with untraceable stores
-};
+/// Memo key of the context `site` runs in: receiver (if any), then args.
+std::string memoKey(const void* site, const AVal* self, const std::vector<AVal>& args) {
+    std::string key;
+    keyAppend(key, site);
+    keyAppend(key, self != nullptr);
+    if (self) keyAppend(key, *self);
+    keyAppend(key, args.size());
+    for (const AVal& a : args) keyAppend(key, a);
+    return key;
+}
 
 // ------------------------------------------------------------------ engine
 
@@ -539,16 +477,11 @@ struct Pending;  // race-walk state, defined below
 
 class Engine {
 public:
-    Engine(const Program& prog, Result& out, bool lint)
-        : prog_(prog), out_(out), lint_(lint) {
-        groups_.build(prog);
-        effects_ = computeEffects(prog);
-        // The SIMD verdict for element loops depends on the data layout the
-        // translator will actually emit, so the prover reads the same switch
-        // codegen reads (see translate() in jit/codegen.cpp).
-        const char* soa = std::getenv("WJ_SOA");
-        soaOn_ = soa && *soa && std::string(soa) != "0";
-    }
+    /// `soa`: the translator will store arrays of Inline-verdict classes
+    /// SoA. The SIMD verdict for element loops depends on that layout, so
+    /// the caller passes the same switch the translator uses.
+    Engine(const Program& prog, Result& out, bool lint, bool soa)
+        : prog_(prog), out_(out), lint_(lint), soaOn_(soa), facts_(ProgramFacts::of(prog)) {}
 
     void runEntry(const Value& receiver, const std::string& method, const std::vector<Value>& args,
                   const Method* entryBody);
@@ -586,8 +519,12 @@ private:
     /// every later read already sees the over-approximation (cur/nxt swap).
     void normalizeMutatedFields(const AbsObjPtr& o);
 
+    /// Appends `m`'s definite-assignment findings to the result, once per
+    /// body; returns its Program facts (nullptr for a body the Program does
+    /// not own, which is checked here instead).
+    const MethodFacts* noteDefiniteAssignment(const ClassDecl& owner, const Method& m);
+
     // ---- context-sensitive interprocedural core
-    std::string keyOfAVal(const AVal& v) const;
     AVal analyzeCall(const ClassDecl& owner, const Method& m, const AVal* self,
                      const std::vector<AVal>& args);
     AVal evalNew(Env& env, const NewExpr& n);
@@ -645,20 +582,19 @@ private:
     const Program& prog_;
     Result& out_;
     bool lint_;
-    bool soaOn_ = false;  ///< WJ_SOA=1: the translator will split Inline classes
+    const bool soaOn_;  ///< the translator will split Inline classes (WJ_SOA=1)
+    const ProgramFacts& facts_;
     /// A rewritten entry body analyzed in place of `entryOrig_`; its effect
     /// summary is the original's (inlining moves effects, it adds none).
     const Method* entryBody_ = nullptr;
     const Method* entryOrig_ = nullptr;
-    FieldGroups groups_;
-    std::map<const Method*, Effects> effects_;
 
     std::map<const void*, int> rootIds_;
     int nextRoot_ = 1;
     std::map<const Obj*, AbsObjPtr> absMemo_;
-    std::map<std::string, AbsObjPtr> newMemo_;
-    std::map<std::string, AVal> callMemo_;
-    std::set<std::string> inProgress_;
+    std::unordered_map<std::string, AbsObjPtr> newMemo_;  ///< keyed by memoKey()
+    std::unordered_map<std::string, AVal> callMemo_;
+    std::unordered_set<std::string> inProgress_;
     int depth_ = 0;
 
     std::set<const Method*> daDone_;
@@ -735,8 +671,8 @@ void Engine::normalizeMutatedFields(const AbsObjPtr& o) {
     for (const Field* fd : prog_.allFields(o->cls->name)) {
         if (!fd->type.isArray()) continue;
         const std::string key = fieldKeyOf(prog_, o->cls->name, fd->name);
-        if (!groups_.isMutated(key)) continue;
-        if (groups_.isOpen(key)) {
+        if (!facts_.fieldGroups().isMutated(key)) continue;
+        if (facts_.fieldGroups().isOpen(key)) {
             o->fields[fd->name] = unknownOf(fd->type);
             continue;
         }
@@ -745,7 +681,7 @@ void Engine::normalizeMutatedFields(const AbsObjPtr& o) {
         AVal joined;
         bool first = true;
         std::vector<std::string> members;
-        for (const std::string& k : groups_.groupOf(key)) {
+        for (const std::string& k : facts_.fieldGroups().groupOf(key)) {
             const std::string fname = k.substr(k.find('.') + 1);
             auto fit = o->fields.find(fname);
             if (fit == o->fields.end()) continue;
@@ -785,17 +721,6 @@ AVal Engine::readField(const AVal& obj, const std::string& field) {
     }
     if (r.type.isVoid()) r.type = ft;
     return r;
-}
-
-std::string Engine::keyOfAVal(const AVal& v) const {
-    std::ostringstream os;
-    os << v.type.str() << '/' << v.num.lo << ':' << v.num.hi << '/' << v.len.lo << ':' << v.len.hi
-       << "/r";
-    for (int r : v.roots) os << r << ',';
-    os << "/o";
-    for (const AbsObjPtr& o : v.objs) os << o.get() << ',';
-    os << "/t" << v.tokens.size();
-    return os.str();
 }
 
 /// The dataflow client for one method body at one calling context.
@@ -845,21 +770,26 @@ struct IntervalDomain {
     void widen(State& s, const State& prev) { widenEnv(s, prev); }
 };
 
+const MethodFacts* Engine::noteDefiniteAssignment(const ClassDecl& owner, const Method& m) {
+    const MethodFacts* mf = facts_.method(m);
+    if (!daDone_.insert(&m).second) return mf;
+    if (mf) {
+        out_.errors.insert(out_.errors.end(), mf->daErrors.begin(), mf->daErrors.end());
+        out_.warnings.insert(out_.warnings.end(), mf->daWarnings.begin(), mf->daWarnings.end());
+    } else {
+        auto errs = checkDefiniteAssignment(prog_, owner, m, &out_.warnings);
+        out_.errors.insert(out_.errors.end(), errs.begin(), errs.end());
+    }
+    return mf;
+}
+
 AVal Engine::analyzeCall(const ClassDecl& owner, const Method& m, const AVal* self,
                          const std::vector<AVal>& args) {
     if (m.isAbstract) return unknownOf(m.ret);
 
-    if (daDone_.insert(&m).second) {
-        auto errs = checkDefiniteAssignment(prog_, owner, m, &out_.warnings);
-        out_.errors.insert(out_.errors.end(), errs.begin(), errs.end());
-    }
+    const MethodFacts* mf = noteDefiniteAssignment(owner, m);
 
-    std::ostringstream ks;
-    ks << &m << '|';
-    if (self) ks << keyOfAVal(*self);
-    ks << '|';
-    for (const AVal& a : args) ks << keyOfAVal(a) << ';';
-    const std::string key = ks.str();
+    std::string key = memoKey(&m, self, args);
 
     auto memo = callMemo_.find(key);
     if (memo != callMemo_.end()) return memo->second;
@@ -881,7 +811,8 @@ AVal Engine::analyzeCall(const ClassDecl& owner, const Method& m, const AVal* se
         entry.vars.emplace(m.params[i].name, std::move(v));
     }
 
-    const Cfg cfg = Cfg::build(m);
+    std::optional<Cfg> ownCfg;  // a body the Program does not own (fusion's entry)
+    const Cfg& cfg = mf ? mf->cfg : ownCfg.emplace(Cfg::build(m));
     IntervalDomain dom{*this, cfg, entry, unknownOf(m.ret), false};
     auto nodeStates = solve(cfg, dom, Direction::Forward);
 
@@ -912,10 +843,7 @@ AVal Engine::evalNew(Env& env, const NewExpr& n) {
     const ClassDecl* cls = prog_.cls(n.cls);
     if (!cls) return unknownOf(Type::cls(n.cls));
 
-    std::ostringstream ks;
-    ks << &n << '|';
-    for (const AVal& a : args) ks << keyOfAVal(a) << ';';
-    const std::string key = ks.str();
+    std::string key = memoKey(&n, nullptr, args);
     auto memo = newMemo_.find(key);
     if (memo != newMemo_.end()) {
         AVal r;
@@ -958,10 +886,7 @@ void Engine::execCtor(const ClassDecl& cls, const AbsObjPtr& obj, const std::vec
     }
 
     const Method& ctor = *cls.ctor;
-    if (daDone_.insert(&ctor).second) {
-        auto errs = checkDefiniteAssignment(prog_, cls, ctor, &out_.warnings);
-        out_.errors.insert(out_.errors.end(), errs.begin(), errs.end());
-    }
+    noteDefiniteAssignment(cls, ctor);
     if (depth_ > kMaxInlineDepth) {
         allUnknown();
         return;
@@ -1045,8 +970,9 @@ void Engine::execCtor(const ClassDecl& cls, const AbsObjPtr& obj, const std::vec
 
 const Effects& Engine::effectsOf(const Method& m) const {
     static const Effects kNone{};
-    auto it = effects_.find(&m == entryBody_ ? entryOrig_ : &m);
-    return it != effects_.end() ? it->second : kNone;
+    const auto& effects = facts_.effects();
+    auto it = effects.find(&m == entryBody_ ? entryOrig_ : &m);
+    return it != effects.end() ? it->second : kNone;
 }
 
 AVal Engine::evalExpr(Env& env, const Expr& e) {
@@ -3459,10 +3385,7 @@ void Engine::runLint() {
     out_.layoutClasses = proveLayout(prog_, {}, /*lint=*/true);
     for (const ClassDecl* cls : prog_.classes()) {
         if (cls->isInterface) continue;
-        if (cls->ctor && daDone_.insert(cls->ctor.get()).second) {
-            auto errs = checkDefiniteAssignment(prog_, *cls, *cls->ctor, &out_.warnings);
-            out_.errors.insert(out_.errors.end(), errs.begin(), errs.end());
-        }
+        if (cls->ctor) noteDefiniteAssignment(*cls, *cls->ctor);
         for (const auto& m : cls->methods) {
             if (m->isAbstract) continue;
             AVal self = unknownOf(Type::cls(cls->name));
@@ -3509,18 +3432,18 @@ void tally(Result& r) {
 
 } // namespace
 
-Result lintProgram(const Program& prog) {
+Result lintProgram(const Program& prog, bool soa) {
     Result out;
-    Engine eng(prog, out, /*lint=*/true);
+    Engine eng(prog, out, /*lint=*/true, soa);
     eng.runLint();
     tally(out);
     return out;
 }
 
 Result analyzeEntry(const Program& prog, const Value& receiver, const std::string& method,
-                    const std::vector<Value>& args, const Method* entryBody) {
+                    const std::vector<Value>& args, const Method* entryBody, bool soa) {
     Result out;
-    Engine eng(prog, out, /*lint=*/false);
+    Engine eng(prog, out, /*lint=*/false, soa);
     eng.runEntry(receiver, method, args, entryBody);
     tally(out);
     return out;

@@ -16,6 +16,10 @@
 //     summaries (effects.h) to flag writes that can overlap a posted
 //     nonblocking receive of the same buffer region.
 //
+// Facts that depend on the Program alone (effect summaries, field groups,
+// per-method CFGs and definite assignment) are built once per Program and
+// shared by every run (facts.h).
+//
 // Two drivers: lintProgram() analyzes every method with unknown
 // parameters ("wjc lint" — only *proven* defects are errors), and
 // analyzeEntry() analyzes one jit() call with the concrete receiver
@@ -195,8 +199,9 @@ std::vector<Violation> checkDefiniteAssignment(const Program& prog, const ClassD
 
 /// Whole-program lint: every pass over every concrete method, with unknown
 /// receiver/arguments. Distinct array parameters are assumed non-aliasing
-/// (documented lint assumption); only proven defects become errors.
-Result lintProgram(const Program& prog);
+/// (documented lint assumption); only proven defects become errors. `soa`
+/// reports the SIMD verdicts the translator would see under WJ_SOA=1.
+Result lintProgram(const Program& prog, bool soa = false);
 
 /// Analysis of one jit() entry: `method` invoked on the concrete composed
 /// `receiver` with `args`, covering everything reachable. Field primitives
@@ -204,7 +209,10 @@ Result lintProgram(const Program& prog);
 /// exactly the specialization contract the translator itself uses.
 /// `entryBody`, when given, is analyzed in place of the entry method (the
 /// fusion pass's rewritten copy: same name, parameters and return type).
+/// `soa`: the translator stores arrays of Inline-verdict classes SoA
+/// (WJ_SOA=1), which element loops' SIMD verdicts depend on.
 Result analyzeEntry(const Program& prog, const Value& receiver, const std::string& method,
-                    const std::vector<Value>& args, const Method* entryBody = nullptr);
+                    const std::vector<Value>& args, const Method* entryBody = nullptr,
+                    bool soa = false);
 
 } // namespace wj::analysis

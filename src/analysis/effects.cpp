@@ -26,16 +26,6 @@ struct SRoot {
     static SRoot unknown() { return {K::Unknown, -1, {}}; }
 };
 
-/// "DeclaringClass.field" — all stores/loads of one field agree on the key
-/// regardless of the receiver's static type.
-std::string fieldKeyOf(const Program& prog, const std::string& cls, const std::string& field) {
-    for (const ClassDecl* c = prog.cls(cls); c;
-         c = c->superName.empty() ? nullptr : prog.cls(c->superName)) {
-        if (c->ownField(field)) return c->name + "." + field;
-    }
-    return cls + "." + field;
-}
-
 class MethodWalker {
 public:
     MethodWalker(const Program& prog, const std::map<const Method*, Effects>& summaries)
@@ -380,6 +370,14 @@ std::string Effects::str() const {
         out += "}";
     }
     return out;
+}
+
+std::string fieldKeyOf(const Program& prog, const std::string& cls, const std::string& field) {
+    for (const ClassDecl* c = prog.cls(cls); c;
+         c = c->superName.empty() ? nullptr : prog.cls(c->superName)) {
+        if (c->ownField(field)) return c->name + "." + field;
+    }
+    return cls + "." + field;
 }
 
 std::map<const Method*, Effects> computeEffects(const Program& prog) {

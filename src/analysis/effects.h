@@ -65,6 +65,11 @@ struct Effects {
     std::string str() const;
 };
 
+/// "DeclaringClass.field": the class in `cls`'s superclass chain that
+/// declares `field`, so all stores and loads of one field agree on the key
+/// whatever the receiver's static type (`cls.field` when unresolvable).
+std::string fieldKeyOf(const Program& prog, const std::string& cls, const std::string& field);
+
 /// Computes summaries for every concrete method and constructor in the
 /// program, iterating over the call graph to a fixed point (cycles — which
 /// rule 6 forbids but lint inputs may contain — converge because the

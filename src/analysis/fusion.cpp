@@ -634,19 +634,19 @@ bool simdUsable(const Result& r, const ForStmt* loop) {
 } // namespace
 
 Result analyzeEntryFused(const Program& prog, const Value& receiver, const std::string& method,
-                         const std::vector<Value>& args, bool simd) {
+                         const std::vector<Value>& args, bool simd, bool soa) {
     const ClassDecl* owner = nullptr;
     const Method* m = nullptr;
     if (receiver.isObj() && receiver.asObj() && receiver.asObj()->cls) {
         owner = prog.methodOwner(receiver.asObj()->cls->name, method);
         m = owner ? owner->ownMethod(method) : nullptr;
     }
-    if (!m || m->isAbstract) return analyzeEntry(prog, receiver, method, args);
+    if (!m || m->isAbstract) return analyzeEntry(prog, receiver, method, args, nullptr, soa);
 
     std::map<PairKey, std::string> refused;
     for (;;) {
         Plan plan = Planner(prog, receiver, *owner, *m, refused).run();
-        Result r = analyzeEntry(prog, receiver, method, args, plan.method.get());
+        Result r = analyzeEntry(prog, receiver, method, args, plan.method.get(), soa);
         bool again = false;
         for (const Group& g : plan.groups) {
             auto it = r.loopParallel.find(g.fused);

@@ -29,6 +29,6 @@ namespace wj::analysis {
 /// runs once when every planned group proves; a refusal re-runs it without
 /// the refused group.
 Result analyzeEntryFused(const Program& prog, const Value& receiver, const std::string& method,
-                         const std::vector<Value>& args, bool simd);
+                         const std::vector<Value>& args, bool simd, bool soa = false);
 
 } // namespace wj::analysis

@@ -15,6 +15,27 @@ Program::Program(std::vector<std::unique_ptr<ClassDecl>> classes) {
         if (!inserted) throw UsageError("duplicate class: " + name);
         order_.push_back(raw);
     }
+    // Every name each class is a subtype of. The walk keeps a visited set,
+    // so an inheritance cycle (which validate() rejects afterwards) ends.
+    for (const ClassDecl* c : order_) {
+        if (!c->superName.empty() && c->superName != c->name) extended_.insert(c->superName);
+        for (const auto& itf : c->interfaces) {
+            if (itf != c->name) extended_.insert(itf);
+        }
+        if (c->isInterface) continue;
+        std::set<std::string> ancestors;
+        std::vector<std::string> work{c->name};
+        while (!work.empty()) {
+            std::string n = std::move(work.back());
+            work.pop_back();
+            if (!ancestors.insert(n).second) continue;
+            subtypes_[n].push_back(c);
+            const ClassDecl* a = cls(n);
+            if (!a) continue;
+            if (!a->superName.empty()) work.push_back(a->superName);
+            for (const auto& itf : a->interfaces) work.push_back(itf);
+        }
+    }
 }
 
 const ClassDecl* Program::cls(const std::string& name) const noexcept {
@@ -47,24 +68,10 @@ bool Program::assignable(const Type& to, const Type& from) const {
     return false;
 }
 
-std::vector<const ClassDecl*> Program::concreteSubtypes(const std::string& name) const {
-    std::vector<const ClassDecl*> out;
-    for (const ClassDecl* c : order_) {
-        if (c->isInterface) continue;
-        if (isSubtypeOf(c->name, name)) out.push_back(c);
-    }
-    return out;
-}
-
-bool Program::isLeaf(const std::string& name) const {
-    for (const ClassDecl* c : order_) {
-        if (c->name == name) continue;
-        if (c->superName == name) return false;
-        for (const auto& itf : c->interfaces) {
-            if (itf == name) return false;
-        }
-    }
-    return true;
+const std::vector<const ClassDecl*>& Program::concreteSubtypes(const std::string& name) const {
+    static const std::vector<const ClassDecl*> kNone;
+    auto it = subtypes_.find(name);
+    return it == subtypes_.end() ? kNone : it->second;
 }
 
 const Method* Program::resolveMethod(const std::string& clsName, const std::string& method) const {

@@ -9,12 +9,19 @@
 
 #include <map>
 #include <memory>
+#include <mutex>
 #include <string>
+#include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
 #include "ir/decl.h"
 
 namespace wj {
+
+namespace analysis {
+class ProgramFacts;
+}
 
 class Program {
 public:
@@ -42,11 +49,11 @@ public:
     bool assignable(const Type& to, const Type& from) const;
 
     /// Concrete (non-interface, non-abstract-only) classes that are `name`
-    /// or subtypes of it.
-    std::vector<const ClassDecl*> concreteSubtypes(const std::string& name) const;
+    /// or subtypes of it, in registration order. Precomputed at construction.
+    const std::vector<const ClassDecl*>& concreteSubtypes(const std::string& name) const;
 
     /// True if no other class in the table extends or implements `name`.
-    bool isLeaf(const std::string& name) const;
+    bool isLeaf(const std::string& name) const { return !extended_.count(name); }
 
     /// Method lookup: walks `cls` then its superclass chain; interfaces carry
     /// only abstract methods, so resolution on a concrete class never lands
@@ -82,6 +89,21 @@ private:
 
     std::map<std::string, std::unique_ptr<ClassDecl>> byName_;
     std::vector<const ClassDecl*> order_;
+    /// The hierarchy queries the analyses ask for every call they resolve:
+    /// class or interface name -> its concrete subtypes, and the names some
+    /// other class extends or implements.
+    std::unordered_map<std::string, std::vector<const ClassDecl*>> subtypes_;
+    std::unordered_set<std::string> extended_;
+
+    /// The facts derived from this Program alone (analysis/facts.h): built
+    /// on first use under `mu` and destroyed with the Program. Heap-held so
+    /// the Program stays movable.
+    friend class analysis::ProgramFacts;
+    struct FactsSlot {
+        std::mutex mu;
+        std::shared_ptr<const analysis::ProgramFacts> facts;
+    };
+    std::unique_ptr<FactsSlot> facts_ = std::make_unique<FactsSlot>();
 };
 
 } // namespace wj

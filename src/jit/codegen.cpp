@@ -2018,13 +2018,21 @@ Translation translate(const Program& prog, const Value& receiver, const std::str
     // baked into the generated C, independent of WJ_THREADS, so the cache
     // key stays thread-count independent.
     const bool simd = flag("WJ_SIMD");
+    // WJ_SOA=1 stores arrays of Inline-verdict element classes (the
+    // proveLayout pass) as packed per-field lane regions instead of arrays
+    // of structs. Element field paths become unit-stride loads the simd
+    // pass can vectorize; the pass proved no use can observe the split, so
+    // results stay bitwise-identical to every other configuration. The
+    // prover's SIMD verdicts depend on the layout, so it gets the switch too.
+    const bool soa = flag("WJ_SOA");
 
     // The analysis passes are mandatory: translation refuses statically
     // unsound entries (uninit reads, proven out-of-bounds, halo races)
     // regardless of the guard mode. The guard mode only decides what the
     // interval verdicts are *used* for.
-    analysis::Result facts = par ? analysis::analyzeEntryFused(prog, receiver, method, args, simd)
-                                 : analysis::analyzeEntry(prog, receiver, method, args);
+    analysis::Result facts =
+        par ? analysis::analyzeEntryFused(prog, receiver, method, args, simd, soa)
+            : analysis::analyzeEntry(prog, receiver, method, args, nullptr, soa);
     facts.require();
 
     const int mode = boundsModeFromEnv();
@@ -2035,12 +2043,7 @@ Translation translate(const Program& prog, const Value& receiver, const std::str
         cg.setEntryBody(facts.fusedEntry.get());
     }
     if (simd) cg.setSimd(&facts.loopVector);
-    // WJ_SOA=1 stores arrays of Inline-verdict element classes (the
-    // proveLayout pass) as packed per-field lane regions instead of arrays
-    // of structs. Element field paths become unit-stride loads the simd
-    // pass can vectorize; the pass proved no use can observe the split, so
-    // results stay bitwise-identical to every other configuration.
-    if (flag("WJ_SOA")) cg.setSoa(&facts.layoutClasses);
+    if (soa) cg.setSoa(&facts.layoutClasses);
     Translation t = cg.run(receiver, method, args);
     t.fusedLoops = facts.fusedLoops;
     t.fusionReport = std::move(facts.fusionReport);

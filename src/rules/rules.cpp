@@ -4,6 +4,7 @@
 #include <set>
 
 #include "analysis/callgraph.h"
+#include "analysis/facts.h"
 #include "ir/typecheck.h"
 
 namespace wj {
@@ -566,15 +567,19 @@ private:
 
 } // namespace
 
-std::vector<Violation> verifyCodingRules(const Program& prog) {
+std::vector<Violation> checkCodingRules(const Program& prog) {
     // Type-check first so the rule passes can rely on well-typed bodies.
     checkProgramTypes(prog);
     return RuleChecker(prog).run();
 }
 
+std::vector<Violation> verifyCodingRules(const Program& prog) {
+    return analysis::ProgramFacts::of(prog).ruleViolations();
+}
+
 void requireCodingRules(const Program& prog) {
-    auto vs = verifyCodingRules(prog);
-    if (!vs.empty()) throw RuleViolationError(std::move(vs));
+    const auto& vs = analysis::ProgramFacts::of(prog).ruleViolations();
+    if (!vs.empty()) throw RuleViolationError(vs);
 }
 
 } // namespace wj

@@ -75,8 +75,14 @@ private:
 };
 
 /// Verifies the coding rules over every @WootinJ class of `prog`.
-/// Returns all violations found (empty = compliant).
+/// Returns all violations found (empty = compliant). The verdict is one of
+/// the per-Program analysis facts (analysis/facts.h): checked on the first
+/// call, returned (or its type error rethrown) on every later one.
 std::vector<Violation> verifyCodingRules(const Program& prog);
+
+/// The check behind verifyCodingRules, run afresh: type-checks `prog`
+/// (throwing on a type error), then applies the rules.
+std::vector<Violation> checkCodingRules(const Program& prog);
 
 /// Convenience: throws RuleViolationError if verifyCodingRules is non-empty.
 void requireCodingRules(const Program& prog);

@@ -313,6 +313,45 @@ TEST(RaceCheck, FlagsWriteOverlappingInflightReceive) {
     }
 }
 
+namespace {
+
+/// `a` is stored while its receive is in flight; the wait on `b`'s request
+/// comes first. With `helper`, both requests pass through `this.pass(r)`,
+/// which returns its argument, so the two calls differ only in the request
+/// token their argument carries.
+Program haloHelperProgram(bool helper) {
+    ProgramBuilder pb;
+    auto& c = pb.cls("Halo2");
+    c.method("pass", Type::i32()).param("r", Type::i32()).body(blk(ret(lv("r"))));
+    auto route = [&](const char* req) { return helper ? call(self(), "pass", lv(req)) : lv(req); };
+    c.method("race", Type::f32()).body(
+        blk(decl("a", Type::array(Type::f32()), newArr(Type::f32(), ci(16))),
+            decl("b", Type::array(Type::f32()), newArr(Type::f32(), ci(16))),
+            decl("ra", Type::i32(), intr(Intrinsic::MpiIrecvF32, lv("a"), ci(0), ci(8), ci(0), ci(7))),
+            decl("rb", Type::i32(), intr(Intrinsic::MpiIrecvF32, lv("b"), ci(0), ci(8), ci(0), ci(8))),
+            decl("x", Type::i32(), route("ra")),
+            exprS(intr(Intrinsic::MpiWait, route("rb"))),
+            aset(lv("a"), ci(3), cf(1.0f)),
+            exprS(intr(Intrinsic::MpiWait, lv("x"))),
+            ret(aget(lv("a"), ci(3)))));
+    return pb.build();
+}
+
+} // namespace
+
+TEST(RaceCheck, RequestThroughHelperCallKeepsItsToken) {
+    // The call memo must tell the two `pass` calls apart by the request
+    // token set, not by its size: reusing the first call's result would let
+    // the wait on `b` complete `a`'s receive and hide the race.
+    const analysis::Result direct = analysis::lintProgram(haloHelperProgram(false));
+    const analysis::Result viaHelper = analysis::lintProgram(haloHelperProgram(true));
+    ASSERT_TRUE(hasError(direct, "halo-race"));
+    ASSERT_EQ(direct.errors.size(), viaHelper.errors.size());
+    for (size_t i = 0; i < direct.errors.size(); ++i)
+        EXPECT_EQ(direct.errors[i].str(), viaHelper.errors[i].str());
+    EXPECT_EQ(direct.warnings.size(), viaHelper.warnings.size());
+}
+
 TEST(RaceCheck, StencilLibraryLintsClean) {
     // Includes StencilCPU3D_MPI_Overlap, whose whole point is writing the
     // interior while halo receives are in flight — the region reasoning

@@ -224,8 +224,21 @@ TEST(Program, LeafDetection) {
 
 TEST(Program, ConcreteSubtypes) {
     Program p = hierarchyProgram();
-    EXPECT_EQ(3u, p.concreteSubtypes("I").size());
+    ASSERT_EQ(3u, p.concreteSubtypes("I").size());
     EXPECT_EQ(1u, p.concreteSubtypes("Leaf").size());
+    // Registration order, and nothing for a name no class derives from.
+    EXPECT_EQ("Base", p.concreteSubtypes("I")[0]->name);
+    EXPECT_EQ("Leaf", p.concreteSubtypes("I")[2]->name);
+    EXPECT_TRUE(p.concreteSubtypes("Missing").empty());
+}
+
+TEST(Program, InheritanceCycleIsRejected) {
+    // The hierarchy tables are built before validate() runs; a cycle must
+    // still end in validate()'s error.
+    ProgramBuilder pb;
+    pb.cls("A").extends("B");
+    pb.cls("B").extends("A");
+    EXPECT_THROW(pb.build(), UsageError);
 }
 
 // -------------------------------------------------------------- typecheck

@@ -231,35 +231,37 @@ TEST(ProveLayout, CellWorkloadVerdicts) {
 // ---- the vector-prover flip: ScalarOnly under AoS, Vectorizable with --soa
 
 TEST(ProveLayout, ElementLoopsFlipToVectorizableUnderSoa) {
+    // Off, on, off on one Program: the verdict follows the switch passed in,
+    // not the facts cached by the first run (nor the environment).
+    ScopedEnv ambient("WJ_SOA", "1");
     Program p = stencil::buildProgram();
     Interp in(p);
     Value runner = stencil::makeCellRunner(in, 64, 0.25f, 0.5f, 11);
-    {
-        ScopedEnv off("WJ_SOA", "0");
-        analysis::Result r = analysis::analyzeEntry(p, runner, "run", {Value::ofI32(3)});
-        EXPECT_TRUE(reportHas(r.vectorReport,
-                              "are struct-strided under AoS -- vectorizable under --soa"))
-            << joined(r.vectorReport);
-        EXPECT_FALSE(reportHas(r.vectorReport, "unit-stride via the SoA layout"));
-    }
-    {
-        ScopedEnv on("WJ_SOA", "1");
-        analysis::Result r = analysis::analyzeEntry(p, runner, "run", {Value::ofI32(3)});
-        EXPECT_TRUE(reportHas(r.vectorReport, "unit-stride via the SoA layout of 'Cell[]'"))
-            << joined(r.vectorReport);
-        EXPECT_FALSE(reportHas(r.vectorReport, "vectorizable under --soa"));
+    for (const bool soa : {false, true, false}) {
+        analysis::Result r =
+            analysis::analyzeEntry(p, runner, "run", {Value::ofI32(3)}, nullptr, soa);
+        if (soa) {
+            EXPECT_TRUE(reportHas(r.vectorReport, "unit-stride via the SoA layout of 'Cell[]'"))
+                << joined(r.vectorReport);
+            EXPECT_FALSE(reportHas(r.vectorReport, "vectorizable under --soa"));
+        } else {
+            EXPECT_TRUE(reportHas(r.vectorReport,
+                                  "are struct-strided under AoS -- vectorizable under --soa"))
+                << joined(r.vectorReport);
+            EXPECT_FALSE(reportHas(r.vectorReport, "unit-stride via the SoA layout"));
+        }
     }
 }
 
 TEST(ProveLayout, BoxedElementLoopsStayScalarWithActionableReason) {
     // The escaping local boxes P, so even under WJ_SOA=1 the fold loop
     // must refuse with the layout reason attached.
-    ScopedEnv on("WJ_SOA", "1");
     Program p = pointProgram(blk(decl("p0", Type::cls("P"), aget(lv("a"), ci(0))),
                                  exprS(getf(lv("p0"), "x"))));
     Interp in(p);
     Value obj = in.instantiate("T", {});
-    analysis::Result r = analysis::analyzeEntry(p, obj, "run", {Value::ofI32(64)});
+    analysis::Result r =
+        analysis::analyzeEntry(p, obj, "run", {Value::ofI32(64)}, nullptr, /*soa=*/true);
     EXPECT_TRUE(reportHas(r.vectorReport, "must stay AoS")) << joined(r.vectorReport);
     EXPECT_TRUE(reportHas(r.vectorReport, "layout:")) << joined(r.vectorReport);
 }

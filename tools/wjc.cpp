@@ -159,17 +159,17 @@ int runMain(int argc, char** argv) {
     }
     if (cmd == "lint") {
         bool werror = false;
+        // --soa: the simd report shows the verdicts the translator would see
+        // under the SoA layout (WJ_SOA=1; element-path loops flip from
+        // "vectorizable under --soa" to Vectorizable).
+        bool soa = false;
         for (int i = 3; i < argc; ++i) {
             if (std::strcmp(argv[i], "--Werror") == 0) werror = true;
-            // --soa sets WJ_SOA=1 for the analysis run, so the simd report
-            // shows the verdicts the translator would see under the SoA
-            // layout (element-path loops flip from "vectorizable under
-            // --soa" to Vectorizable).
-            else if (std::strcmp(argv[i], "--soa") == 0) setenv("WJ_SOA", "1", 1);
+            else if (std::strcmp(argv[i], "--soa") == 0) soa = true;
             else return usage();
         }
         Program p = frontend::parseProgram(slurp(path));
-        analysis::Result r = analysis::lintProgram(p);
+        analysis::Result r = analysis::lintProgram(p, soa);
         for (const auto& v : r.errors) std::printf("error: %s\n", v.str().c_str());
         for (const auto& v : r.warnings)
             std::printf("%s: %s\n", werror ? "error" : "warning", v.str().c_str());
