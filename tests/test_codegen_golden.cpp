@@ -17,8 +17,6 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
-#include <fstream>
-#include <sstream>
 #include <string>
 
 #include "cg/cg_lib.h"
@@ -27,6 +25,8 @@
 #include "jit/codegen.h"
 #include "matmul/matmul_lib.h"
 #include "stencil/stencil_lib.h"
+#include "golden.h"
+#include "scoped_env.h"
 
 using namespace wj;
 using namespace wj::dsl;
@@ -35,92 +35,11 @@ namespace {
 
 // WJ_GOLDEN_DIR is a compile definition pointing at tests/golden in the
 // SOURCE tree, so update mode rewrites the checked-in files directly.
-std::string goldenPath(const std::string& name) {
-    return std::string(WJ_GOLDEN_DIR) + "/" + name;
-}
-
-bool updateMode() {
-    const char* v = std::getenv("WJ_UPDATE_GOLDEN");
-    return v && *v && std::string(v) != "0";
-}
-
-bool slurp(const std::string& path, std::string& out) {
-    std::ifstream f(path, std::ios::binary);
-    if (!f) return false;
-    std::ostringstream ss;
-    ss << f.rdbuf();
-    out = ss.str();
-    return true;
-}
-
-/// Line number (1-based) and text of the first line where a and b differ.
-struct FirstDiff {
-    int line = 0;
-    std::string expected, actual;
-};
-
-FirstDiff firstDiff(const std::string& expected, const std::string& actual) {
-    std::istringstream ea(expected), aa(actual);
-    std::string el, al;
-    FirstDiff d;
-    for (int line = 1;; ++line) {
-        const bool he = static_cast<bool>(std::getline(ea, el));
-        const bool ha = static_cast<bool>(std::getline(aa, al));
-        if (!he && !ha) break;
-        if (el != al || he != ha) {
-            d.line = line;
-            d.expected = he ? el : "<end of file>";
-            d.actual = ha ? al : "<end of file>";
-            break;
-        }
-    }
-    return d;
-}
-
 void checkGolden(const std::string& name, const std::string& actual) {
-    const std::string path = goldenPath(name);
-    if (updateMode()) {
-        std::ofstream f(path, std::ios::binary | std::ios::trunc);
-        ASSERT_TRUE(f.good()) << "cannot write " << path;
-        f << actual;
-        std::fprintf(stderr, "[golden] updated %s (%zu bytes)\n", path.c_str(), actual.size());
-        return;
-    }
-    std::string expected;
-    ASSERT_TRUE(slurp(path, expected))
-        << "missing golden file " << path
-        << " — run tests/update_goldens.sh to create it, then check it in";
-    if (expected == actual) return;
-    const FirstDiff d = firstDiff(expected, actual);
-    FAIL() << "generated C diverged from " << path << " at line " << d.line << "\n"
-           << "  golden: " << d.expected << "\n"
-           << "  actual: " << d.actual << "\n"
-           << "If the codegen change is intentional, refresh with tests/update_goldens.sh "
-           << "and review the golden diff.";
+    test::checkGolden(WJ_GOLDEN_DIR, name, actual);
 }
 
-/// Clears an env var for the scope (the translator reads WJ_BOUNDS /
-/// WJ_PARALLEL at translate() time) and restores it on exit.
-class ScopedUnset {
-public:
-    explicit ScopedUnset(const char* name) : name_(name) {
-        if (const char* old = std::getenv(name)) {
-            had_ = true;
-            old_ = old;
-        }
-        unsetenv(name);
-    }
-    ~ScopedUnset() {
-        if (had_) setenv(name_, old_.c_str(), 1);
-    }
-    ScopedUnset(const ScopedUnset&) = delete;
-    ScopedUnset& operator=(const ScopedUnset&) = delete;
-
-private:
-    const char* name_;
-    bool had_ = false;
-    std::string old_;
-};
+using test::ScopedEnv;
 
 Translation translateDiffusion() {
     static Program prog = stencil::buildProgram();
@@ -203,10 +122,10 @@ class CodegenGolden : public ::testing::Test {
 protected:
     // Pin the knobs that legitimately change the output; each variant test
     // re-sets exactly the one it exercises.
-    ScopedUnset bounds_{"WJ_BOUNDS"};
-    ScopedUnset parallel_{"WJ_PARALLEL"};
-    ScopedUnset simd_{"WJ_SIMD"};
-    ScopedUnset soa_{"WJ_SOA"};
+    ScopedEnv bounds_{"WJ_BOUNDS"};
+    ScopedEnv parallel_{"WJ_PARALLEL"};
+    ScopedEnv simd_{"WJ_SIMD"};
+    ScopedEnv soa_{"WJ_SOA"};
 };
 
 TEST_F(CodegenGolden, Diffusion3DCpu) {

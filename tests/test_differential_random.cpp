@@ -43,6 +43,7 @@
 #include "ir/builder.h"
 #include "jit/jit.h"
 #include "support/prng.h"
+#include "scoped_env.h"
 
 using namespace wj;
 using namespace wj::dsl;
@@ -177,32 +178,7 @@ Program randomProgram(uint64_t seed) {
     return pb.build();
 }
 
-/// Sets (or clears, for nullptr) an env var for the enclosing scope and
-/// restores the previous state on exit — the translator reads WJ_BOUNDS /
-/// WJ_PARALLEL at translate() time and the pool reads WJ_THREADS per
-/// dispatch, so configs are just env scopes around jit()/invoke().
-class ScopedEnv {
-public:
-    ScopedEnv(const char* name, const char* value) : name_(name) {
-        if (const char* old = std::getenv(name)) {
-            had_ = true;
-            old_ = old;
-        }
-        if (value) setenv(name, value, 1);
-        else unsetenv(name);
-    }
-    ~ScopedEnv() {
-        if (had_) setenv(name_, old_.c_str(), 1);
-        else unsetenv(name_);
-    }
-    ScopedEnv(const ScopedEnv&) = delete;
-    ScopedEnv& operator=(const ScopedEnv&) = delete;
-
-private:
-    const char* name_;
-    bool had_ = false;
-    std::string old_;
-};
+using wj::test::ScopedEnv;
 
 uint64_t bitsOf(double d) {
     uint64_t u;

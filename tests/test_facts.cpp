@@ -11,6 +11,11 @@
 //     its facts once;
 //   * 100 warm re-jits of one Program build its facts once
 //     (the analysis.facts.builds counter).
+//
+// The facts themselves are pinned across commits by the FactsGolden tests:
+// for each library composition, tests/golden/facts/<name>.facts holds the
+// call graph, every method's effect summary, the layout verdicts, the
+// coding-rule violations, the lint findings and the entry analysis.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -20,42 +25,26 @@
 #include <vector>
 
 #include "analysis/analysis.h"
+#include "analysis/callgraph.h"
+#include "analysis/effects.h"
 #include "analysis/fusion.h"
+#include "analysis/layout.h"
 #include "cg/cg_lib.h"
 #include "interp/interp.h"
 #include "jit/codegen.h"
 #include "jit/jit.h"
 #include "matmul/matmul_lib.h"
 #include "stencil/stencil_lib.h"
+#include "rules/rules.h"
 #include "trace/metrics.h"
+#include "golden.h"
+#include "scoped_env.h"
 
 using namespace wj;
 
 namespace {
 
-/// Sets (or, with nullptr, unsets) an environment variable for the scope.
-class ScopedEnv {
-public:
-    ScopedEnv(const char* name, const char* value) : name_(name) {
-        if (const char* old = std::getenv(name)) {
-            had_ = true;
-            old_ = old;
-        }
-        if (value) setenv(name, value, 1);
-        else unsetenv(name);
-    }
-    ~ScopedEnv() {
-        if (had_) setenv(name_, old_.c_str(), 1);
-        else unsetenv(name_);
-    }
-    ScopedEnv(const ScopedEnv&) = delete;
-    ScopedEnv& operator=(const ScopedEnv&) = delete;
-
-private:
-    const char* name_;
-    bool had_ = false;
-    std::string old_;
-};
+using wj::test::ScopedEnv;
 
 /// One jit() composition of the codegen goldens.
 struct Composition {
@@ -195,6 +184,53 @@ std::string lintText(const Program& p, bool soa) {
     return out;
 }
 
+const char* verdictName(analysis::LayoutVerdict v) {
+    switch (v) {
+    case analysis::LayoutVerdict::Inline: return "inline";
+    case analysis::LayoutVerdict::CondInline: return "cond-inline";
+    case analysis::LayoutVerdict::Boxed: return "boxed";
+    }
+    return "?";
+}
+
+/// The Program-level facts of `c` and its entry analysis, as text.
+std::string factsText(const Composition& c) {
+    Program p = c.build();
+    std::string out;
+    for (const auto& [from, callees] : analysis::buildCallGraph(p, false).edges) {
+        out += "call " + from + " ->";
+        for (const auto& to : callees) out += " " + to;
+        out += "\n";
+    }
+    const auto effects = analysis::computeEffects(p);
+    for (const ClassDecl* cls : p.classes()) {
+        for (const auto& m : cls->methods) {
+            auto it = effects.find(m.get());
+            if (it != effects.end()) {
+                out += "effects " + cls->name + "." + m->name + ": " + it->second.str() + "\n";
+            }
+        }
+    }
+    for (const auto& [cls, l] : analysis::proveLayout(p, {}, /*lint=*/true)) {
+        out += "layout " + cls + ": " + verdictName(l.verdict) + " -- " + l.reason;
+        for (const auto& f : l.fields) out += " " + f.name + "@" + std::to_string(f.pre);
+        out += "\n";
+    }
+    for (const auto& v : checkCodingRules(p)) out += "rule: " + v.str() + "\n";
+    out += "-- lint\n" + lintText(p, false) + "-- lint --soa\n" + lintText(p, true);
+    Interp in(p);
+    const Value recv = c.receiver(in);
+    out += "-- entry\n";
+    renderFindings(out, analysis::analyzeEntry(p, recv, "run", c.args, nullptr, false));
+    out += "-- entry fused simd soa\n";
+    renderFindings(out, analysis::analyzeEntryFused(p, recv, "run", c.args, true, true));
+    return out;
+}
+
+void checkFactsGolden(const std::string& name, const Composition& c) {
+    test::checkGolden(std::string(WJ_GOLDEN_DIR) + "/facts", name + ".facts", factsText(c));
+}
+
 } // namespace
 
 TEST(ProgramFacts, WarmEqualsColdDiffusionCpu) { expectWarmEqualsCold(diffusionCpu()); }
@@ -202,6 +238,12 @@ TEST(ProgramFacts, WarmEqualsColdDiffusionMpi) { expectWarmEqualsCold(diffusionM
 TEST(ProgramFacts, WarmEqualsColdCells) { expectWarmEqualsCold(cells()); }
 TEST(ProgramFacts, WarmEqualsColdMatmul) { expectWarmEqualsCold(matmulCpu()); }
 TEST(ProgramFacts, WarmEqualsColdCg) { expectWarmEqualsCold(cgSolver()); }
+
+TEST(FactsGolden, DiffusionCpu) { checkFactsGolden("diffusion_cpu", diffusionCpu()); }
+TEST(FactsGolden, DiffusionMpi) { checkFactsGolden("diffusion_mpi", diffusionMpi()); }
+TEST(FactsGolden, Cells) { checkFactsGolden("cells", cells()); }
+TEST(FactsGolden, Matmul) { checkFactsGolden("matmul", matmulCpu()); }
+TEST(FactsGolden, Cg) { checkFactsGolden("cg", cgSolver()); }
 
 TEST(ProgramFacts, LintWarmEqualsCold) {
     for (const auto& build : {stencil::buildProgram, matmul::buildProgram, cg::buildProgram}) {

@@ -17,34 +17,14 @@
 #include "ir/builder.h"
 #include "jit/jit.h"
 #include "stencil/stencil_lib.h"
+#include "scoped_env.h"
 
 using namespace wj;
 using namespace wj::dsl;
 
 namespace {
 
-/// Scoped setenv (nullptr unsets) that restores the previous value on
-/// destruction.
-class ScopedEnv {
-public:
-    ScopedEnv(const char* name, const char* value) : name_(name) {
-        if (const char* old = std::getenv(name)) {
-            had_ = true;
-            old_ = old;
-        }
-        if (value) setenv(name, value, 1);
-        else unsetenv(name);
-    }
-    ~ScopedEnv() {
-        if (had_) setenv(name_, old_.c_str(), 1);
-        else unsetenv(name_);
-    }
-
-private:
-    const char* name_;
-    bool had_ = false;
-    std::string old_;
-};
+using wj::test::ScopedEnv;
 
 bool bitEq(double a, double b) { return std::memcmp(&a, &b, sizeof a) == 0; }
 

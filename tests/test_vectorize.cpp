@@ -21,32 +21,14 @@
 #include "matmul/matmul_lib.h"
 #include "stencil/stencil_lib.h"
 #include "trace/metrics.h"
+#include "scoped_env.h"
 
 using namespace wj;
 using namespace wj::dsl;
 
 namespace {
 
-/// Scoped setenv that restores the previous value on destruction.
-class ScopedEnv {
-public:
-    ScopedEnv(const char* name, const char* value) : name_(name) {
-        if (const char* old = std::getenv(name)) {
-            had_ = true;
-            old_ = old;
-        }
-        setenv(name, value, 1);
-    }
-    ~ScopedEnv() {
-        if (had_) setenv(name_, old_.c_str(), 1);
-        else unsetenv(name_);
-    }
-
-private:
-    const char* name_;
-    bool had_ = false;
-    std::string old_;
-};
+using wj::test::ScopedEnv;
 
 bool bitEq(double a, double b) { return std::memcmp(&a, &b, sizeof a) == 0; }
 
