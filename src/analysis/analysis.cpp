@@ -15,7 +15,7 @@
 #include "analysis/effects.h"
 #include "analysis/facts.h"
 #include "analysis/interval.h"
-#include "ir/clone.h"
+#include "ir/walk.h"
 #include "ir/intrinsics.h"
 #include "ir/printer.h"
 
@@ -106,21 +106,6 @@ const std::string* nodeDef(const CfgNode& nd, bool& uninit) {
         return nullptr;
     default: return nullptr;
     }
-}
-
-bool exprHasEffects(const Expr& e) {
-    bool effects = false;
-    visitExpr(e, [&](const Expr& x) {
-        switch (x.kind) {
-        case ExprKind::Call:
-        case ExprKind::StaticCall:
-        case ExprKind::IntrinsicCall:
-        case ExprKind::New:
-        case ExprKind::NewArray: effects = true; break;
-        default: break;
-        }
-    });
-    return effects;
 }
 
 // ------------------------------------------------------- definite assignment
@@ -241,7 +226,7 @@ std::vector<Violation> checkDefiniteAssignment(const Cfg& cfg, const ClassDecl& 
             if (nd.kind != CfgNode::Kind::Stmt || nd.stmt->kind != StmtKind::AssignLocal) continue;
             const auto& st = as<AssignLocalStmt>(*nd.stmt);
             if (liveOut[node].count(st.name)) continue;
-            if (exprHasEffects(*st.value)) continue;  // keep the computation's effects
+            if (hasEffects(*st.value)) continue;  // keep the computation's effects
             warnings->push_back({"dead-store", where,
                                  "value stored to '" + st.name + "' is never read"});
         }
@@ -572,6 +557,7 @@ private:
     void raceBlock(Env& env, const Block& b, std::vector<Pending>& p);
     void raceStmt(Env& env, const Stmt& st, std::vector<Pending>& p);
     void raceExpr(Env& env, const Expr& e, std::vector<Pending>& p);
+    void raceNode(Env& env, const Expr& e, std::vector<Pending>& p);
     void checkWrite(const std::vector<Pending>& p, const std::set<int>& roots, const Itv& region,
                     const void* wsite, const std::string& what);
 
@@ -1647,41 +1633,22 @@ void Engine::raceStmt(Env& env, const Stmt& st, std::vector<Pending>& p) {
 }
 
 void Engine::raceExpr(Env& env, const Expr& e, std::vector<Pending>& p) {
+    struct Post {
+        Engine& eng;
+        Env& env;
+        std::vector<Pending>& p;
+        void post(const Expr& x) { eng.raceNode(env, x, p); }
+    };
+    walkExpr(e, Post{*this, env, p});
+}
+
+/// The race effect of one expression node, after its operands. Reads of an
+/// in-flight buffer are not flagged (see DESIGN.md); rule-compliant ctors
+/// neither communicate nor write arrays.
+void Engine::raceNode(Env& env, const Expr& e, std::vector<Pending>& p) {
     switch (e.kind) {
-    case ExprKind::Const:
-    case ExprKind::Local:
-    case ExprKind::This:
-    case ExprKind::StaticGet: return;
-    case ExprKind::FieldGet: raceExpr(env, *as<FieldGetExpr>(e).obj, p); return;
-    case ExprKind::ArrayGet: {
-        const auto& n = as<ArrayGetExpr>(e);
-        raceExpr(env, *n.arr, p);
-        raceExpr(env, *n.idx, p);
-        return;  // reads of an in-flight buffer are not flagged (see DESIGN.md)
-    }
-    case ExprKind::ArrayLen: raceExpr(env, *as<ArrayLenExpr>(e).arr, p); return;
-    case ExprKind::Unary: raceExpr(env, *as<UnaryExpr>(e).e, p); return;
-    case ExprKind::Binary: {
-        const auto& n = as<BinaryExpr>(e);
-        raceExpr(env, *n.l, p);
-        raceExpr(env, *n.r, p);
-        return;
-    }
-    case ExprKind::Cond: {
-        const auto& n = as<CondExpr>(e);
-        raceExpr(env, *n.c, p);
-        raceExpr(env, *n.t, p);
-        raceExpr(env, *n.f, p);
-        return;
-    }
-    case ExprKind::Cast: raceExpr(env, *as<CastExpr>(e).e, p); return;
-    case ExprKind::New:
-        for (const auto& a : as<NewExpr>(e).args) raceExpr(env, *a, p);
-        return;  // rule-compliant ctors neither communicate nor write arrays
-    case ExprKind::NewArray: raceExpr(env, *as<NewArrayExpr>(e).len, p); return;
     case ExprKind::IntrinsicCall: {
         const auto& n = as<IntrinsicExpr>(e);
-        for (const auto& a : n.args) raceExpr(env, *a, p);
         auto argVal = [&](size_t i) {
             return i < n.args.size() ? evalExpr(env, *n.args[i]) : AVal{};
         };
@@ -1760,12 +1727,8 @@ void Engine::raceExpr(Env& env, const Expr& e, std::vector<Pending>& p) {
         const CallExpr* vc = e.kind == ExprKind::Call ? &as<CallExpr>(e) : nullptr;
         const StaticCallExpr* sc = vc ? nullptr : &as<StaticCallExpr>(e);
         AVal recv;
-        if (vc) {
-            raceExpr(env, *vc->recv, p);
-            recv = evalExpr(env, *vc->recv);
-        }
+        if (vc) recv = evalExpr(env, *vc->recv);
         const auto& argExprs = vc ? vc->args : sc->args;
-        for (const auto& a : argExprs) raceExpr(env, *a, p);
 
         std::vector<const Method*> targets;
         if (vc) {
@@ -1844,6 +1807,7 @@ void Engine::raceExpr(Env& env, const Expr& e, std::vector<Pending>& p) {
         }
         return;
     }
+    default: return;
     }
 }
 
@@ -1896,9 +1860,7 @@ void indexParBody(const Block& b, ParBodyIndex& ix) {
 /// Any ArrayGet in the tree? (Loop bounds must not read array elements the
 /// body could write — the parallel dispatch evaluates the bound once.)
 bool exprReadsArray(const Expr& e) {
-    bool reads = false;
-    visitExpr(e, [&](const Expr& x) { reads = reads || x.kind == ExprKind::ArrayGet; });
-    return reads;
+    return anyExpr(e, [](const Expr& x) { return x.kind == ExprKind::ArrayGet; });
 }
 
 bool rangesIntersect(int64_t lo1, int64_t hi1, int64_t lo2, int64_t hi2) {
@@ -2025,36 +1987,23 @@ bool matchFormB(const IfStmt& n, const ParBodyIndex& ix, const std::string& loop
 void matchRedUpdates(const Block& body, const ParBodyIndex& ix, const std::string& loopVar,
                      std::map<const Stmt*, RedUpdate>& out, std::vector<RedUpdate>& vars) {
     std::vector<std::pair<const Stmt*, RedUpdate>> found;
-    std::function<void(const Block&)> walk = [&](const Block& b) {
-        for (const auto& stp : b) {
-            const Stmt& st = *stp;
-            switch (st.kind) {
-            case StmtKind::AssignLocal: {
-                const auto& n = as<AssignLocalStmt>(st);
-                if (ix.defined.count(n.name) || n.name == loopVar) break;
-                RedUpdate u;
-                if (matchFormA(n, u)) found.emplace_back(&st, std::move(u));
-                break;
+    visitStmts(body, [&](const Stmt& st) {
+        if (st.kind == StmtKind::AssignLocal) {
+            const auto& n = as<AssignLocalStmt>(st);
+            RedUpdate u;
+            if (!ix.defined.count(n.name) && n.name != loopVar && matchFormA(n, u)) {
+                found.emplace_back(&st, std::move(u));
             }
-            case StmtKind::If: {
-                const auto& n = as<IfStmt>(st);
-                const AssignLocalStmt* upd = nullptr;
-                RedUpdate u;
-                if (matchFormB(n, ix, loopVar, &upd, u)) {
-                    found.emplace_back(upd, std::move(u));
-                } else {
-                    walk(n.thenB);
-                    walk(n.elseB);
-                }
-                break;
-            }
-            case StmtKind::While: walk(as<WhileStmt>(st).body); break;
-            case StmtKind::For: walk(as<ForStmt>(st).body); break;
-            default: break;
+        } else if (st.kind == StmtKind::If) {
+            const AssignLocalStmt* upd = nullptr;
+            RedUpdate u;
+            if (matchFormB(as<IfStmt>(st), ix, loopVar, &upd, u)) {
+                found.emplace_back(upd, std::move(u));
+                return false;
             }
         }
-    };
-    walk(body);
+        return true;
+    });
 
     std::map<std::string, RedOp> opOf;
     std::set<std::string> poisoned;
@@ -2303,23 +2252,16 @@ void Engine::finishLayoutReport() {
 }
 
 namespace {
-/// Does the block contain a loop anywhere (through ifs)? Innermost counted
-/// loops — the proveVectors candidates — are exactly the For loops whose
-/// bodies answer no.
+/// Does the block contain a loop anywhere? Innermost counted loops — the
+/// proveVectors candidates — are exactly the For loops whose bodies answer
+/// no.
 bool blockHasLoop(const Block& b) {
-    for (const auto& stp : b) {
-        switch (stp->kind) {
-        case StmtKind::For:
-        case StmtKind::While: return true;
-        case StmtKind::If:
-            if (blockHasLoop(as<IfStmt>(*stp).thenB) || blockHasLoop(as<IfStmt>(*stp).elseB)) {
-                return true;
-            }
-            break;
-        default: break;
-        }
-    }
-    return false;
+    bool found = false;
+    visitStmts(b, [&](const Stmt& st) {
+        found = found || st.kind == StmtKind::For || st.kind == StmtKind::While;
+        return !found;
+    });
+    return found;
 }
 } // namespace
 
@@ -2328,49 +2270,19 @@ bool blockHasLoop(const Block& b) {
 /// serial driver loop still gets its compute-heavy inner loops outlined.
 void Engine::proveLoops(const std::string& label, const Method& m, const Cfg& cfg,
                         std::vector<Env>& states) {
-    std::function<void(const Block&)> scan = [&](const Block& b) {
-        for (const auto& stp : b) {
-            switch (stp->kind) {
-            case StmtKind::For: {
-                const auto& fs = as<ForStmt>(*stp);
-                if (proveLoop(label, fs, cfg, states) == ParVerdict::Serial) {
-                    scan(fs.body);
-                }
-                break;
-            }
-            case StmtKind::If:
-                scan(as<IfStmt>(*stp).thenB);
-                scan(as<IfStmt>(*stp).elseB);
-                break;
-            case StmtKind::While: scan(as<WhileStmt>(*stp).body); break;
-            default: break;
-            }
-        }
-    };
-    scan(m.body);
+    visitStmts(m.body, [&](const Stmt& st) {
+        return st.kind != StmtKind::For ||
+               proveLoop(label, as<ForStmt>(st), cfg, states) == ParVerdict::Serial;
+    });
 
     // The proveVectors pass: SIMD legality for every innermost counted loop,
     // including those nested inside proven-parallel outer loops — their
     // chunk bodies are where the simd codegen consumes the verdicts.
-    std::function<void(const Block&)> vscan = [&](const Block& b) {
-        for (const auto& stp : b) {
-            switch (stp->kind) {
-            case StmtKind::For: {
-                const auto& fsn = as<ForStmt>(*stp);
-                if (blockHasLoop(fsn.body)) vscan(fsn.body);
-                else proveLoop(label, fsn, cfg, states, /*vectorOnly=*/true);
-                break;
-            }
-            case StmtKind::If:
-                vscan(as<IfStmt>(*stp).thenB);
-                vscan(as<IfStmt>(*stp).elseB);
-                break;
-            case StmtKind::While: vscan(as<WhileStmt>(*stp).body); break;
-            default: break;
-            }
-        }
-    };
-    vscan(m.body);
+    visitStmts(m.body, [&](const Stmt& st) {
+        if (st.kind != StmtKind::For || blockHasLoop(as<ForStmt>(st).body)) return true;
+        proveLoop(label, as<ForStmt>(st), cfg, states, /*vectorOnly=*/true);
+        return false;
+    });
 }
 
 ParVerdict Engine::proveLoop(const std::string& label, const ForStmt& fs, const Cfg& cfg,
@@ -2415,7 +2327,7 @@ ParVerdict Engine::proveLoop(const std::string& label, const ForStmt& fs, const 
     // it must be effect-free, independent of any name the body assigns
     // (including reduction accumulators), and must not read array elements
     // the body could write.
-    if (exprHasEffects(bound) || exprReadsArray(bound)) {
+    if (hasEffects(bound) || exprReadsArray(bound)) {
         return refuse("bound is not a pure expression");
     }
     {

@@ -137,8 +137,6 @@ struct LoopVector {
     /// translator adds `bound <= wrapBoundMax` to the runtime guard. 0 when
     /// the interval facts already exclude overflow.
     int64_t wrapBoundMax = 0;
-
-    bool needsSoa() const { return !soaClasses.empty(); }
 };
 
 struct Result {

@@ -1,156 +1,36 @@
 #include "analysis/callgraph.h"
 
 #include "ir/typecheck.h"
+#include "ir/walk.h"
 
 namespace wj::analysis {
 
 namespace {
 
-class GraphWalker {
-public:
-    GraphWalker(const Program& prog) : prog_(prog) {}
+/// Collects the possible callee bodies of one method body. A `new` runs the
+/// callee constructor; rule 6 treats ctors as call-free (definition 3(d)),
+/// so only its arguments matter.
+struct EdgeCollector {
+    const Program& prog;
+    TypeScope& scope;
+    std::set<std::string>& out;
 
-    void collect(const ClassDecl& c, const Method& m, std::set<std::string>& out) {
-        TypeScope scope(prog_, m.isStatic ? nullptr : &c, m);
-        walkBlock(scope, m.body, out);
-    }
-
-private:
-    void walkBlock(TypeScope& s, const Block& b, std::set<std::string>& out) {
-        for (const auto& st : b) walkStmt(s, *st, out);
-    }
-
-    void addVirtualTargets(TypeScope& s, const CallExpr& n, std::set<std::string>& out) {
-        Type rt = typeOf(s, *n.recv);
-        if (!rt.isClass()) return;
-        for (const auto& [owner, m] : resolveVirtual(prog_, rt.className(), n.method)) {
-            (void)m;
-            out.insert(owner->name + "." + n.method);
-        }
-    }
-
-    void walkExpr(TypeScope& s, const Expr& e, std::set<std::string>& out) {
-        switch (e.kind) {
-        case ExprKind::Call: {
+    void pre(const Expr& e) {
+        if (e.kind == ExprKind::Call) {
             const auto& n = as<CallExpr>(e);
-            addVirtualTargets(s, n, out);
-            walkExpr(s, *n.recv, out);
-            for (const auto& a : n.args) walkExpr(s, *a, out);
-            return;
-        }
-        case ExprKind::StaticCall: {
+            const Type rt = typeOf(scope, *n.recv);
+            if (!rt.isClass()) return;
+            for (const auto& [owner, m] : resolveVirtual(prog, rt.className(), n.method)) {
+                (void)m;
+                out.insert(owner->name + "." + n.method);
+            }
+        } else if (e.kind == ExprKind::StaticCall) {
             const auto& n = as<StaticCallExpr>(e);
-            const ClassDecl* owner = prog_.methodOwner(n.cls, n.method);
-            if (owner) out.insert(owner->name + "." + n.method);
-            for (const auto& a : n.args) walkExpr(s, *a, out);
-            return;
-        }
-        case ExprKind::FieldGet: walkExpr(s, *as<FieldGetExpr>(e).obj, out); return;
-        case ExprKind::ArrayGet: {
-            const auto& n = as<ArrayGetExpr>(e);
-            walkExpr(s, *n.arr, out);
-            walkExpr(s, *n.idx, out);
-            return;
-        }
-        case ExprKind::ArrayLen: walkExpr(s, *as<ArrayLenExpr>(e).arr, out); return;
-        case ExprKind::Unary: walkExpr(s, *as<UnaryExpr>(e).e, out); return;
-        case ExprKind::Binary: {
-            const auto& n = as<BinaryExpr>(e);
-            walkExpr(s, *n.l, out);
-            walkExpr(s, *n.r, out);
-            return;
-        }
-        case ExprKind::Cond: {
-            const auto& n = as<CondExpr>(e);
-            walkExpr(s, *n.c, out);
-            walkExpr(s, *n.t, out);
-            walkExpr(s, *n.f, out);
-            return;
-        }
-        case ExprKind::New: {
-            // A `new` runs the callee constructor; rule 6 treats ctors as
-            // call-free (definition 3(d)), so only the arguments matter.
-            for (const auto& a : as<NewExpr>(e).args) walkExpr(s, *a, out);
-            return;
-        }
-        case ExprKind::NewArray: walkExpr(s, *as<NewArrayExpr>(e).len, out); return;
-        case ExprKind::Cast: walkExpr(s, *as<CastExpr>(e).e, out); return;
-        case ExprKind::IntrinsicCall:
-            for (const auto& a : as<IntrinsicExpr>(e).args) walkExpr(s, *a, out);
-            return;
-        case ExprKind::Const: case ExprKind::Local: case ExprKind::This:
-        case ExprKind::StaticGet:
-            return;
+            if (const ClassDecl* owner = prog.methodOwner(n.cls, n.method)) {
+                out.insert(owner->name + "." + n.method);
+            }
         }
     }
-
-    void walkStmt(TypeScope& s, const Stmt& st, std::set<std::string>& out) {
-        switch (st.kind) {
-        case StmtKind::Decl: {
-            const auto& n = as<DeclStmt>(st);
-            if (n.init) walkExpr(s, *n.init, out);
-            s.declare(n.name, n.type);
-            return;
-        }
-        case StmtKind::AssignLocal:
-            walkExpr(s, *as<AssignLocalStmt>(st).value, out);
-            return;
-        case StmtKind::FieldSet: {
-            const auto& n = as<FieldSetStmt>(st);
-            walkExpr(s, *n.obj, out);
-            walkExpr(s, *n.value, out);
-            return;
-        }
-        case StmtKind::ArraySet: {
-            const auto& n = as<ArraySetStmt>(st);
-            walkExpr(s, *n.arr, out);
-            walkExpr(s, *n.idx, out);
-            walkExpr(s, *n.value, out);
-            return;
-        }
-        case StmtKind::If: {
-            const auto& n = as<IfStmt>(st);
-            walkExpr(s, *n.cond, out);
-            s.push();
-            walkBlock(s, n.thenB, out);
-            s.pop();
-            s.push();
-            walkBlock(s, n.elseB, out);
-            s.pop();
-            return;
-        }
-        case StmtKind::While: {
-            const auto& n = as<WhileStmt>(st);
-            walkExpr(s, *n.cond, out);
-            s.push();
-            walkBlock(s, n.body, out);
-            s.pop();
-            return;
-        }
-        case StmtKind::For: {
-            const auto& n = as<ForStmt>(st);
-            s.push();
-            walkExpr(s, *n.init, out);
-            s.declare(n.var, n.varType);
-            walkExpr(s, *n.cond, out);
-            walkExpr(s, *n.step, out);
-            s.push();
-            walkBlock(s, n.body, out);
-            s.pop();
-            s.pop();
-            return;
-        }
-        case StmtKind::Return:
-            if (const auto& n = as<ReturnStmt>(st); n.value) walkExpr(s, *n.value, out);
-            return;
-        case StmtKind::ExprStmt: walkExpr(s, *as<ExprStmt>(st).e, out); return;
-        case StmtKind::SuperCtor:
-            for (const auto& a : as<SuperCtorStmt>(st).args) walkExpr(s, *a, out);
-            return;
-        }
-    }
-
-    const Program& prog_;
 };
 
 } // namespace
@@ -173,12 +53,13 @@ resolveVirtual(const Program& prog, const std::string& className, const std::str
 
 CallGraph buildCallGraph(const Program& prog, bool wootinjOnly) {
     CallGraph cg;
-    GraphWalker w(prog);
     for (const ClassDecl* c : prog.classes()) {
         if (wootinjOnly && !c->wootinj) continue;
         for (const auto& m : c->methods) {
             if (m->isAbstract) continue;
-            w.collect(*c, *m, cg.edges[c->name + "." + m->name]);
+            TypeScope scope(prog, m->isStatic ? nullptr : c, *m);
+            walkBlock(m->body, EdgeCollector{prog, scope, cg.edges[c->name + "." + m->name]},
+                      &scope);
         }
     }
     return cg;

@@ -4,6 +4,7 @@
 
 #include "analysis/callgraph.h"
 #include "ir/typecheck.h"
+#include "ir/walk.h"
 #include "support/diagnostics.h"
 
 namespace wj::analysis {
@@ -34,13 +35,62 @@ public:
     Effects walk(const ClassDecl& c, const Method& m) {
         eff_ = Effects{};
         TypeScope scope(prog_, m.isStatic ? nullptr : &c, m);
+        s_ = &scope;
         roots_.clear();
         roots_.push_back({});
         for (size_t i = 0; i < m.params.size(); ++i) {
             roots_.back()[m.params[i].name] = SRoot::param(static_cast<int>(i));
         }
-        walkBlock(scope, m.body);
+        walkBlock(m.body, *this, &scope);
         return eff_;
+    }
+
+    // ---- walker hooks: the root scopes follow the type scopes.
+    void open() { roots_.push_back({}); }
+    void close() { roots_.pop_back(); }
+
+    void post(const Expr& e) {
+        switch (e.kind) {
+        case ExprKind::Call: {
+            const auto& n = as<CallExpr>(e);
+            Type rt = typeOf(*s_, *n.recv);
+            if (rt.isClass()) {
+                for (const auto& [owner, m] : resolveVirtual(prog_, rt.className(), n.method)) {
+                    (void)owner;
+                    mergeSummary(m, n.recv.get(), n.args);
+                }
+            }
+            return;
+        }
+        case ExprKind::StaticCall: {
+            const auto& n = as<StaticCallExpr>(e);
+            if (const ClassDecl* owner = prog_.methodOwner(n.cls, n.method)) {
+                if (const Method* m = owner->ownMethod(n.method)) mergeSummary(m, nullptr, n.args);
+            }
+            return;
+        }
+        case ExprKind::IntrinsicCall: walkIntrinsic(as<IntrinsicExpr>(e)); return;
+        case ExprKind::ArrayGet: read(classify(*as<ArrayGetExpr>(e).arr)); return;
+        case ExprKind::NewArray: eff_.allocates = true; return;
+        default: return;
+        }
+    }
+
+    void leave(const Stmt& st) {
+        switch (st.kind) {
+        case StmtKind::Decl: {
+            const auto& n = as<DeclStmt>(st);
+            bind(n.name, n.init ? classify(*n.init) : SRoot::unknown());
+            return;
+        }
+        case StmtKind::AssignLocal: {
+            const auto& n = as<AssignLocalStmt>(st);
+            bind(n.name, classify(*n.value));
+            return;
+        }
+        case StmtKind::ArraySet: write(classify(*as<ArraySetStmt>(st).arr)); return;
+        default: return;
+        }
     }
 
 private:
@@ -54,18 +104,18 @@ private:
 
     void bind(const std::string& name, SRoot r) { roots_.back()[name] = std::move(r); }
 
-    SRoot classify(TypeScope& s, const Expr& e) {
+    SRoot classify(const Expr& e) {
         switch (e.kind) {
         case ExprKind::Local: return lookupRoot(as<LocalExpr>(e).name);
         case ExprKind::This: return SRoot::thisRoot();
         case ExprKind::FieldGet: {
             const auto& n = as<FieldGetExpr>(e);
-            Type ot = typeOf(s, *n.obj);
+            Type ot = typeOf(*s_, *n.obj);
             if (!ot.isClass()) return SRoot::unknown();
             return SRoot::field(fieldKeyOf(prog_, ot.className(), n.field));
         }
         case ExprKind::NewArray: return SRoot::alloc();
-        case ExprKind::Cast: return classify(s, *as<CastExpr>(e).e);
+        case ExprKind::Cast: return classify(*as<CastExpr>(e).e);
         default: return SRoot::unknown();
         }
     }
@@ -87,20 +137,22 @@ private:
         }
     }
 
-    void mergeCallee(TypeScope& s, const Effects& ce, const Expr* recv,
-                     const std::vector<ExprPtr>& args) {
+    void mergeSummary(const Method* m, const Expr* recv, const std::vector<ExprPtr>& args) {
+        auto it = summaries_.find(m);
+        if (it == summaries_.end()) return;
+        const Effects& ce = it->second;
         for (int j : ce.readsParams) {
-            if (j >= 0 && j < static_cast<int>(args.size())) read(classify(s, *args[j]));
+            if (j >= 0 && j < static_cast<int>(args.size())) read(classify(*args[j]));
         }
         for (int j : ce.writesParams) {
-            if (j >= 0 && j < static_cast<int>(args.size())) write(classify(s, *args[j]));
+            if (j >= 0 && j < static_cast<int>(args.size())) write(classify(*args[j]));
         }
         eff_.readsFields.insert(ce.readsFields.begin(), ce.readsFields.end());
         eff_.writesFields.insert(ce.writesFields.begin(), ce.writesFields.end());
         // A callee touching its receiver's fields touches arrays reachable
         // from whatever the caller passed as the receiver.
         if (recv) {
-            const SRoot rr = classify(s, *recv);
+            const SRoot rr = classify(*recv);
             if (rr.k == SRoot::K::Param) {
                 if (!ce.readsFields.empty()) eff_.readsParams.insert(rr.paramIdx);
                 if (!ce.writesFields.empty()) eff_.writesParams.insert(rr.paramIdx);
@@ -119,8 +171,8 @@ private:
         eff_.prints |= ce.prints;
     }
 
-    void walkIntrinsic(TypeScope& s, const IntrinsicExpr& n) {
-        auto arg = [&](size_t i) -> SRoot { return classify(s, *n.args[i]); };
+    void walkIntrinsic(const IntrinsicExpr& n) {
+        auto arg = [&](size_t i) -> SRoot { return classify(*n.args[i]); };
         switch (n.op) {
         case Intrinsic::MpiSendF32: eff_.sends = true; read(arg(0)); break;
         case Intrinsic::MpiRecvF32: eff_.receives = true; write(arg(0)); break;
@@ -155,168 +207,10 @@ private:
         }
     }
 
-    void walkExpr(TypeScope& s, const Expr& e) {
-        switch (e.kind) {
-        case ExprKind::Call: {
-            const auto& n = as<CallExpr>(e);
-            walkExpr(s, *n.recv);
-            for (const auto& a : n.args) walkExpr(s, *a);
-            Type rt = typeOf(s, *n.recv);
-            if (rt.isClass()) {
-                for (const auto& [owner, m] : resolveVirtual(prog_, rt.className(), n.method)) {
-                    (void)owner;
-                    auto it = summaries_.find(m);
-                    if (it != summaries_.end()) mergeCallee(s, it->second, n.recv.get(), n.args);
-                }
-            }
-            return;
-        }
-        case ExprKind::StaticCall: {
-            const auto& n = as<StaticCallExpr>(e);
-            for (const auto& a : n.args) walkExpr(s, *a);
-            if (const ClassDecl* owner = prog_.methodOwner(n.cls, n.method)) {
-                if (const Method* m = owner->ownMethod(n.method)) {
-                    auto it = summaries_.find(m);
-                    if (it != summaries_.end()) mergeCallee(s, it->second, nullptr, n.args);
-                }
-            }
-            return;
-        }
-        case ExprKind::IntrinsicCall: {
-            const auto& n = as<IntrinsicExpr>(e);
-            for (const auto& a : n.args) walkExpr(s, *a);
-            walkIntrinsic(s, n);
-            return;
-        }
-        case ExprKind::ArrayGet: {
-            const auto& n = as<ArrayGetExpr>(e);
-            walkExpr(s, *n.arr);
-            walkExpr(s, *n.idx);
-            read(classify(s, *n.arr));
-            return;
-        }
-        case ExprKind::FieldGet: walkExpr(s, *as<FieldGetExpr>(e).obj); return;
-        case ExprKind::ArrayLen: walkExpr(s, *as<ArrayLenExpr>(e).arr); return;
-        case ExprKind::Unary: walkExpr(s, *as<UnaryExpr>(e).e); return;
-        case ExprKind::Binary: {
-            const auto& n = as<BinaryExpr>(e);
-            walkExpr(s, *n.l);
-            walkExpr(s, *n.r);
-            return;
-        }
-        case ExprKind::Cond: {
-            const auto& n = as<CondExpr>(e);
-            walkExpr(s, *n.c);
-            walkExpr(s, *n.t);
-            walkExpr(s, *n.f);
-            return;
-        }
-        case ExprKind::New:
-            for (const auto& a : as<NewExpr>(e).args) walkExpr(s, *a);
-            return;
-        case ExprKind::NewArray:
-            eff_.allocates = true;
-            walkExpr(s, *as<NewArrayExpr>(e).len);
-            return;
-        case ExprKind::Cast: walkExpr(s, *as<CastExpr>(e).e); return;
-        case ExprKind::Const: case ExprKind::Local: case ExprKind::This:
-        case ExprKind::StaticGet:
-            return;
-        }
-    }
-
-    void walkBlock(TypeScope& s, const Block& b) {
-        for (const auto& st : b) walkStmt(s, *st);
-    }
-
-    void walkStmt(TypeScope& s, const Stmt& st) {
-        switch (st.kind) {
-        case StmtKind::Decl: {
-            const auto& n = as<DeclStmt>(st);
-            if (n.init) {
-                walkExpr(s, *n.init);
-                bind(n.name, classify(s, *n.init));
-            } else {
-                bind(n.name, SRoot::unknown());
-            }
-            s.declare(n.name, n.type);
-            return;
-        }
-        case StmtKind::AssignLocal: {
-            const auto& n = as<AssignLocalStmt>(st);
-            walkExpr(s, *n.value);
-            bind(n.name, classify(s, *n.value));
-            return;
-        }
-        case StmtKind::FieldSet: {
-            const auto& n = as<FieldSetStmt>(st);
-            walkExpr(s, *n.obj);
-            walkExpr(s, *n.value);
-            return;
-        }
-        case StmtKind::ArraySet: {
-            const auto& n = as<ArraySetStmt>(st);
-            walkExpr(s, *n.arr);
-            walkExpr(s, *n.idx);
-            walkExpr(s, *n.value);
-            write(classify(s, *n.arr));
-            return;
-        }
-        case StmtKind::If: {
-            const auto& n = as<IfStmt>(st);
-            walkExpr(s, *n.cond);
-            s.push();
-            roots_.push_back({});
-            walkBlock(s, n.thenB);
-            roots_.pop_back();
-            s.pop();
-            s.push();
-            roots_.push_back({});
-            walkBlock(s, n.elseB);
-            roots_.pop_back();
-            s.pop();
-            return;
-        }
-        case StmtKind::While: {
-            const auto& n = as<WhileStmt>(st);
-            walkExpr(s, *n.cond);
-            s.push();
-            roots_.push_back({});
-            walkBlock(s, n.body);
-            roots_.pop_back();
-            s.pop();
-            return;
-        }
-        case StmtKind::For: {
-            const auto& n = as<ForStmt>(st);
-            s.push();
-            roots_.push_back({});
-            walkExpr(s, *n.init);
-            s.declare(n.var, n.varType);
-            walkExpr(s, *n.cond);
-            walkExpr(s, *n.step);
-            s.push();
-            roots_.push_back({});
-            walkBlock(s, n.body);
-            roots_.pop_back();
-            s.pop();
-            roots_.pop_back();
-            s.pop();
-            return;
-        }
-        case StmtKind::Return:
-            if (const auto& n = as<ReturnStmt>(st); n.value) walkExpr(s, *n.value);
-            return;
-        case StmtKind::ExprStmt: walkExpr(s, *as<ExprStmt>(st).e); return;
-        case StmtKind::SuperCtor:
-            for (const auto& a : as<SuperCtorStmt>(st).args) walkExpr(s, *a);
-            return;
-        }
-    }
-
     const Program& prog_;
     const std::map<const Method*, Effects>& summaries_;
     Effects eff_;
+    TypeScope* s_ = nullptr;
     std::vector<std::map<std::string, SRoot>> roots_;
 };
 

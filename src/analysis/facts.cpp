@@ -1,9 +1,9 @@
 #include "analysis/facts.h"
 
-#include <functional>
 #include <optional>
 
 #include "ir/typecheck.h"
+#include "ir/walk.h"
 #include "rules/rules.h"
 #include "trace/metrics.h"
 
@@ -94,56 +94,45 @@ void FieldGroups::scanMethod(const Program& prog, const ClassDecl& cls, const Me
         return std::nullopt;  // NewArray, calls, ... — not a same-object field
     };
 
-    std::function<void(const Block&)> walk = [&](const Block& b) {
-        for (const auto& stp : b) {
-            const Stmt& st = *stp;
-            switch (st.kind) {
-            case StmtKind::Decl: {
-                const auto& n = as<DeclStmt>(st);
-                if (n.type.isArray()) localSrc[n.name] = n.init ? traceExpr(*n.init) : std::nullopt;
+    auto onStmt = [&](const Stmt& st) {
+        switch (st.kind) {
+        case StmtKind::Decl: {
+            const auto& n = as<DeclStmt>(st);
+            if (n.type.isArray()) localSrc[n.name] = n.init ? traceExpr(*n.init) : std::nullopt;
+            break;
+        }
+        case StmtKind::AssignLocal: {
+            const auto& n = as<AssignLocalStmt>(st);
+            if (localSrc.count(n.name)) localSrc[n.name] = traceExpr(*n.value);
+            break;
+        }
+        case StmtKind::FieldSet: {
+            const auto& n = as<FieldSetStmt>(st);
+            const bool selfStore = n.obj->kind == ExprKind::This;
+            if (inCtor && selfStore) break;  // construction, not mutation
+            // Which field? Only array fields matter (rule: post-ctor
+            // stores are legal only for arrays anyway).
+            const std::string key = fieldKeyOf(
+                prog, selfStore ? cls.name : staticClassOf(prog, cls, m, *n.obj), n.field);
+            mutated_.insert(key);
+            ensure(key);
+            if (!selfStore) {
+                markOpen(key);
                 break;
             }
-            case StmtKind::AssignLocal: {
-                const auto& n = as<AssignLocalStmt>(st);
-                if (localSrc.count(n.name)) localSrc[n.name] = traceExpr(*n.value);
-                break;
+            auto src = traceExpr(*n.value);
+            if (!src) {
+                markOpen(key);
+            } else {
+                for (const std::string& s : *src) unite(key, s);
             }
-            case StmtKind::FieldSet: {
-                const auto& n = as<FieldSetStmt>(st);
-                const bool selfStore = n.obj->kind == ExprKind::This;
-                if (inCtor && selfStore) break;  // construction, not mutation
-                // Which field? Only array fields matter (rule: post-ctor
-                // stores are legal only for arrays anyway).
-                const std::string key = fieldKeyOf(
-                    prog, selfStore ? cls.name : staticClassOf(prog, cls, m, *n.obj), n.field);
-                mutated_.insert(key);
-                ensure(key);
-                if (!selfStore) {
-                    markOpen(key);
-                    break;
-                }
-                auto src = traceExpr(*n.value);
-                if (!src) {
-                    markOpen(key);
-                } else {
-                    for (const std::string& s : *src) unite(key, s);
-                }
-                break;
-            }
-            case StmtKind::If: {
-                const auto& n = as<IfStmt>(st);
-                walk(n.thenB);
-                walk(n.elseB);
-                break;
-            }
-            case StmtKind::While: walk(as<WhileStmt>(st).body); break;
-            case StmtKind::For: walk(as<ForStmt>(st).body); break;
-            default: break;
-            }
+            break;
+        }
+        default: break;
         }
     };
     try {
-        walk(m.body);
+        visitBlock(m.body, {}, onStmt);
     } catch (const WjError&) {
         // Ill-typed lint input; the typechecker reports it separately.
     }

@@ -8,6 +8,7 @@
 
 #include "interp/value.h"
 #include "ir/clone.h"
+#include "ir/walk.h"
 #include "ir/printer.h"
 
 namespace wj::analysis {

@@ -26,7 +26,6 @@ struct Itv {
     /// [lo, +inf)
     static Itv atLeast(int64_t lo) { return {lo, kPosInf}; }
 
-    bool isTop() const { return lo == kNegInf && hi == kPosInf; }
     bool isConst() const { return lo == hi && lo != kNegInf && lo != kPosInf; }
     bool loFinite() const { return lo != kNegInf; }
     bool hiFinite() const { return hi != kPosInf; }
@@ -44,9 +43,8 @@ struct Itv {
         return {lo < prev.lo ? kNegInf : lo, hi > prev.hi ? kPosInf : hi};
     }
 
-    /// Meet with `(-inf, v]` / `[v, +inf)`. May produce an empty interval
-    /// (lo > hi) — callers treat that as an unreachable branch.
-    Itv meetLe(int64_t v) const { return {lo, std::min(hi, v)}; }
+    /// Meet with `[v, +inf)`. May produce an empty interval (lo > hi) —
+    /// callers treat that as an unreachable branch.
     Itv meetGe(int64_t v) const { return {std::max(lo, v), hi}; }
     bool empty() const { return lo > hi; }
 

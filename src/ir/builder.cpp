@@ -80,11 +80,6 @@ ClassBuilder& ClassBuilder::staticConstI32(std::string name, int32_t v) {
     return *this;
 }
 
-ClassBuilder& ClassBuilder::staticConstF64(std::string name, double v) {
-    c_.statics.push_back({std::move(name), Type::f64(), 0, v});
-    return *this;
-}
-
 ClassBuilder& ClassBuilder::staticConst(std::string name, Type t, int64_t i, double f) {
     if (!t.isPrim()) throw UsageError(c_.name + "." + name + ": static fields must be primitive");
     c_.statics.push_back({std::move(name), std::move(t), i, f});

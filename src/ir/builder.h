@@ -57,7 +57,6 @@ public:
     /// @Shared array field (CUDA block-shared memory).
     ClassBuilder& sharedField(std::string name, Type t);
     ClassBuilder& staticConstI32(std::string name, int32_t v);
-    ClassBuilder& staticConstF64(std::string name, double v);
     /// Generic form (any primitive type; value in `i` or `f` per the type).
     ClassBuilder& staticConst(std::string name, Type t, int64_t i, double f);
 
@@ -146,10 +145,6 @@ ExprPtr call(ExprPtr recv, std::string method, Es... args) {
 }
 
 ExprPtr scallV(std::string cls, std::string method, std::vector<ExprPtr> args);
-template <typename... Es>
-ExprPtr scall(std::string cls, std::string method, Es... args) {
-    return scallV(std::move(cls), std::move(method), exprVec(std::move(args)...));
-}
 
 ExprPtr newObjV(std::string cls, std::vector<ExprPtr> args);
 template <typename... Es>

@@ -6,8 +6,7 @@
 // caller intercept any node before it is copied. Inlining a callee body at
 // a call site is one configuration: parameters renamed to the argument
 // locals, callee locals to fresh names, `this` to the receiver path, so
-// `this.f` becomes `recv.f`. The same walk with nothing built is the
-// visitor (visitExpr / visitBlock).
+// `this.f` becomes `recv.f`. Walks that only visit a tree use ir/walk.h.
 #pragma once
 
 #include <functional>
@@ -34,14 +33,6 @@ struct CloneMap {
 };
 
 ExprPtr cloneExpr(const Expr& e, const CloneMap& m);
-/// One statement (`m.stmt` must be unset: it could expand to several).
-StmtPtr cloneStmt(const Stmt& s, const CloneMap& m);
 Block cloneBlock(const Block& b, const CloneMap& m);
-
-/// Calls `onExpr` / `onStmt` (either may be empty) on every node of the
-/// tree, in source order.
-void visitExpr(const Expr& e, const std::function<void(const Expr&)>& onExpr);
-void visitBlock(const Block& b, const std::function<void(const Expr&)>& onExpr,
-                const std::function<void(const Stmt&)>& onStmt = {});
 
 } // namespace wj

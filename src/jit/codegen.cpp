@@ -8,7 +8,7 @@
 #include <set>
 
 #include "analysis/fusion.h"
-#include "ir/clone.h"
+#include "ir/walk.h"
 #include "jit/shape.h"
 #include "support/diagnostics.h"
 #include "support/strings.h"
@@ -634,35 +634,6 @@ void CodeGen::genSerialFor(Env& env, const ForStmt& n) {
 
 namespace {
 
-/// Evaluating an expression twice (or hoisting it out of the loop header)
-/// must not duplicate side effects; refuse anything that can emit code.
-bool safeToHoist(const Expr& e) {
-    switch (e.kind) {
-    case ExprKind::Call:
-    case ExprKind::StaticCall:
-    case ExprKind::IntrinsicCall:
-    case ExprKind::New:
-    case ExprKind::NewArray: return false;
-    case ExprKind::FieldGet: return safeToHoist(*as<FieldGetExpr>(e).obj);
-    case ExprKind::ArrayGet: {
-        const auto& n = as<ArrayGetExpr>(e);
-        return safeToHoist(*n.arr) && safeToHoist(*n.idx);
-    }
-    case ExprKind::ArrayLen: return safeToHoist(*as<ArrayLenExpr>(e).arr);
-    case ExprKind::Unary: return safeToHoist(*as<UnaryExpr>(e).e);
-    case ExprKind::Binary: {
-        const auto& n = as<BinaryExpr>(e);
-        return safeToHoist(*n.l) && safeToHoist(*n.r);
-    }
-    case ExprKind::Cond: {
-        const auto& n = as<CondExpr>(e);
-        return safeToHoist(*n.c) && safeToHoist(*n.t) && safeToHoist(*n.f);
-    }
-    case ExprKind::Cast: return safeToHoist(*as<CastExpr>(e).e);
-    default: return true;
-    }
-}
-
 /// Expressions used as the array operand of an element access anywhere
 /// under the node — the restrict-hoisting candidates of a simd loop
 /// (locals and stable field-load chains like `this.cur`). Skipping a base
@@ -724,7 +695,7 @@ void CodeGen::genParallelFor(Env& env, const ForStmt& n, const analysis::LoopPar
     const auto* condB = n.cond->kind == ExprKind::Binary ? &as<BinaryExpr>(*n.cond) : nullptr;
     if (vs->isObject() || !condB || condB->op != BinOp::Lt ||
         condB->l->kind != ExprKind::Local || as<LocalExpr>(*condB->l).name != n.var ||
-        !safeToHoist(*n.init) || !safeToHoist(*condB->r)) {
+        hasEffects(*n.init) || hasEffects(*condB->r)) {
         genSerialFor(env, n);
         return;
     }
@@ -861,7 +832,7 @@ void CodeGen::genParallelReduce(Env& env, const ForStmt& n, const analysis::Loop
     const auto* condB = n.cond->kind == ExprKind::Binary ? &as<BinaryExpr>(*n.cond) : nullptr;
     if (vs->isObject() || !condB || condB->op != BinOp::Lt ||
         condB->l->kind != ExprKind::Local || as<LocalExpr>(*condB->l).name != n.var ||
-        !safeToHoist(*n.init) || !safeToHoist(*condB->r) || lp.reductions.empty()) {
+        hasEffects(*n.init) || hasEffects(*condB->r) || lp.reductions.empty()) {
         genSerialFor(env, n);
         return;
     }

@@ -6,6 +6,7 @@
 #include "analysis/callgraph.h"
 #include "analysis/facts.h"
 #include "ir/typecheck.h"
+#include "ir/walk.h"
 
 namespace wj {
 
@@ -86,75 +87,16 @@ bool TypeProperties::semiImmutableType(const Type& t, std::string* why) {
 namespace {
 
 /// True if `e` contains a ThisExpr anywhere.
-bool usesThis(const Expr& e);
-
-bool anyArg(const std::vector<ExprPtr>& args, bool (*pred)(const Expr&)) {
-    for (const auto& a : args) {
-        if (pred(*a)) return true;
-    }
-    return false;
-}
-
 bool usesThis(const Expr& e) {
-    switch (e.kind) {
-    case ExprKind::This: return true;
-    case ExprKind::Const: case ExprKind::Local: case ExprKind::StaticGet: return false;
-    case ExprKind::FieldGet: return usesThis(*as<FieldGetExpr>(e).obj);
-    case ExprKind::ArrayGet: {
-        const auto& n = as<ArrayGetExpr>(e);
-        return usesThis(*n.arr) || usesThis(*n.idx);
-    }
-    case ExprKind::ArrayLen: return usesThis(*as<ArrayLenExpr>(e).arr);
-    case ExprKind::Unary: return usesThis(*as<UnaryExpr>(e).e);
-    case ExprKind::Binary: {
-        const auto& n = as<BinaryExpr>(e);
-        return usesThis(*n.l) || usesThis(*n.r);
-    }
-    case ExprKind::Cond: {
-        const auto& n = as<CondExpr>(e);
-        return usesThis(*n.c) || usesThis(*n.t) || usesThis(*n.f);
-    }
-    case ExprKind::Call: {
-        const auto& n = as<CallExpr>(e);
-        return usesThis(*n.recv) || anyArg(n.args, usesThis);
-    }
-    case ExprKind::StaticCall: return anyArg(as<StaticCallExpr>(e).args, usesThis);
-    case ExprKind::New: return anyArg(as<NewExpr>(e).args, usesThis);
-    case ExprKind::NewArray: return usesThis(*as<NewArrayExpr>(e).len);
-    case ExprKind::Cast: return usesThis(*as<CastExpr>(e).e);
-    case ExprKind::IntrinsicCall: return anyArg(as<IntrinsicExpr>(e).args, usesThis);
-    }
-    return false;
+    return anyExpr(e, [](const Expr& x) { return x.kind == ExprKind::This; });
 }
 
 /// True if `e` contains any call (method, static, or intrinsic).
 bool containsCall(const Expr& e) {
-    switch (e.kind) {
-    case ExprKind::Call: case ExprKind::StaticCall: case ExprKind::IntrinsicCall:
-        return true;
-    case ExprKind::Const: case ExprKind::Local: case ExprKind::This:
-    case ExprKind::StaticGet:
-        return false;
-    case ExprKind::FieldGet: return containsCall(*as<FieldGetExpr>(e).obj);
-    case ExprKind::ArrayGet: {
-        const auto& n = as<ArrayGetExpr>(e);
-        return containsCall(*n.arr) || containsCall(*n.idx);
-    }
-    case ExprKind::ArrayLen: return containsCall(*as<ArrayLenExpr>(e).arr);
-    case ExprKind::Unary: return containsCall(*as<UnaryExpr>(e).e);
-    case ExprKind::Binary: {
-        const auto& n = as<BinaryExpr>(e);
-        return containsCall(*n.l) || containsCall(*n.r);
-    }
-    case ExprKind::Cond: {
-        const auto& n = as<CondExpr>(e);
-        return containsCall(*n.c) || containsCall(*n.t) || containsCall(*n.f);
-    }
-    case ExprKind::New: return anyArg(as<NewExpr>(e).args, containsCall);
-    case ExprKind::NewArray: return containsCall(*as<NewArrayExpr>(e).len);
-    case ExprKind::Cast: return containsCall(*as<CastExpr>(e).e);
-    }
-    return false;
+    return anyExpr(e, [](const Expr& x) {
+        return x.kind == ExprKind::Call || x.kind == ExprKind::StaticCall ||
+               x.kind == ExprKind::IntrinsicCall;
+    });
 }
 
 /// Constructor restrictions of semi-immutable definition 3(d): straight-line
@@ -336,196 +278,82 @@ private:
     }
 
     void checkMethod(const ClassDecl& c, const Method& m) {
-        const std::string where = c.name + "." + (m.isCtor() ? "<init>" : m.name);
+        where_ = c.name + "." + (m.isCtor() ? "<init>" : m.name);
         // Rule 1 on parameter and return types; rule 2 exempts parameters
         // and fields but *not* return types.
-        for (const auto& p : m.params) requireSemiImmutable(p.type, where);
-        requireSemiImmutable(m.ret, where);
-        if (!m.isCtor()) requireStrictFinal(m.ret, where, "return");
+        for (const auto& p : m.params) requireSemiImmutable(p.type, where_);
+        requireSemiImmutable(m.ret, where_);
+        if (!m.isCtor()) requireStrictFinal(m.ret, where_, "return");
         if (m.isAbstract) return;
 
         TypeScope scope(prog_, m.isStatic ? nullptr : &c, m);
+        scope_ = &scope;
         inCtor_ = m.isCtor();
-        checkBlock(scope, m.body, where);
+        walkBlock(m.body, *this, &scope);
         inCtor_ = false;
     }
 
-    void checkBlock(TypeScope& s, const Block& b, const std::string& where) {
-        for (const auto& st : b) checkStmt(s, *st, where);
-    }
-
-    void checkStmt(TypeScope& s, const Stmt& st, const std::string& where) {
-        switch (st.kind) {
-        case StmtKind::Decl: {
+public:
+    // ---- walker hooks over one method body (scope_, where_, inCtor_).
+    void enter(const Stmt& st) {
+        if (st.kind == StmtKind::Decl) {
             const auto& n = as<DeclStmt>(st);
-            requireStrictFinal(n.type, where, "local '" + n.name + "'");
-            requireSemiImmutable(n.type, where);
-            if (n.init) checkExpr(s, *n.init, where);
-            s.declare(n.name, n.type);
-            return;
-        }
-        case StmtKind::AssignLocal: {
+            requireStrictFinal(n.type, where_, "local '" + n.name + "'");
+            requireSemiImmutable(n.type, where_);
+        } else if (st.kind == StmtKind::AssignLocal) {
             const auto& n = as<AssignLocalStmt>(st);
-            if (s.isParam(n.name)) {
-                report("rule-3", where, "assignment to method parameter '" + n.name + "'");
+            if (scope_->isParam(n.name)) {
+                report("rule-3", where_, "assignment to method parameter '" + n.name + "'");
             }
-            checkExpr(s, *n.value, where);
-            return;
-        }
-        case StmtKind::FieldSet: {
-            const auto& n = as<FieldSetStmt>(st);
-            checkExpr(s, *n.obj, where);
-            checkExpr(s, *n.value, where);
-            // Semi-immutability (c): outside constructors, only array-typed
-            // fields may be stored.
-            if (!inCtor_) {
-                Type ot = typeOf(s, *n.obj);
-                if (ot.isClass()) {
-                    const Field* f = prog_.resolveField(ot.className(), n.field);
-                    if (f && !f->type.isArray()) {
-                        report("semi-immutable", where,
-                               "store to non-array field " +
-                                   fieldOwnerName(prog_, ot.className(), n.field) + "." + n.field +
-                                   " outside a constructor");
-                    }
-                }
-            }
-            return;
-        }
-        case StmtKind::ArraySet: {
-            const auto& n = as<ArraySetStmt>(st);
-            checkExpr(s, *n.arr, where);
-            checkExpr(s, *n.idx, where);
-            checkExpr(s, *n.value, where);
-            return;
-        }
-        case StmtKind::If: {
-            const auto& n = as<IfStmt>(st);
-            checkExpr(s, *n.cond, where);
-            s.push();
-            checkBlock(s, n.thenB, where);
-            s.pop();
-            s.push();
-            checkBlock(s, n.elseB, where);
-            s.pop();
-            return;
-        }
-        case StmtKind::While: {
-            const auto& n = as<WhileStmt>(st);
-            checkExpr(s, *n.cond, where);
-            s.push();
-            checkBlock(s, n.body, where);
-            s.pop();
-            return;
-        }
-        case StmtKind::For: {
+        } else if (st.kind == StmtKind::For) {
             const auto& n = as<ForStmt>(st);
-            requireStrictFinal(n.varType, where, "loop variable '" + n.var + "'");
-            s.push();
-            checkExpr(s, *n.init, where);
-            s.declare(n.var, n.varType);
-            checkExpr(s, *n.cond, where);
-            checkExpr(s, *n.step, where);
-            s.push();
-            checkBlock(s, n.body, where);
-            s.pop();
-            s.pop();
-            return;
-        }
-        case StmtKind::Return: {
-            const auto& n = as<ReturnStmt>(st);
-            if (n.value) checkExpr(s, *n.value, where);
-            return;
-        }
-        case StmtKind::ExprStmt:
-            checkExpr(s, *as<ExprStmt>(st).e, where);
-            return;
-        case StmtKind::SuperCtor: {
-            const auto& n = as<SuperCtorStmt>(st);
-            for (const auto& a : n.args) checkExpr(s, *a, where);
-            return;
-        }
+            requireStrictFinal(n.varType, where_, "loop variable '" + n.var + "'");
         }
     }
 
-    void checkExpr(TypeScope& s, const Expr& e, const std::string& where) {
-        switch (e.kind) {
-        case ExprKind::Const: case ExprKind::Local: case ExprKind::This:
-        case ExprKind::StaticGet:
-            return;
-        case ExprKind::FieldGet:
-            checkExpr(s, *as<FieldGetExpr>(e).obj, where);
-            return;
-        case ExprKind::ArrayGet: {
-            const auto& n = as<ArrayGetExpr>(e);
-            checkExpr(s, *n.arr, where);
-            checkExpr(s, *n.idx, where);
-            return;
+    void leave(const Stmt& st) {
+        // Semi-immutability (c): outside constructors, only array-typed
+        // fields may be stored.
+        if (st.kind != StmtKind::FieldSet || inCtor_) return;
+        const auto& n = as<FieldSetStmt>(st);
+        Type ot = typeOf(*scope_, *n.obj);
+        if (!ot.isClass()) return;
+        const Field* f = prog_.resolveField(ot.className(), n.field);
+        if (f && !f->type.isArray()) {
+            report("semi-immutable", where_,
+                   "store to non-array field " + fieldOwnerName(prog_, ot.className(), n.field) +
+                       "." + n.field + " outside a constructor");
         }
-        case ExprKind::ArrayLen:
-            checkExpr(s, *as<ArrayLenExpr>(e).arr, where);
-            return;
-        case ExprKind::Unary:
-            checkExpr(s, *as<UnaryExpr>(e).e, where);
-            return;
+    }
+
+    void pre(const Expr& e) {
+        switch (e.kind) {
         case ExprKind::Binary: {
             const auto& n = as<BinaryExpr>(e);
             if (n.op == BinOp::Eq || n.op == BinOp::Ne) {
-                Type lt = typeOf(s, *n.l);
+                Type lt = typeOf(*scope_, *n.l);
                 if (!lt.isPrim()) {
-                    report("rule-7", where, "reference equality (" +
-                                                std::string(binOpName(n.op)) + ") on " + lt.str());
+                    report("rule-7", where_, "reference equality (" +
+                                                 std::string(binOpName(n.op)) + ") on " + lt.str());
                 }
             }
-            checkExpr(s, *n.l, where);
-            checkExpr(s, *n.r, where);
             return;
         }
-        case ExprKind::Cond: {
-            const auto& n = as<CondExpr>(e);
-            report("rule-7", where, "conditional operator (?:)");
-            checkExpr(s, *n.c, where);
-            checkExpr(s, *n.t, where);
-            checkExpr(s, *n.f, where);
+        case ExprKind::Cond: report("rule-7", where_, "conditional operator (?:)"); return;
+        case ExprKind::New: requireSemiImmutable(Type::cls(as<NewExpr>(e).cls), where_); return;
+        case ExprKind::NewArray:
+            requireStrictFinal(as<NewArrayExpr>(e).elem, where_, "array element");
             return;
-        }
-        case ExprKind::Call: {
-            const auto& n = as<CallExpr>(e);
-            checkExpr(s, *n.recv, where);
-            for (const auto& a : n.args) checkExpr(s, *a, where);
+        case ExprKind::Cast:
+            if (const auto& n = as<CastExpr>(e); n.type.isClass()) {
+                requireStrictFinal(n.type, where_, "cast");
+            }
             return;
-        }
-        case ExprKind::StaticCall: {
-            const auto& n = as<StaticCallExpr>(e);
-            for (const auto& a : n.args) checkExpr(s, *a, where);
-            return;
-        }
-        case ExprKind::New: {
-            const auto& n = as<NewExpr>(e);
-            requireSemiImmutable(Type::cls(n.cls), where);
-            for (const auto& a : n.args) checkExpr(s, *a, where);
-            return;
-        }
-        case ExprKind::NewArray: {
-            const auto& n = as<NewArrayExpr>(e);
-            requireStrictFinal(n.elem, where, "array element");
-            checkExpr(s, *n.len, where);
-            return;
-        }
-        case ExprKind::Cast: {
-            const auto& n = as<CastExpr>(e);
-            if (n.type.isClass()) requireStrictFinal(n.type, where, "cast");
-            checkExpr(s, *n.e, where);
-            return;
-        }
-        case ExprKind::IntrinsicCall: {
-            const auto& n = as<IntrinsicExpr>(e);
-            for (const auto& a : n.args) checkExpr(s, *a, where);
-            return;
-        }
+        default: return;
         }
     }
 
+private:
     // ---- rule 6: the static call graph over @WootinJ methods is acyclic.
     void checkRecursion() {
         // Node = ownerClass + "." + method (the declaring class of the body);
@@ -562,6 +390,8 @@ private:
     TypeProperties props_;
     std::vector<Violation> violations_;
     std::set<std::string> checkedSI_;
+    TypeScope* scope_ = nullptr;
+    std::string where_;
     bool inCtor_ = false;
 };
 

@@ -40,28 +40,4 @@ private:
     clock::time_point start_;
 };
 
-/// Runs `fn` once and returns the wall time in seconds.
-template <typename Fn>
-double timeOnce(Fn&& fn) {
-    Timer t;
-    fn();
-    return t.seconds();
-}
-
-/// Runs `fn` repeatedly until at least `minSeconds` elapsed (and at least
-/// `minIters` iterations ran); returns seconds per iteration. This is the
-/// measurement loop used by the figure benches for single-core kernel costs.
-template <typename Fn>
-double timePerIter(Fn&& fn, double minSeconds = 0.2, int minIters = 3) {
-    // Warm-up: touch caches / fault pages once before measuring.
-    fn();
-    int iters = 0;
-    Timer t;
-    do {
-        fn();
-        ++iters;
-    } while (t.seconds() < minSeconds || iters < minIters);
-    return t.seconds() / iters;
-}
-
 } // namespace wj

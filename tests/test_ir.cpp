@@ -1,10 +1,11 @@
 // Unit tests for the WJ IR: types, builder, program validation, printer,
-// and the type checker.
+// the type checker, and the IR walker.
 #include <gtest/gtest.h>
 
 #include "ir/builder.h"
 #include "ir/printer.h"
 #include "ir/typecheck.h"
+#include "ir/walk.h"
 #include "support/diagnostics.h"
 
 using namespace wj;
@@ -375,4 +376,122 @@ TEST(Intrinsics, TableIsConsistent) {
     }
     EXPECT_EQ(std::string("MPI.rank"), intrinsicSig(Intrinsic::MpiRank).name);
     EXPECT_EQ(std::string("cuda.syncthreads"), intrinsicSig(Intrinsic::CudaSyncThreads).name);
+}
+
+// ---------------------------------------------------------------- walker
+
+namespace {
+
+/// Short text of an expression node: a local's name, a constant's value,
+/// an operator's symbol.
+std::string tag(const Expr& e) {
+    switch (e.kind) {
+    case ExprKind::Local: return as<LocalExpr>(e).name;
+    case ExprKind::Const: return std::to_string(as<ConstExpr>(e).i);
+    case ExprKind::Binary: return binOpName(as<BinaryExpr>(e).op);
+    case ExprKind::Unary: return "neg";
+    default: return "?";
+    }
+}
+
+const char* stmtTag(const Stmt& s) {
+    switch (s.kind) {
+    case StmtKind::Decl: return "decl";
+    case StmtKind::AssignLocal: return "assign";
+    case StmtKind::If: return "if";
+    case StmtKind::While: return "while";
+    case StmtKind::For: return "for";
+    case StmtKind::ExprStmt: return "expr";
+    default: return "?";
+    }
+}
+
+} // namespace
+
+TEST(Walker, PreAndPostOrderOnNestedExpression) {
+    const ExprPtr e = add(mul(lv("a"), lv("b")), neg(sub(lv("c"), ci(1))));
+    struct {
+        std::string pres, posts;
+        void pre(const Expr& x) { pres += tag(x) + " "; }
+        void post(const Expr& x) { posts += tag(x) + " "; }
+    } v;
+    walkExpr(*e, v);
+    EXPECT_EQ(v.pres, "+ * a b neg - c 1 ");
+    EXPECT_EQ(v.posts, "a b * c 1 - neg + ");
+}
+
+TEST(Walker, PreReturningFalseSkipsChildren) {
+    const ExprPtr e = add(mul(lv("a"), lv("b")), lv("c"));
+    struct {
+        std::string seen;
+        bool pre(const Expr& x) {
+            seen += tag(x) + " ";
+            return x.kind != ExprKind::Binary || as<BinaryExpr>(x).op != BinOp::Mul;
+        }
+    } v;
+    walkExpr(*e, v);
+    EXPECT_EQ(v.seen, "+ * c ");
+    EXPECT_TRUE(anyExpr(*e, [](const Expr& x) { return tag(x) == "b"; }));
+    EXPECT_FALSE(anyExpr(*e, [](const Expr& x) { return tag(x) == "d"; }));
+}
+
+TEST(Walker, StatementEnterLeaveOrderThroughIfWhileFor) {
+    const Block b = blk(decl("x", Type::i32(), ci(0)),
+                        ifs(lt(lv("x"), ci(1)), blk(assign("x", ci(1))), blk(exprS(lv("x")))),
+                        whileS(lt(lv("x"), ci(2)), blk(assign("x", ci(2)))),
+                        forRange("i", ci(0), ci(3), blk(assign("x", lv("i")))));
+    struct {
+        std::string trace;
+        void enter(const Stmt& s) { trace += std::string(stmtTag(s)) + "( "; }
+        void leave(const Stmt& s) { trace += std::string(")") + stmtTag(s) + " "; }
+        void open() { trace += "{ "; }
+        void close() { trace += "} "; }
+    } v;
+    walkBlock(b, v);
+    EXPECT_EQ(v.trace,
+              "decl( )decl "
+              "if( { assign( )assign } { expr( )expr } )if "
+              "while( { assign( )assign } )while "
+              "for( { { assign( )assign } } )for ");
+}
+
+TEST(Walker, ScopeFollowsWjRules) {
+    ProgramBuilder pb;
+    pb.cls("T").method("f", Type::voidTy()).param("p", Type::i32()).body(blk(
+        decl("x", Type::i32(), add(lv("p"), ci(1))),
+        ifs(lt(lv("x"), ci(3)), blk(decl("t", Type::i32(), lv("x")), exprS(lv("t")))),
+        assign("x", lv("x")),
+        forRange("i", ci(0), lv("x"), blk(assign("x", lv("i")))),
+        exprS(lv("p"))));
+    Program prog = pb.build();
+    const ClassDecl& cls = *prog.cls("T");
+    const Method& m = *cls.ownMethod("f");
+    TypeScope scope(prog, &cls, m);
+    // Each local read, with the names among {p, x, t, i} visible there.
+    struct {
+        TypeScope& scope;
+        std::vector<std::string> reads;
+        void pre(const Expr& e) {
+            if (e.kind != ExprKind::Local) return;
+            std::string r = as<LocalExpr>(e).name + ":";
+            for (const char* n : {"p", "x", "t", "i"}) {
+                if (scope.isDeclared(n)) r += std::string(" ") + n;
+            }
+            reads.push_back(r);
+        }
+    } v{scope};
+    walkBlock(m.body, v, &scope);
+    const std::vector<std::string> want = {
+        "p: p",        // x's init: parameters visible, x not yet
+        "x: p x",      // if cond
+        "x: p x",      // t's init inside the branch
+        "t: p x t",    // branch local visible in its branch
+        "x: p x",      // after the if: t gone
+        "i: p x i",    // for cond: i visible
+        "x: p x i",
+        "i: p x i",    // for step
+        "i: p x i",    // for body
+        "p: p x",      // after the loop: i gone
+    };
+    EXPECT_EQ(v.reads, want);
 }
