@@ -69,7 +69,7 @@ public:
             }
             return;
         }
-        case ExprKind::IntrinsicCall: walkIntrinsic(as<IntrinsicExpr>(e)); return;
+        case ExprKind::IntrinsicCall: noteIntrinsic(as<IntrinsicExpr>(e)); return;
         case ExprKind::ArrayGet: read(classify(*as<ArrayGetExpr>(e).arr)); return;
         case ExprKind::NewArray: eff_.allocates = true; return;
         default: return;
@@ -171,7 +171,7 @@ private:
         eff_.prints |= ce.prints;
     }
 
-    void walkIntrinsic(const IntrinsicExpr& n) {
+    void noteIntrinsic(const IntrinsicExpr& n) {
         auto arg = [&](size_t i) -> SRoot { return classify(*n.args[i]); };
         switch (n.op) {
         case Intrinsic::MpiSendF32: eff_.sends = true; read(arg(0)); break;
