@@ -299,22 +299,27 @@ namespace {
 
 /// One Table 3 row: cold jit (fresh key), then a warm re-jit of the same
 /// translation unit with the in-process registry dropped — the cost a new
-/// process pays against a populated on-disk cache.
+/// process pays against a populated on-disk cache. Each jit gets a Program
+/// and composition of its own, as a new process would: on the same Program
+/// the warm jit would be served by its translation memo and skip the
+/// translation a new process has to redo.
 template <typename MakeReceiver>
-CompileTime compileColdWarm(const char* what, Program& prog, Interp& in, MakeReceiver&& make,
-                            std::vector<Value> args) {
+CompileTime compileColdWarm(const char* what, Program (*build)(), MakeReceiver&& make,
+                            const std::vector<Value>& args) {
     CompileTime row;
     row.what = what;
     {
-        Value r = make(in);
-        JitCode c = WootinJ::jit4mpi(prog, r, "run", args);
+        Program prog = build();
+        Interp in(prog);
+        JitCode c = WootinJ::jit4mpi(prog, make(in), "run", args);
         row.codegen = c.codegenSeconds();
         row.external = c.compileSeconds();
     }
     JitCache::instance().clearLoaded();
     {
-        Value r = make(in);
-        JitCode c = WootinJ::jit4mpi(prog, r, "run", args);
+        Program prog = build();
+        Interp in(prog);
+        JitCode c = WootinJ::jit4mpi(prog, make(in), "run", args);
         row.warmCodegen = c.codegenSeconds();
         row.warmLookup = c.cacheLookupSeconds();
         row.warmHit = c.cacheHit();
@@ -327,33 +332,25 @@ CompileTime compileColdWarm(const char* what, Program& prog, Interp& in, MakeRec
 } // namespace
 
 std::vector<CompileTime> measureCompileTimes() {
-    std::vector<CompileTime> out;
     const auto coeffs = stencil::DiffusionCoeffs::forKappa(0.1f, 0.1f, 1.0f);
-    {
-        static Program prog = stencil::buildProgram();
-        Interp in(prog);
-        out.push_back(compileColdWarm(
-            "3-D diffusion, CPU + MPI", prog, in,
+    return {
+        compileColdWarm(
+            "3-D diffusion, CPU + MPI", stencil::buildProgram,
             [&](Interp& i) { return stencil::makeMpiRunner(i, 8, 8, 8, coeffs, kSeed); },
-            {Value::ofI32(1)}));
-        out.push_back(compileColdWarm(
-            "3-D diffusion, GPU + MPI", prog, in,
+            {Value::ofI32(1)}),
+        compileColdWarm(
+            "3-D diffusion, GPU + MPI", stencil::buildProgram,
             [&](Interp& i) { return stencil::makeGpuMpiRunner(i, 8, 8, 8, coeffs, kSeed, 32); },
-            {Value::ofI32(1)}));
-    }
-    {
-        static Program prog = matmul::buildProgram();
-        Interp in(prog);
-        out.push_back(compileColdWarm(
-            "matmul Fox, CPU + MPI", prog, in,
+            {Value::ofI32(1)}),
+        compileColdWarm(
+            "matmul Fox, CPU + MPI", matmul::buildProgram,
             [&](Interp& i) { return matmul::makeMpiFoxApp(i, matmul::Calc::Optimized, 2); },
-            {Value::ofI32(8), Value::ofI32(kSeed)}));
-        out.push_back(compileColdWarm(
-            "matmul Fox, GPU + MPI", prog, in,
+            {Value::ofI32(8), Value::ofI32(kSeed)}),
+        compileColdWarm(
+            "matmul Fox, GPU + MPI", matmul::buildProgram,
             [&](Interp& i) { return matmul::makeMpiFoxGpuApp(i, 2, 4); },
-            {Value::ofI32(8), Value::ofI32(kSeed)}));
-    }
-    return out;
+            {Value::ofI32(8), Value::ofI32(kSeed)}),
+    };
 }
 
 ParallelCompile measureParallelCompileTimes() {

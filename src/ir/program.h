@@ -22,6 +22,8 @@ namespace wj {
 namespace analysis {
 class ProgramFacts;
 }
+struct Translation;
+class TranslationMemo;
 
 class Program {
 public:
@@ -104,6 +106,16 @@ private:
         std::shared_ptr<const analysis::ProgramFacts> facts;
     };
     std::unique_ptr<FactsSlot> facts_ = std::make_unique<FactsSlot>();
+
+    /// The translations jit() made on this Program (jit/memo.h), keyed by
+    /// the exact canonical bytes of receiver graph, method, arguments and
+    /// translation options. Held and destroyed like the facts.
+    friend class TranslationMemo;
+    struct MemoSlot {
+        std::mutex mu;
+        std::unordered_map<std::string, std::shared_ptr<const Translation>> entries;
+    };
+    std::unique_ptr<MemoSlot> memo_ = std::make_unique<MemoSlot>();
 };
 
 } // namespace wj

@@ -127,8 +127,12 @@ uint64_t JitCache::maxBytes() const {
 
 uint64_t JitCache::keyOf(const std::string& cSource, const std::string& cc,
                          const std::string& flags, uint64_t rtVersion) noexcept {
-    uint64_t h = fnv1a64(cSource.data(), cSource.size());
-    h = fnv1a64(cc.data(), cc.size(), h);
+    return keyOf(fnv1a64(cSource.data(), cSource.size()), cc, flags, rtVersion);
+}
+
+uint64_t JitCache::keyOf(uint64_t sourceHash, const std::string& cc, const std::string& flags,
+                         uint64_t rtVersion) noexcept {
+    uint64_t h = fnv1a64(cc.data(), cc.size(), sourceHash);
     h = fnv1a64(flags.data(), flags.size(), h);
     h = fnv1a64(&rtVersion, sizeof rtVersion, h);
     return h;

@@ -86,6 +86,10 @@ public:
     /// Cache key over everything that influences the produced binary.
     static uint64_t keyOf(const std::string& cSource, const std::string& cc,
                           const std::string& flags, uint64_t rtVersion) noexcept;
+    /// The same key from fnv1a64(cSource): FNV-1a is a running state, so
+    /// this folds in only the rest and equals keyOf(cSource, ...) bit for bit.
+    static uint64_t keyOf(uint64_t sourceHash, const std::string& cc, const std::string& flags,
+                          uint64_t rtVersion) noexcept;
 
     /// Hash of the runtime headers the generated C #includes (wjrt.h,
     /// rng_hash.h under WJ_RT_INCLUDE_DIR). Computed once per process.

@@ -9,6 +9,7 @@
 
 #include "analysis/fusion.h"
 #include "ir/walk.h"
+#include "jit/cache.h"
 #include "jit/shape.h"
 #include "support/diagnostics.h"
 #include "support/strings.h"
@@ -81,10 +82,10 @@ class CodeGen {
 public:
     explicit CodeGen(const Program& prog) : prog_(prog), shapes_(prog) {}
 
-    /// Bounds-guard policy: mode 0 = no guards, 1 = guard accesses the
-    /// interval analysis could not prove safe (`safety` holds its verdicts),
-    /// 2 = guard everything.
-    void setBounds(int mode, const std::map<const void*, analysis::Safety>* safety) {
+    /// Bounds-guard policy: Unproven guards the accesses the interval
+    /// analysis could not prove safe (`safety` holds its verdicts).
+    void setBounds(TranslateOptions::Bounds mode,
+                   const std::map<const void*, analysis::Safety>* safety) {
         boundsMode_ = mode;
         safety_ = safety;
     }
@@ -229,7 +230,7 @@ private:
     int structCount_ = 0;
     int tmpCount_ = 0;
     int fnCount_ = 0;
-    int boundsMode_ = 0;
+    TranslateOptions::Bounds boundsMode_ = TranslateOptions::Bounds::Off;
     const std::map<const void*, analysis::Safety>* safety_ = nullptr;
     const std::map<const void*, analysis::LoopParallel>* parLoops_ = nullptr;
     const std::map<const void*, analysis::LoopVector>* vecLoops_ = nullptr;
@@ -305,8 +306,8 @@ private:
     /// kernel's thread boundary.
     std::string indexExpr(Env& env, CVal& a, CVal& i, const void* site) {
         bool guard = false;
-        if (!env.device && boundsMode_ > 0) {
-            if (boundsMode_ >= 2 || !safety_) {
+        if (!env.device && boundsMode_ != TranslateOptions::Bounds::Off) {
+            if (boundsMode_ == TranslateOptions::Bounds::All || !safety_) {
                 guard = true;
             } else {
                 auto it = safety_->find(site);
@@ -1946,7 +1947,7 @@ Translation CodeGen::run(const Value& receiver, const std::string& method,
            "x.f = f; return (int64_t)x.u; }\n";
     src += "static inline int64_t wj_bits_f64(double d) { union { uint64_t u; double f; } x; "
            "x.f = d; return (int64_t)x.u; }\n";
-    if (boundsMode_ > 0) {
+    if (boundsMode_ != TranslateOptions::Bounds::Off) {
         src += "static inline int64_t wj_chk(wj_array* a, int64_t i) { "
                "if (i < 0 || i >= (int64_t)a->len) wjrt_trap(\"array index out of bounds\"); "
                "return i; }\n";
@@ -1965,59 +1966,58 @@ Translation CodeGen::run(const Value& receiver, const std::string& method,
 
 } // namespace
 
-int boundsModeFromEnv() {
-    const char* env = std::getenv("WJ_BOUNDS");
-    if (!env || !*env || std::string(env) == "0") return 0;
-    if (std::string(env) == "all" || std::string(env) == "2") return 2;
-    return 1;
-}
-
-Translation translate(const Program& prog, const Value& receiver, const std::string& method,
-                      const std::vector<Value>& args) {
+TranslateOptions TranslateOptions::fromEnv() {
     auto flag = [](const char* name) {
         const char* v = std::getenv(name);
         return v && *v && std::string(v) != "0";
     };
-    // WJ_PARALLEL=1 turns proven loops into wjrt_parallel_for dispatches
-    // (the worker count is a pure runtime decision via WJ_THREADS, so the
-    // generated code — and its cache key — is thread-count independent),
-    // after fusing same-range producer/consumer loops (analysis/fusion.h).
-    const bool par = flag("WJ_PARALLEL");
-    // WJ_SIMD=1 turns proveVectors verdicts into `#pragma omp simd` loops
-    // with restrict-hoisted element pointers (and runtime range guards for
-    // CondVectorizable). Like WJ_PARALLEL this is a translation-time choice
-    // baked into the generated C, independent of WJ_THREADS, so the cache
-    // key stays thread-count independent.
-    const bool simd = flag("WJ_SIMD");
-    // WJ_SOA=1 stores arrays of Inline-verdict element classes (the
-    // proveLayout pass) as packed per-field lane regions instead of arrays
-    // of structs. Element field paths become unit-stride loads the simd
-    // pass can vectorize; the pass proved no use can observe the split, so
-    // results stay bitwise-identical to every other configuration. The
-    // prover's SIMD verdicts depend on the layout, so it gets the switch too.
-    const bool soa = flag("WJ_SOA");
+    TranslateOptions o;
+    if (flag("WJ_BOUNDS")) {
+        const std::string b = std::getenv("WJ_BOUNDS");
+        o.bounds = b == "all" || b == "2" ? Bounds::All : Bounds::Unproven;
+    }
+    o.parallel = flag("WJ_PARALLEL");
+    o.simd = flag("WJ_SIMD");
+    o.soa = flag("WJ_SOA");
+    return o;
+}
 
+Translation translate(const Program& prog, const Value& receiver, const std::string& method,
+                      const std::vector<Value>& args) {
+    return translate(prog, receiver, method, args, TranslateOptions::fromEnv());
+}
+
+Translation translate(const Program& prog, const Value& receiver, const std::string& method,
+                      const std::vector<Value>& args, const TranslateOptions& opts) {
+    // Parallel outlining and SIMD are translation-time choices baked into
+    // the generated C; the worker count (WJ_THREADS) is a pure run-time
+    // decision, so the generated code and its cache key are thread-count
+    // independent. The prover's SIMD verdicts depend on the SoA layout, so
+    // the analysis gets that switch too.
+    //
     // The analysis passes are mandatory: translation refuses statically
     // unsound entries (uninit reads, proven out-of-bounds, halo races)
     // regardless of the guard mode. The guard mode only decides what the
     // interval verdicts are *used* for.
     analysis::Result facts =
-        par ? analysis::analyzeEntryFused(prog, receiver, method, args, simd, soa)
-            : analysis::analyzeEntry(prog, receiver, method, args, nullptr, soa);
+        opts.parallel
+            ? analysis::analyzeEntryFused(prog, receiver, method, args, opts.simd, opts.soa)
+            : analysis::analyzeEntry(prog, receiver, method, args, nullptr, opts.soa);
     facts.require();
 
-    const int mode = boundsModeFromEnv();
     CodeGen cg(prog);
-    cg.setBounds(mode, mode == 1 ? &facts.accessSafety : nullptr);
-    if (par) {
+    cg.setBounds(opts.bounds,
+                 opts.bounds == TranslateOptions::Bounds::Unproven ? &facts.accessSafety : nullptr);
+    if (opts.parallel) {
         cg.setParallel(&facts.loopParallel);
         cg.setEntryBody(facts.fusedEntry.get());
     }
-    if (simd) cg.setSimd(&facts.loopVector);
-    if (soa) cg.setSoa(&facts.layoutClasses);
+    if (opts.simd) cg.setSimd(&facts.loopVector);
+    if (opts.soa) cg.setSoa(&facts.layoutClasses);
     Translation t = cg.run(receiver, method, args);
     t.fusedLoops = facts.fusedLoops;
     t.fusionReport = std::move(facts.fusionReport);
+    t.sourceHash = fnv1a64(t.cSource.data(), t.cSource.size());
     return t;
 }
 

@@ -70,14 +70,50 @@ struct Translation {
     /// translated code allocates an array of it.
     std::vector<std::string> soaClasses;
     double codegenSeconds = 0;     ///< translator time (Table 3 component)
+    /// fnv1a64 of cSource: the first stage of its compile-cache key, so a
+    /// caller that compiles this translation again folds in only the
+    /// compiler, flags and runtime headers (compileAndLoad's sourceHash).
+    uint64_t sourceHash = 0;
+};
+
+/// The translation switches. Each is baked into the generated C, so the
+/// translation (and its memo key, jit/memo.h) depends on them; WJ_THREADS
+/// is not one of them, because the worker count is a run-time decision.
+/// Read from the environment once, at an API boundary (jit(), jitAsync(),
+/// a wjd request, wjc), and passed down from there.
+struct TranslateOptions {
+    /// WJ_BOUNDS: which array accesses get a wj_chk guard.
+    enum class Bounds : uint8_t {
+        Off,       ///< unset or "0": none
+        Unproven,  ///< any other value: those the interval analysis did not prove safe
+        All,       ///< "all" or "2": every access
+    };
+    Bounds bounds = Bounds::Off;
+    /// WJ_PARALLEL=1: fuse same-range producer/consumer loops, then outline
+    /// proven loops into wjrt_parallel_for / wjrt_parallel_reduce.
+    bool parallel = false;
+    /// WJ_SIMD=1: emit proveVectors verdicts as `#pragma omp simd` loops
+    /// with restrict-hoisted element pointers (and runtime range guards).
+    bool simd = false;
+    /// WJ_SOA=1: store arrays of Inline-verdict element classes as packed
+    /// per-field lane regions; the SIMD verdicts depend on the layout.
+    bool soa = false;
+
+    /// The switches as WJ_BOUNDS / WJ_PARALLEL / WJ_SIMD / WJ_SOA set them
+    /// (a flag is on when set, non-empty and not "0").
+    static TranslateOptions fromEnv();
 };
 
 /// Translates `method`, called on `receiver` with `args`, plus everything
-/// reachable from it. The program must already satisfy the coding rules
-/// (the public jit() entry verifies them first). Runs the mandatory
-/// dataflow analyses first and throws AnalysisError on a proven defect;
-/// with WJ_BOUNDS=1 the interval verdicts elide guards on proven-safe
-/// accesses, with WJ_BOUNDS=all every access is guarded.
+/// reachable from it, under `opts`. The program must already satisfy the
+/// coding rules (the public jit() entry verifies them first). Runs the
+/// mandatory dataflow analyses first and throws AnalysisError on a proven
+/// defect; the bounds mode only decides what the interval verdicts are used
+/// for.
+Translation translate(const Program& prog, const Value& receiver, const std::string& method,
+                      const std::vector<Value>& args, const TranslateOptions& opts);
+
+/// translate() under TranslateOptions::fromEnv().
 Translation translate(const Program& prog, const Value& receiver, const std::string& method,
                       const std::vector<Value>& args);
 

@@ -42,9 +42,11 @@ public:
         return p;
     }
 
-    std::future<CompileResult> submit(std::string cSource, std::string tag) {
+    std::future<CompileResult> submit(std::string cSource, std::string tag, uint64_t hash) {
         auto task = std::packaged_task<CompileResult()>(
-            [src = std::move(cSource), t = std::move(tag)] { return compileAndLoad(src, t); });
+            [src = std::move(cSource), t = std::move(tag), hash] {
+                return compileAndLoad(src, t, hash);
+            });
         auto fut = task.get_future();
         {
             std::lock_guard<std::mutex> lock(m_);
@@ -162,11 +164,17 @@ uint64_t cacheKeyFor(const std::string& cSource) {
 }
 
 CompileResult compileAndLoad(const std::string& cSource, const std::string& tag) {
+    return compileAndLoad(cSource, tag, fnv1a64(cSource.data(), cSource.size()));
+}
+
+CompileResult compileAndLoad(const std::string& cSource, const std::string& tag,
+                             uint64_t sourceHash) {
     const std::string cc = resolvedCompiler();
     const std::string flags = resolvedFlags();
 
     JitCache& cache = JitCache::instance();
-    const uint64_t key = cacheKeyFor(cSource);
+    const uint64_t key = JitCache::keyOf(sourceHash, cc, flags,
+                                         JitCache::runtimeHeadersVersion(WJ_RT_INCLUDE_DIR));
 
     static auto& memHits = trace::Metrics::instance().counter("jit.cache.hits.memory");
     static auto& diskHits = trace::Metrics::instance().counter("jit.cache.hits.disk");
@@ -356,8 +364,8 @@ CompileResult compileAndLoad(const std::string& cSource, const std::string& tag)
 }
 
 std::future<CompileResult> compileAndLoadAsync(const std::string& cSource,
-                                               const std::string& tag) {
-    return CompilePool::instance().submit(cSource, tag);
+                                               const std::string& tag, uint64_t sourceHash) {
+    return CompilePool::instance().submit(cSource, tag, sourceHash);
 }
 
 } // namespace wj

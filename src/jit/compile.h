@@ -12,6 +12,7 @@
 // parallel cold compiles of independent TUs scale almost linearly).
 #pragma once
 
+#include <cstdint>
 #include <future>
 #include <memory>
 #include <string>
@@ -63,7 +64,7 @@ public:
 
 private:
     friend struct CompileResult;
-    friend CompileResult compileAndLoad(const std::string&, const std::string&);
+    friend CompileResult compileAndLoad(const std::string&, const std::string&, uint64_t);
     NativeModule() = default;
 
     void* handle_ = nullptr;
@@ -98,11 +99,18 @@ struct CompileResult {
 /// signal) on a genuine compile error.
 CompileResult compileAndLoad(const std::string& cSource, const std::string& tag);
 
-/// Queues compileAndLoad() on the shared compile thread pool. Independent
-/// translation units compile in parallel (bench_fig17/18 build all their
-/// variants this way); the future rethrows any compile error on get().
+/// compileAndLoad() for a source whose fnv1a64 the caller already holds
+/// (Translation::sourceHash): the cache key then folds in only the
+/// compiler, flags and runtime-header version, and equals cacheKeyFor().
+CompileResult compileAndLoad(const std::string& cSource, const std::string& tag,
+                             uint64_t sourceHash);
+
+/// Queues compileAndLoad(cSource, tag, sourceHash) on the shared compile
+/// thread pool. Independent translation units compile in parallel
+/// (bench_fig17/18 build all their variants this way); the future rethrows
+/// any compile error on get().
 std::future<CompileResult> compileAndLoadAsync(const std::string& cSource,
-                                               const std::string& tag);
+                                               const std::string& tag, uint64_t sourceHash);
 
 /// The external compiler compileAndLoad will shell out to: $WJ_CC or "cc".
 std::string resolvedCompiler();

@@ -2,16 +2,18 @@
 
 #include <cstdlib>
 #include <cstring>
-#include <mutex>
+#include <optional>
 #include <unordered_map>
 
 #include "gpusim/gpusim.h"
 #include "interp/interp.h"
+#include "jit/memo.h"
 #include "minimpi/minimpi.h"
 #include "rules/rules.h"
 #include "runtime/context.h"
 #include "runtime/wjrt.h"
 #include "support/diagnostics.h"
+#include "support/timer.h"
 #include "trace/metrics.h"
 #include "trace/trace.h"
 
@@ -69,6 +71,11 @@ void unmarshalArray(const wj_array* in, Arr& a) {
         case Prim::F64: a.data[i] = Value::ofF64(static_cast<const double*>(data)[i]); break;
         }
     }
+}
+
+/// Bytes one marshal copies for `a` (the jit.marshal.bytes counter).
+int64_t arrayBytes(const Arr& a) {
+    return static_cast<int64_t>(a.data.size()) * primSize(a.elem.prim());
 }
 
 /// True unless WJ_JIT_FALLBACK is "0"/"off"/"false"/"no": when the external
@@ -152,53 +159,37 @@ Value slotToValue(int64_t slot, const Type& ret) {
 } // namespace
 
 JitCode::JitCode(const Program& prog, Value receiver, std::string method, std::vector<Value> args,
-                 bool mpi)
+                 bool mpi, TranslateOptions opts)
     : prog_(&prog), receiver_(std::move(receiver)), method_(std::move(method)),
-      recordedArgs_(std::move(args)), mpi_(mpi) {
+      recordedArgs_(std::move(args)), mpi_(mpi), opts_(opts) {
     // The translated code must satisfy the coding rules (Section 3.2); the
     // verifier runs before any code generation, like the paper's bytecode
     // checks.
     requireCodingRules(prog);
-    {
-        // Dynamic span names must be interned; skip the allocation entirely
-        // when tracing is off.
-        trace::Span span("jit", trace::enabled()
-                                    ? trace::intern("translate " + method_)
-                                    : "translate");
-        translation_ = translate(prog, receiver_, method_, recordedArgs_);
-    }
-    try {
-        trace::Span span("jit", trace::enabled()
-                                    ? trace::intern("compile " + method_)
-                                    : "compile");
-        compile_ = compileAndLoad(translation_.cSource, method_);
-    } catch (const CompilerUnavailableError&) {
-        if (!fallbackEnabled()) throw;
-        static auto& fallbacks =
-            trace::Metrics::instance().counter("jit.fallbacks.interpreter");
-        fallbacks.inc();
-        trace::instant("jit", "fallback.interpreter");
-        mode_ = ExecMode::Interpreter;
-        return;
-    }
-    mode_ = compile_.cacheHit ? ExecMode::NativeCached : ExecMode::Native;
-    entry_ = reinterpret_cast<EntryFn>(compile_.module->symbol(translation_.entrySymbol));
+    // Dynamic span names must be interned; skip the allocation entirely
+    // when tracing is off.
+    trace::Span span("jit", trace::enabled() ? trace::intern("translate " + method_)
+                                             : "translate");
+    Timer t;
+    translation_ =
+        TranslationMemo::lookup(prog, receiver_, method_, recordedArgs_, opts_, &memoHit_);
+    codegenSeconds_ = memoHit_ ? t.seconds() : translation_->codegenSeconds;
+    span.arg(0, "memo", memoHit_ ? 1 : 0);
 }
 
-JitCode::JitCode(const Program& prog, Value receiver, std::string method, std::vector<Value> args,
-                 bool mpi, Translation tr, CompileResult compiled)
-    : prog_(&prog), receiver_(std::move(receiver)), method_(std::move(method)),
-      recordedArgs_(std::move(args)), mpi_(mpi), translation_(std::move(tr)),
-      compile_(std::move(compiled)) {
+void JitCode::load(CompileResult compiled) {
+    compile_ = std::move(compiled);
     mode_ = compile_.cacheHit ? ExecMode::NativeCached : ExecMode::Native;
-    entry_ = reinterpret_cast<EntryFn>(compile_.module->symbol(translation_.entrySymbol));
+    entry_ = reinterpret_cast<EntryFn>(compile_.module->symbol(translation_->entrySymbol));
 }
 
-JitCode::JitCode(const Program& prog, Value receiver, std::string method, std::vector<Value> args,
-                 bool mpi, Translation tr)
-    : prog_(&prog), receiver_(std::move(receiver)), method_(std::move(method)),
-      recordedArgs_(std::move(args)), mpi_(mpi), translation_(std::move(tr)),
-      mode_(ExecMode::Interpreter) {}
+void JitCode::fallBackToInterpreter() {
+    if (!fallbackEnabled()) throw;
+    static auto& fallbacks = trace::Metrics::instance().counter("jit.fallbacks.interpreter");
+    fallbacks.inc();
+    trace::instant("jit", "fallback.interpreter");
+    mode_ = ExecMode::Interpreter;
+}
 
 void JitCode::set4MPI(int ranks, const std::string& /*nodeList*/) {
     if (!mpi_) throw UsageError("set4MPI on code translated with jit(); use jit4mpi()");
@@ -262,9 +253,47 @@ Value decodeResult(int kind, int64_t bits) {
     }
 }
 
+/// The value of a bool/int/long `v` when `recorded` has the same kind —
+/// the arguments the prover abstracts exactly.
+std::optional<int64_t> exactIntOf(const Value& recorded, const Value& v) {
+    if (recorded.isBool() && v.isBool()) return v.asBool() ? 1 : 0;
+    if (recorded.isI32() && v.isI32()) return v.asI32();
+    if (recorded.isI64() && v.isI64()) return v.asI64();
+    return std::nullopt;
+}
+
 } // namespace
 
 Value JitCode::invoke() { return invokeWith(recordedArgs_); }
+
+JitCode::Variant JitCode::resolve(const std::vector<Value>& args) {
+    const Variant recorded{translation_, compile_.module, entry_};
+    if (&args == &recordedArgs_) return recorded;
+    bool differs = false;
+    for (size_t i = 0; i < args.size() && !differs; ++i) {
+        const auto v = exactIntOf(recordedArgs_[i], args[i]);
+        differs = v && v != exactIntOf(recordedArgs_[i], recordedArgs_[i]);
+    }
+    if (!differs) return recorded;
+
+    std::vector<int64_t> tuple;
+    std::vector<Value> keyArgs = recordedArgs_;
+    for (size_t i = 0; i < args.size(); ++i) {
+        if (const auto v = exactIntOf(recordedArgs_[i], args[i])) {
+            tuple.push_back(*v);
+            keyArgs[i] = args[i];
+        }
+    }
+    auto it = variants_.find(tuple);
+    if (it == variants_.end()) {
+        Variant v;
+        v.tr = TranslationMemo::lookup(*prog_, receiver_, method_, keyArgs, opts_);
+        v.module = compileAndLoad(v.tr->cSource, method_, v.tr->sourceHash).module;
+        v.entry = reinterpret_cast<EntryFn>(v.module->symbol(v.tr->entrySymbol));
+        it = variants_.emplace(std::move(tuple), std::move(v)).first;
+    }
+    return it->second;
+}
 
 Value JitCode::invokeWith(const std::vector<Value>& args) {
     if (args.size() != recordedArgs_.size()) {
@@ -274,6 +303,7 @@ Value JitCode::invokeWith(const std::vector<Value>& args) {
                      trace::enabled() ? trace::intern("invoke " + method_) : "invoke",
                      "ranks", mpi_ ? ranks_ : 1);
     if (mode_ == ExecMode::Interpreter) return invokeInterpreter(args);
+    const Variant variant = resolve(args);
     if (mpi_ && ranks_ > 1) {
         if (copyBack_) {
             throw UsageError("copy-back is only defined for single-rank invocations");
@@ -283,7 +313,7 @@ Value JitCode::invokeWith(const std::vector<Value>& args) {
             // One GPU per node (paper Section 4.1): each rank owns a device.
             gpusim::Device dev(comm.rank());
             runtime::RankScope scope(&comm, &dev);
-            Value r = invokeRank(args);
+            Value r = invokeRank(args, variant);
             // Rank 0's result leaves the world through the transport's
             // result slot: lambda captures cannot carry it back across a
             // fork boundary on the process transport, and MPI entries
@@ -303,7 +333,7 @@ Value JitCode::invokeWith(const std::vector<Value>& args) {
     }
     gpusim::Device dev(0);
     runtime::RankScope scope(nullptr, &dev);
-    return invokeRank(args);
+    return invokeRank(args, variant);
 }
 
 Value JitCode::invokeInterpreter(const std::vector<Value>& args) {
@@ -329,34 +359,45 @@ Value JitCode::invokeInterpreter(const std::vector<Value>& args) {
     return interp.call(recvCopy, method_, std::move(argCopies));
 }
 
-Value JitCode::invokeRank(const std::vector<Value>& args) {
+Value JitCode::invokeRank(const std::vector<Value>& args, const Variant& v) {
+    const EntryPlan& plan = v.tr->plan;
     // Deep-copy the argument arrays into this rank's private memory space.
     std::vector<ArrRef> interpArrays;
     collectArrays(*prog_, receiver_, interpArrays);
-    for (const Value& v : args) {
-        if (v.isArr() && v.asArr()) interpArrays.push_back(v.asArr());
+    for (const Value& a : args) {
+        if (a.isArr() && a.asArr()) interpArrays.push_back(a.asArr());
     }
-    if (static_cast<int>(interpArrays.size()) != translation_.plan.arraySlots) {
+    if (static_cast<int>(interpArrays.size()) != plan.arraySlots) {
         throw UsageError("invoke: the receiver graph's array layout changed since jit() time (" +
                          std::to_string(interpArrays.size()) + " arrays vs " +
-                         std::to_string(translation_.plan.arraySlots) + " recorded)");
+                         std::to_string(plan.arraySlots) + " recorded)");
     }
 
+    static auto& marshalBytes = trace::Metrics::instance().counter("jit.marshal.bytes");
     std::vector<wj_array*> nativeArrays;
     nativeArrays.reserve(interpArrays.size());
-    for (const ArrRef& a : interpArrays) nativeArrays.push_back(marshalArray(*a));
+    {
+        trace::Span marshalSpan("jit", "marshal");
+        int64_t bytes = 0;
+        for (const ArrRef& a : interpArrays) {
+            nativeArrays.push_back(marshalArray(*a));
+            bytes += arrayBytes(*a);
+        }
+        marshalBytes.add(bytes);
+        marshalSpan.arg(0, "bytes", bytes);
+    }
 
     std::vector<int64_t> prims;
     size_t slotIdx = 0;
-    for (const Value& v : args) {
-        if (v.isArr()) continue;
-        if (v.isObj()) continue;  // object args were baked in at jit() time
-        if (slotIdx >= translation_.plan.primSlots.size()) {
+    for (const Value& a : args) {
+        if (a.isArr()) continue;
+        if (a.isObj()) continue;  // object args were baked in at jit() time
+        if (slotIdx >= plan.primSlots.size()) {
             throw UsageError("invoke: more primitive arguments than recorded");
         }
-        prims.push_back(primToSlot(v, translation_.plan.primSlots[slotIdx++]));
+        prims.push_back(primToSlot(a, plan.primSlots[slotIdx++]));
     }
-    if (slotIdx != translation_.plan.primSlots.size()) {
+    if (slotIdx != plan.primSlots.size()) {
         throw UsageError("invoke: fewer primitive arguments than recorded");
     }
 
@@ -371,7 +412,7 @@ Value JitCode::invokeRank(const std::vector<Value>& args) {
         // entries return only primitives, so none of them escape — and is
         // the only cleanup on the trap path (bounds guard, wjrt_trap).
         runtime::AllocScope allocs;
-        raw = entry_(prims.data(), nativeArrays.data());
+        raw = v.entry(prims.data(), nativeArrays.data());
     } catch (...) {
         for (wj_array* a : nativeArrays) wjrt_free_array(a);
         throw;
@@ -379,23 +420,43 @@ Value JitCode::invokeRank(const std::vector<Value>& args) {
     entrySpan.end();
 
     if (copyBack_) {
+        trace::Span marshalSpan("jit", "marshal", "back", 1);
+        int64_t bytes = 0;
         for (size_t i = 0; i < interpArrays.size(); ++i) {
             unmarshalArray(nativeArrays[i], *interpArrays[i]);
+            bytes += arrayBytes(*interpArrays[i]);
         }
+        marshalBytes.add(bytes);
+        marshalSpan.arg(1, "bytes", bytes);
     }
     // No copy-back by default (paper Section 3.1); release the private space.
     for (wj_array* a : nativeArrays) wjrt_free_array(a);
-    return slotToValue(raw, translation_.plan.ret);
+    return slotToValue(raw, plan.ret);
 }
 
 JitCode WootinJ::jit(const Program& prog, const Value& receiver, const std::string& method,
                      std::vector<Value> args) {
-    return JitCode(prog, receiver, method, std::move(args), /*mpi=*/false);
+    return jitImpl(prog, receiver, method, std::move(args), /*mpi=*/false);
 }
 
 JitCode WootinJ::jit4mpi(const Program& prog, const Value& receiver, const std::string& method,
                          std::vector<Value> args) {
-    return JitCode(prog, receiver, method, std::move(args), /*mpi=*/true);
+    return jitImpl(prog, receiver, method, std::move(args), /*mpi=*/true);
+}
+
+JitCode WootinJ::jitImpl(const Program& prog, Value receiver, std::string method,
+                         std::vector<Value> args, bool mpi) {
+    JitCode code(prog, std::move(receiver), std::move(method), std::move(args), mpi,
+                 TranslateOptions::fromEnv());
+    try {
+        trace::Span span("jit", trace::enabled() ? trace::intern("compile " + code.method_)
+                                                 : "compile");
+        const Translation& tr = *code.translation_;
+        code.load(compileAndLoad(tr.cSource, code.method_, tr.sourceHash));
+    } catch (const CompilerUnavailableError&) {
+        code.fallBackToInterpreter();
+    }
+    return code;
 }
 
 /// Shared async pipeline: rule-check + translate on the calling thread
@@ -404,25 +465,19 @@ JitCode WootinJ::jit4mpi(const Program& prog, const Value& receiver, const std::
 std::future<JitCode> WootinJ::jitAsyncImpl(const Program& prog, Value receiver,
                                            std::string method, std::vector<Value> args,
                                            bool mpi) {
-    requireCodingRules(prog);
-    Translation tr = translate(prog, receiver, method, args);
-    auto modFut = compileAndLoadAsync(tr.cSource, method);
-    return std::async(
-        std::launch::deferred,
-        [&prog, receiver = std::move(receiver), method = std::move(method),
-         args = std::move(args), mpi, tr = std::move(tr),
-         modFut = std::move(modFut)]() mutable {
-            CompileResult compiled;
-            try {
-                compiled = modFut.get();
-            } catch (const CompilerUnavailableError&) {
-                if (!fallbackEnabled()) throw;
-                return JitCode(prog, std::move(receiver), std::move(method), std::move(args),
-                               mpi, std::move(tr));
-            }
-            return JitCode(prog, std::move(receiver), std::move(method), std::move(args), mpi,
-                           std::move(tr), std::move(compiled));
-        });
+    JitCode code(prog, std::move(receiver), std::move(method), std::move(args), mpi,
+                 TranslateOptions::fromEnv());
+    const Translation& tr = *code.translation_;
+    auto modFut = compileAndLoadAsync(tr.cSource, code.method_, tr.sourceHash);
+    return std::async(std::launch::deferred,
+                      [code = std::move(code), modFut = std::move(modFut)]() mutable {
+                          try {
+                              code.load(modFut.get());
+                          } catch (const CompilerUnavailableError&) {
+                              code.fallBackToInterpreter();
+                          }
+                          return std::move(code);
+                      });
 }
 
 std::future<JitCode> WootinJ::jitAsync(const Program& prog, Value receiver, std::string method,

@@ -6,13 +6,19 @@
 //
 // jit()/jit4mpi() verify the coding rules, translate the entry method and
 // everything reachable from it into C (devirtualized, object-inlined),
-// compile with the external C compiler, and dlopen the result. invoke()
-// deep-copies the recorded array arguments into the translated code's own
-// memory space (per rank, for MPI) and calls the generated entry. Modified
-// arrays are NOT copied back (paper, Section 3.1) unless the copy-back
-// extension is requested.
+// compile with the external C compiler, and dlopen the result. The
+// translation is specialized to the receiver graph and the arguments, so a
+// repeated jit() of an unchanged composition on one Program is served by
+// the Program's translation memo (jit/memo.h) and the compile cache.
+// invoke() deep-copies the recorded array arguments into the translated
+// code's own memory space (per rank, for MPI) and calls the generated
+// entry. invokeWith() does the same with other arguments, and runs the
+// translation specialized to them when its bool/int/long values differ
+// from the recorded ones. Modified arrays are NOT copied back (paper,
+// Section 3.1) unless the copy-back extension is requested.
 #pragma once
 
+#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -51,7 +57,17 @@ public:
     /// returned.
     Value invoke();
 
-    /// Runs with overriding arguments (same types as recorded).
+    /// Runs with overriding arguments (same types as recorded). The
+    /// translation was specialized to the recorded bool/int/long values
+    /// (the bounds, parallel and SIMD proofs read them exactly), so when one
+    /// of them differs, the call runs the translation made for the new
+    /// values: through the Program's translation memo (jit/memo.h), and the
+    /// compile cache, which serves byte-identical C without a compile. Each
+    /// distinct tuple of such values is resolved once per JitCode. Float
+    /// and double arguments, which the proofs treat as unknown, and array
+    /// arguments run the recorded translation. Overriding invokes fill that
+    /// per-JitCode table, so do not run them on one JitCode from two
+    /// threads at once.
     Value invokeWith(const std::vector<Value>& args);
 
     /// EXTENSION beyond the paper: copy the receiver-graph and argument
@@ -60,13 +76,16 @@ public:
     /// Throws if MPI ranks > 1 (ranks hold divergent copies).
     void enableCopyBack(bool on) { copyBack_ = on; }
 
-    // ---- Table 3 accounting. compileSeconds() is the external-compiler
-    // time THIS construction paid: 0 when the compile cache served the
+    // ---- Table 3 accounting, for THIS construction. codegenSeconds() is
+    // the translator's time, or the memo lookup's when the Program's
+    // translation memo served it (translationMemoHit()). compileSeconds()
+    // is the external-compiler time: 0 when the compile cache served the
     // module (the shared NativeModule may have cost its first builder more).
-    double codegenSeconds() const noexcept { return translation_.codegenSeconds; }
+    double codegenSeconds() const noexcept { return codegenSeconds_; }
+    bool translationMemoHit() const noexcept { return memoHit_; }
     // ---- bounds-guard accounting (WJ_BOUNDS; see src/analysis/)
-    int64_t boundsGuards() const noexcept { return translation_.boundsGuards; }
-    int64_t boundsElided() const noexcept { return translation_.boundsElided; }
+    int64_t boundsGuards() const noexcept { return translation_->boundsGuards; }
+    int64_t boundsElided() const noexcept { return translation_->boundsElided; }
     double compileSeconds() const noexcept { return compile_.compileSeconds; }
     double totalCompilationSeconds() const noexcept {
         return codegenSeconds() + compileSeconds();
@@ -87,34 +106,34 @@ public:
     int compileAttempts() const noexcept { return compile_.attempts; }
 
     // ---- optimization evidence (tests assert on these)
-    int64_t specializations() const noexcept { return translation_.specializations; }
-    int64_t devirtualizedCalls() const noexcept { return translation_.devirtualizedCalls; }
-    int64_t inlinedObjects() const noexcept { return translation_.inlinedObjects; }
-    int64_t kernels() const noexcept { return translation_.kernels; }
+    int64_t specializations() const noexcept { return translation_->specializations; }
+    int64_t devirtualizedCalls() const noexcept { return translation_->devirtualizedCalls; }
+    int64_t inlinedObjects() const noexcept { return translation_->inlinedObjects; }
+    int64_t kernels() const noexcept { return translation_->kernels; }
     /// Loops the analysis proved dependence-free and the translator
     /// dispatched through wjrt_parallel_for (WJ_PARALLEL, WJ_THREADS).
-    int64_t parallelLoops() const noexcept { return translation_.parallelLoops; }
+    int64_t parallelLoops() const noexcept { return translation_->parallelLoops; }
     /// Reduction loops (`acc = acc op f(i)`) outlined through
     /// wjrt_parallel_reduce with the ordered deterministic combine.
-    int64_t reduceLoops() const noexcept { return translation_.reduceLoops; }
+    int64_t reduceLoops() const noexcept { return translation_->reduceLoops; }
     /// Loops the proveVectors pass cleared for SIMD and the translator
     /// emitted under `#pragma omp simd` (WJ_SIMD) — including vectorized
     /// chunk loops inside parallel-for/reduce outlines.
-    int64_t vectorLoops() const noexcept { return translation_.vectorLoops; }
+    int64_t vectorLoops() const noexcept { return translation_->vectorLoops; }
     /// Producer/consumer loop pairs fused into one loop (WJ_PARALLEL): each
     /// saves a pool dispatch. fusionReport() names every pair considered.
-    int64_t fusedLoops() const noexcept { return translation_.fusedLoops; }
+    int64_t fusedLoops() const noexcept { return translation_->fusedLoops; }
     const std::vector<std::string>& fusionReport() const noexcept {
-        return translation_.fusionReport;
+        return translation_->fusionReport;
     }
     /// Allocation sites the translator emitted as SoA (wjrt_alloc_soa)
     /// because the proveLayout pass proved the element class Inline and
     /// WJ_SOA=1 was set at translation time.
-    int64_t soaArrays() const noexcept { return translation_.soaArrays; }
+    int64_t soaArrays() const noexcept { return translation_->soaArrays; }
     /// Element classes actually stored SoA in this translation (sorted;
     /// empty unless WJ_SOA=1 and at least one Inline class is allocated).
     const std::vector<std::string>& layoutClasses() const noexcept {
-        return translation_.soaClasses;
+        return translation_->soaClasses;
     }
 
     /// MiniMPI traffic of the most recent multi-rank invoke(): total plus
@@ -132,7 +151,7 @@ public:
     }
 
     /// The generated C translation unit (Listing 5's analogue).
-    const std::string& generatedC() const noexcept { return translation_.cSource; }
+    const std::string& generatedC() const noexcept { return translation_->cSource; }
     const std::string& compileCommand() const noexcept {
         static const std::string kNone = "(none: interpreter fallback)";
         return compile_.module ? compile_.module->compileCommand() : kNone;
@@ -140,16 +159,29 @@ public:
 
 private:
     friend class WootinJ;
-    JitCode(const Program& prog, Value receiver, std::string method, std::vector<Value> args,
-            bool mpi);
-    /// Assembles from a finished translation + compile result (async path).
-    JitCode(const Program& prog, Value receiver, std::string method, std::vector<Value> args,
-            bool mpi, Translation tr, CompileResult compiled);
-    /// Assembles in interpreter-fallback mode (compiler unavailable).
-    JitCode(const Program& prog, Value receiver, std::string method, std::vector<Value> args,
-            bool mpi, Translation tr);
+    using EntryFn = int64_t (*)(const int64_t*, ::wj_array**);
+    /// A translation of this composition for other integer argument values
+    /// than the recorded ones (see invokeWith), with its loaded entry.
+    struct Variant {
+        std::shared_ptr<const Translation> tr;
+        std::shared_ptr<NativeModule> module;
+        EntryFn entry = nullptr;
+    };
 
-    Value invokeRank(const std::vector<Value>& args);
+    /// Records the call and translates it under `opts`, through the
+    /// Program's translation memo. Loading is left to load() or
+    /// fallBackToInterpreter().
+    JitCode(const Program& prog, Value receiver, std::string method, std::vector<Value> args,
+            bool mpi, TranslateOptions opts);
+    void load(CompileResult compiled);
+    /// Degrades to the interpreter (compiler unavailable); rethrows the
+    /// current exception when WJ_JIT_FALLBACK forbids it.
+    void fallBackToInterpreter();
+
+    /// The recorded translation, or the Variant for the bool/int/long
+    /// values of `args` when they differ from the recorded ones.
+    Variant resolve(const std::vector<Value>& args);
+    Value invokeRank(const std::vector<Value>& args, const Variant& v);
     Value invokeInterpreter(const std::vector<Value>& args);
 
     const Program* prog_;
@@ -160,12 +192,16 @@ private:
     int ranks_ = 1;
     bool copyBack_ = false;
 
-    Translation translation_;
+    TranslateOptions opts_;
+    std::shared_ptr<const Translation> translation_;
+    double codegenSeconds_ = 0;
+    bool memoHit_ = false;
     minimpi::CommStats commStats_;
     CompileResult compile_;  // module is shared via the module registry
     ExecMode mode_ = ExecMode::Native;
-    using EntryFn = int64_t (*)(const int64_t*, ::wj_array**);
     EntryFn entry_ = nullptr;
+    /// Override tuple (the bool/int/long arguments, in order) -> Variant.
+    std::map<std::vector<int64_t>, Variant> variants_;
 };
 
 /// Facade named after the paper's framework.
@@ -191,6 +227,8 @@ public:
                                              std::string method, std::vector<Value> args);
 
 private:
+    static JitCode jitImpl(const Program& prog, Value receiver, std::string method,
+                           std::vector<Value> args, bool mpi);
     static std::future<JitCode> jitAsyncImpl(const Program& prog, Value receiver,
                                              std::string method, std::vector<Value> args,
                                              bool mpi);

@@ -239,7 +239,7 @@ Outcome Daemon::Impl::runPipeline(const Body& req) {
             while (ss >> tok) args.push_back(frontend::parseArgLiteral(tok));
         }
         trace::Span xlSpan("wjd", "translate");
-        tr = translate(prog, receiver, *method, args);
+        tr = translate(prog, receiver, *method, args, TranslateOptions::fromEnv());
     } catch (const UsageError& e) {
         // Thrown by the parser with line/col context; by the composition /
         // argument readers without. The distinction the client cares about

@@ -19,17 +19,11 @@
 #include <cstdlib>
 #include <string>
 
-#include "cg/cg_lib.h"
-#include "interp/interp.h"
-#include "ir/builder.h"
-#include "jit/codegen.h"
-#include "matmul/matmul_lib.h"
-#include "stencil/stencil_lib.h"
 #include "golden.h"
+#include "golden_compositions.h"
 #include "scoped_env.h"
 
 using namespace wj;
-using namespace wj::dsl;
 
 namespace {
 
@@ -41,80 +35,14 @@ void checkGolden(const std::string& name, const std::string& actual) {
 
 using test::ScopedEnv;
 
-Translation translateDiffusion() {
-    static Program prog = stencil::buildProgram();
-    Interp in(prog);
-    const auto coeffs = stencil::DiffusionCoeffs::forKappa(0.1f, 0.1f, 1.0f);
-    Value runner = stencil::makeCpuRunner(in, 8, 8, 8, coeffs, 7);
-    return translate(prog, runner, "run", {Value::ofI32(1)});
-}
-
-/// The ghost-padded MPI runner (the perfbench `diffusion` composition):
-/// its x sweep reads the periodic-wrap neighbours `(x - 1 + nx) % nx` and
-/// `(x + 1) % nx`.
-Translation translateDiffusionMpi() {
-    static Program prog = stencil::buildProgram();
-    Interp in(prog);
-    const auto coeffs = stencil::DiffusionCoeffs::forKappa(0.1f, 0.1f, 1.0f);
-    Value runner = stencil::makeMpiRunner(in, 8, 8, 4, coeffs, 7);
-    return translate(prog, runner, "run", {Value::ofI32(1)});
-}
-
-Translation translateMatmul() {
-    static Program prog = matmul::buildProgram();
-    Interp in(prog);
-    Value app = matmul::makeCpuApp(in, matmul::Calc::Optimized);
-    return translate(prog, app, "run", {Value::ofI32(8), Value::ofI32(7)});
-}
-
-/// The cell-chain workload over Cell[] buffers (see stencil_lib): the
-/// canonical subject of the proveLayout AoS→SoA split.
-Translation translateCells() {
-    static Program prog = stencil::buildProgram();
-    Interp in(prog);
-    Value runner = stencil::makeCellRunner(in, 64, 0.25f, 0.5f, 11);
-    return translate(prog, runner, "run", {Value::ofI32(2)});
-}
-
-/// Matrix-free CG (the perfbench `cg` composition): under WJ_PARALLEL the
-/// fusion pass inlines the devirtualized apply/dot calls and fuses three
-/// producer/consumer pairs, so each iteration dispatches three loops.
-Translation translateCg() {
-    static Program prog = cg::buildProgram();
-    Interp in(prog);
-    Value solver = cg::makeCpuSolver(in);
-    return translate(prog, solver, "run", {Value::ofI32(64), Value::ofI32(9), Value::ofI32(8)});
-}
-
-/// Array fill + dot product — the CG reduction kernel in miniature. Under
-/// WJ_PARALLEL the fill fuses into the dot's loop, which outlines through
-/// wjrt_parallel_reduce (chunk fn + identity seeding + ordered combine);
-/// that is what the parallel snapshot pins.
-Translation translateDot() {
-    static Program prog = [] {
-        ProgramBuilder pb;
-        pb.cls("Dot")
-            .method("run", Type::f64())
-            .param("n", Type::i32())
-            .body(blk(
-                decl("a", Type::array(Type::f32()), newArr(Type::f32(), lv("n"))),
-                forRange("i", ci(0), lv("n"),
-                         blk(aset(lv("a"), lv("i"),
-                                  cast(Type::f32(),
-                                       mul(cast(Type::f64(), lv("i")), cd(0.125)))))),
-                decl("s", Type::f64(), cd(0.0)),
-                forRange("i", ci(0), lv("n"),
-                         blk(assign("s",
-                                    add(lv("s"),
-                                        mul(cast(Type::f64(), aget(lv("a"), lv("i"))),
-                                            cast(Type::f64(), aget(lv("a"), lv("i")))))))),
-                ret(lv("s"))));
-        return pb.build();
-    }();
-    Interp in(prog);
-    Value obj = in.instantiate("Dot", {});
-    return translate(prog, obj, "run", {Value::ofI32(100)});
-}
+// The compositions live in golden_compositions.h, shared with the
+// translation-memo test.
+Translation translateDiffusion() { return test::diffusionCpu().translate(); }
+Translation translateDiffusionMpi() { return test::diffusionMpi().translate(); }
+Translation translateMatmul() { return test::matmulCpu().translate(); }
+Translation translateCells() { return test::cells().translate(); }
+Translation translateCg() { return test::cgSolver().translate(); }
+Translation translateDot() { return test::dot().translate(); }
 
 } // namespace
 
