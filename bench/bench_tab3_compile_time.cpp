@@ -8,16 +8,106 @@
 // machine) and the async compile pipeline overlapping all four cold
 // compiles. It runs against a private throw-away WJ_CACHE_DIR so results
 // are reproducible and the user's real cache is untouched.
+#include <algorithm>
 #include <cstdlib>
 #include <filesystem>
+#include <fstream>
 #include <string>
+#include <vector>
 
+#include <sys/resource.h>
 #include <unistd.h>
 
 #include "common.h"
+#include "interp/interp.h"
+#include "jit/codegen.h"
+#include "jit/compile.h"
+#include "stencil/stencil_lib.h"
+#include "support/scratch.h"
+#include "support/timer.h"
+
+namespace {
+
+using namespace wj;
+
+struct StageCost {
+    double wallMs = 0;  ///< median wall time of one compiler run
+    double cpuMs = 0;   ///< median user+sys CPU of the compiler's processes
+    bool ok = true;     ///< every run exited 0
+};
+
+double median(std::vector<double> v) {
+    std::sort(v.begin(), v.end());
+    return v[v.size() / 2];
+}
+
+double childCpuMs() {
+    rusage ru{};
+    getrusage(RUSAGE_CHILDREN, &ru);
+    return (ru.ru_utime.tv_sec + ru.ru_stime.tv_sec) * 1e3 +
+           (ru.ru_utime.tv_usec + ru.ru_stime.tv_usec) / 1e3;
+}
+
+/// Runs one stage of the JIT's compile recipe `reps` times on the same
+/// argv builder and spawn compileAndLoad uses.
+StageCost timeStage(CcStage stage, const std::string& src, const std::string& dir, int reps) {
+    const auto argv = compilerArgv(resolvedCompiler(), resolvedFlags(), stage, src, dir + "/out");
+    std::vector<double> wall, cpu;
+    StageCost c;
+    for (int i = 0; i < reps; ++i) {
+        const double cpu0 = childCpuMs();
+        Timer t;
+        int spawnError = 0;
+        const int status = spawnCompiler(argv, dir + "/cc.err", &spawnError);
+        wall.push_back(t.seconds() * 1e3);
+        cpu.push_back(childCpuMs() - cpu0);
+        c.ok = c.ok && status == 0;
+    }
+    c.wallMs = median(wall);
+    c.cpuMs = median(cpu);
+    return c;
+}
+
+/// The cold row of the 3-D diffusion CPU + MPI unit split into starting cc
+/// alone (`cc --version`), cc plus cc1 (`-S`) and the full recipe (cc1,
+/// as, and the lean link).
+void printColdSplit(bool smoke) {
+    Program prog = stencil::buildProgram();
+    Interp in(prog);
+    const auto coeffs = stencil::DiffusionCoeffs::forKappa(0.1f, 0.1f, 1.0f);
+    const Translation tr =
+        translate(prog, stencil::makeMpiRunner(in, 8, 8, 8, coeffs, 7), "run", {Value::ofI32(1)});
+    const std::string dir = makeScratchDir("wj-tab3-split");
+    const std::string src = dir + "/unit.c";
+    std::ofstream(src) << tr.cSource;
+
+    const int reps = smoke ? 3 : 11;
+    std::printf("\ncold compile split, 3-D diffusion CPU + MPI (median of %d runs, %s %s):\n",
+                reps, resolvedCompiler().c_str(), resolvedFlags().c_str());
+    std::printf("%-28s %12s %12s\n", "stage", "wall", "child cpu");
+    const struct {
+        const char* what;
+        CcStage stage;
+    } stages[] = {{"spawn (cc --version)", CcStage::Version},
+                  {"cc + cc1 (-S)", CcStage::Assembly},
+                  {"full recipe (-shared)", CcStage::Module}};
+    bool ok = true;
+    for (const auto& st : stages) {
+        const StageCost c = timeStage(st.stage, src, dir, reps);
+        ok = ok && c.ok;
+        std::printf("%-28s %9.1f ms %9.1f ms\n", st.what, c.wallMs, c.cpuMs);
+        wjbench::jsonRow(std::string("cc split wall: ") + st.what, c.wallMs * 1e6);
+        wjbench::jsonRow(std::string("cc split cpu: ") + st.what, c.cpuMs * 1e6);
+    }
+    std::printf("every stage exited 0 -> %s\n", ok ? "holds" : "VIOLATED");
+    std::error_code ec;
+    std::filesystem::remove_all(dir, ec);
+}
+
+} // namespace
 
 int main(int argc, char** argv) {
-    (void)wjbench::parseArgs(argc, argv);
+    const wjbench::Options opts = wjbench::parseArgs(argc, argv);
 
     // Private, initially-empty cache so cold rows are genuinely cold.
     std::string cacheTmpl = std::filesystem::temp_directory_path() / "wj-tab3-cache.XXXXXX";
@@ -53,6 +143,8 @@ int main(int argc, char** argv) {
                 "overlap)\n",
                 par.units, par.sumSeconds * 1e3, par.wallSeconds * 1e3,
                 par.wallSeconds > 0 ? par.sumSeconds / par.wallSeconds : 0.0);
+
+    printColdSplit(opts.smoke);
 
     std::printf("(absolute times are smaller than the paper's 4-5 s: cc -O2 on this host vs "
                 "icc -O3 -ipo on TSUBAME, and WJ programs are smaller than full Java apps)\n");

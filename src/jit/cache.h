@@ -12,10 +12,11 @@
 //     key = FNV-1a( generated C source
 //                 , resolved compiler (WJ_CC)
 //                 , resolved flags (WJ_CFLAGS)
-//                 , runtime-header version (hash of wjrt.h / rng_hash.h) )
+//                 , toolchain version (hash of wjrt.h / rng_hash.h, with
+//                   the fixed compile recipe folded in; compile.h) )
 //
-// so a source, compiler, flag, or runtime-header change each invalidates
-// the entry naturally; no explicit versioning is needed.
+// so a source, compiler, flag, runtime-header or recipe change each
+// invalidates the entry naturally; no explicit versioning is needed.
 //
 // Two layers:
 //   * an in-process module registry (key -> loaded NativeModule), so
@@ -118,7 +119,7 @@ public:
     // ---- cross-process in-flight dedup --------------------------------
     /// RAII guard for the cross-process compile singleflight. On a cache
     /// miss, compileAndLoad asks for the build lock of the key before
-    /// shelling out to cc: exactly one process per key becomes the leader
+    /// spawning cc: exactly one process per key becomes the leader
     /// (state Acquired, a `<key>.building` lock file holding its pid);
     /// every other process blocks until the leader publishes the artifact
     /// (state Published — the caller re-looks-up and skips its own cc

@@ -4,6 +4,7 @@
 #include <functional>
 #include <cmath>
 #include <cstdlib>
+#include <cstring>
 #include <map>
 #include <set>
 
@@ -23,22 +24,48 @@ namespace {
     throw UsageError("translation error: " + msg);
 }
 
-/// Formats a primitive literal exactly (hex floats keep bit-identity).
+/// A NaN of the given IEEE bits as a C constant expression: GCC's
+/// __builtin_nan[s][f] take the payload below the quiet bit and a leading
+/// minus sets the sign, so every bit survives (0.0/0.0 would not), and the
+/// spelling stays valid in file-scope static initializers.
+std::string nanLiteral(uint64_t bits, int mantBits, const char* suffix) {
+    const uint64_t quietBit = uint64_t{1} << (mantBits - 1);
+    const uint64_t mant = bits & ((uint64_t{1} << mantBits) - 1);
+    const bool negative = (bits >> (mantBits == 52 ? 63 : 31)) & 1;
+    return format("(%s__builtin_nan%s%s(\"0x%llx\"))", negative ? "-" : "",
+                  (mant & quietBit) ? "" : "s", suffix,
+                  static_cast<unsigned long long>(mant & ~quietBit));
+}
+
+std::string f32Literal(float v) {
+    if (std::isnan(v)) {
+        uint32_t bits;
+        std::memcpy(&bits, &v, sizeof bits);
+        return nanLiteral(bits, 23, "f");
+    }
+    if (std::isinf(v)) return v > 0 ? "(1.0f/0.0f)" : "(-1.0f/0.0f)";
+    return format("%af", static_cast<double>(v));
+}
+
+std::string f64Literal(double v) {
+    if (std::isnan(v)) {
+        uint64_t bits;
+        std::memcpy(&bits, &v, sizeof bits);
+        return nanLiteral(bits, 52, "");
+    }
+    if (std::isinf(v)) return v > 0 ? "(1.0/0.0)" : "(-1.0/0.0)";
+    return format("%a", v);
+}
+
+/// Formats a primitive literal exactly (hex floats and NaN payloads keep
+/// bit-identity).
 std::string primLiteral(Prim p, int64_t i, double f) {
     switch (p) {
     case Prim::Bool: return i ? "1" : "0";
     case Prim::I32: return format("%d", static_cast<int32_t>(i));
     case Prim::I64: return format("INT64_C(%lld)", static_cast<long long>(i));
-    case Prim::F32: {
-        const float v = static_cast<float>(f);
-        if (std::isnan(v)) return "(0.0f/0.0f)";
-        if (std::isinf(v)) return v > 0 ? "(1.0f/0.0f)" : "(-1.0f/0.0f)";
-        return format("%af", static_cast<double>(v));
-    }
-    case Prim::F64:
-        if (std::isnan(f)) return "(0.0/0.0)";
-        if (std::isinf(f)) return f > 0 ? "(1.0/0.0)" : "(-1.0/0.0)";
-        return format("%a", f);
+    case Prim::F32: return f32Literal(static_cast<float>(f));
+    case Prim::F64: return f64Literal(f);
     }
     return "0";
 }
@@ -47,8 +74,10 @@ std::string primLiteralOf(const Value& v) {
     if (v.isBool()) return v.asBool() ? "1" : "0";
     if (v.isI32()) return primLiteral(Prim::I32, v.asI32(), 0);
     if (v.isI64()) return primLiteral(Prim::I64, v.asI64(), 0);
-    if (v.isF32()) return primLiteral(Prim::F32, 0, v.asF32());
-    if (v.isF64()) return primLiteral(Prim::F64, 0, v.asF64());
+    // Straight from the float: a detour through double would quieten a
+    // signaling NaN.
+    if (v.isF32()) return f32Literal(v.asF32());
+    if (v.isF64()) return f64Literal(v.asF64());
     xerr("non-primitive literal");
 }
 
@@ -1937,8 +1966,20 @@ Translation CodeGen::run(const Value& receiver, const std::string& method,
 
     std::string src;
     src += "/* Generated by WootinC (WootinJ reproduction). Do not edit. */\n";
-    src += "#include <stdint.h>\n#include <string.h>\n#include <math.h>\n";
+    // Only GCC's own freestanding headers: <string.h> and <math.h> cost cc1
+    // several ms per compile. Codegen emits exactly the libc/libm names
+    // declared here (the recipe's -Werror=implicit-function-declaration
+    // catches a new one); prototypes that match GCC's builtins keep the
+    // builtin semantics, so the object code is the same as with the full
+    // headers. The module links without libc/libm: these symbols resolve
+    // from the host process at dlopen.
+    src += "#include <stddef.h>\n#include <stdint.h>\n";
     src += "#include \"wjrt.h\"\n#include \"rng_hash.h\"\n\n";
+    src += "void* memset(void*, int, size_t);\n";
+    src += "double sqrt(double);\ndouble fabs(double);\ndouble exp(double);\n"
+           "double fmod(double, double);\n";
+    src += "float sqrtf(float);\nfloat fmodf(float, float);\n";
+    src += "#define INFINITY (__builtin_inff())\n\n";
     src += "static inline float wj_prim_f32(int64_t b) { union { uint32_t u; float f; } x; "
            "x.u = (uint32_t)b; return x.f; }\n";
     src += "static inline double wj_prim_f64(int64_t b) { union { uint64_t u; double f; } x; "

@@ -1,13 +1,17 @@
 #include "jit/compile.h"
 
 #include <dlfcn.h>
+#include <fcntl.h>
+#include <spawn.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <cerrno>
 #include <chrono>
 #include <condition_variable>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <deque>
 #include <filesystem>
 #include <fstream>
@@ -27,6 +31,8 @@
 #ifndef WJ_RT_INCLUDE_DIR
 #define WJ_RT_INCLUDE_DIR "."
 #endif
+
+extern char** environ;
 
 namespace wj {
 
@@ -98,14 +104,14 @@ private:
     bool done_ = false;
 };
 
-/// Human-readable decoding of std::system()'s raw wait status.
+/// Human-readable decoding of a raw wait status.
 std::string describeExitStatus(int raw) {
-    if (raw == -1) return "could not launch the shell";
+    if (raw == -1) return "could not launch the compiler";
     if (WIFEXITED(raw)) {
         const int code = WEXITSTATUS(raw);
-        // The shell folds a signal-killed child into exit code 128+N;
-        // surface that so "cc segfaulted" reads differently from "cc
-        // found an error".
+        // A wrapper script folds a signal-killed child into exit code
+        // 128+N; surface that so "cc segfaulted" reads differently from
+        // "cc found an error".
         if (code > 128) {
             return format("exit code %d: compiler killed by signal %d", code, code - 128);
         }
@@ -123,6 +129,42 @@ int envInt(const char* name, int dflt) {
 std::string slurpFile(const std::string& path) {
     std::ifstream in(path);
     return std::string((std::istreambuf_iterator<char>(in)), std::istreambuf_iterator<char>());
+}
+
+/// The whitespace-separated words of `s` ($WJ_CC, $WJ_CFLAGS).
+std::vector<std::string> words(const std::string& s) {
+    std::vector<std::string> out;
+    size_t i = 0;
+    while ((i = s.find_first_not_of(" \t\n", i)) != std::string::npos) {
+        const size_t end = s.find_first_of(" \t\n", i);
+        out.push_back(s.substr(i, end - i));
+        i = end;
+    }
+    return out;
+}
+
+/// `argv` as a command line a shell would run the same way (paths quoted).
+std::string printable(const std::vector<std::string>& argv) {
+    std::string out;
+    for (const auto& a : argv) {
+        if (!out.empty()) out += ' ';
+        if (a.find_first_not_of("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
+                                "0123456789-_=+./,:@%") == std::string::npos) {
+            out += a;
+            continue;
+        }
+        out += '\'';
+        for (char c : a) out += c == '\'' ? std::string("'\\''") : std::string(1, c);
+        out += '\'';
+    }
+    return out;
+}
+
+/// toolchainVersion(compileRecipe()), computed once: neither the recipe nor
+/// the runtime headers change under a running process.
+uint64_t currentToolchainVersion() {
+    static const uint64_t v = toolchainVersion(compileRecipe());
+    return v;
 }
 
 } // namespace
@@ -153,14 +195,89 @@ std::string resolvedFlags() {
     // WJ_SIMD codegen emits (vectorization only — no OpenMP runtime is
     // linked) and is inert for scalar translations. WJ_CFLAGS overrides the
     // optimization flags (used by the compile-cost ablation bench); flags
-    // are part of the cache key. rdynamic host exports provide wjrt_*.
+    // are part of the cache key.
     const char* flags = std::getenv("WJ_CFLAGS");
     return (flags && *flags) ? std::string(flags) : std::string("-O2 -fopenmp-simd");
 }
 
+std::vector<std::string> compilerArgv(const std::string& cc, const std::string& flags,
+                                      CcStage stage, const std::string& src,
+                                      const std::string& out) {
+    std::vector<std::string> argv = words(cc);
+    if (stage == CcStage::Version) {
+        argv.push_back("--version");
+        return argv;
+    }
+    argv.push_back("-std=c11");
+    for (auto& w : words(flags)) argv.push_back(std::move(w));
+    // -ffp-contract=off keeps float results bitwise-equal to the
+    // interpreter. The -Werror turns a libm name codegen emits without a
+    // prelude prototype into a compile error, not an int-returning call.
+    for (const char* a : {"-ffp-contract=off", "-Werror=implicit-function-declaration", "-fPIC"}) {
+        argv.push_back(a);
+    }
+    argv.push_back(stage == CcStage::Module ? "-shared" : "-S");
+    argv.push_back(std::string("-I") + WJ_RT_INCLUDE_DIR);
+    for (const std::string& a : {std::string("-o"), out, src}) argv.push_back(a);
+    if (stage == CcStage::Module) {
+        // No libc, libm or libgcc_s: their symbols resolve from the host
+        // process at dlopen, the way the rdynamic wjrt_* exports do, which
+        // saves most of the link step. libgcc stays for compiler helper
+        // routines.
+        argv.push_back("-nodefaultlibs");
+        argv.push_back("-lgcc");
+    }
+    return argv;
+}
+
+int spawnCompiler(const std::vector<std::string>& argv, const std::string& errPath,
+                  int* spawnError) {
+    *spawnError = 0;
+    std::vector<char*> cargv;
+    for (const auto& a : argv) cargv.push_back(const_cast<char*>(a.c_str()));
+    cargv.push_back(nullptr);
+    posix_spawn_file_actions_t actions;
+    posix_spawn_file_actions_init(&actions);
+    posix_spawn_file_actions_addopen(&actions, STDERR_FILENO, errPath.c_str(),
+                                     O_WRONLY | O_CREAT | O_TRUNC, 0644);
+    posix_spawn_file_actions_adddup2(&actions, STDERR_FILENO, STDOUT_FILENO);
+    pid_t pid = 0;
+    const int err = cargv[0] ? posix_spawnp(&pid, cargv[0], &actions, nullptr, cargv.data(),
+                                            environ)
+                             : ENOENT;
+    posix_spawn_file_actions_destroy(&actions);
+    if (err != 0) {
+        *spawnError = err;
+        return -1;
+    }
+    int status = 0;
+    while (waitpid(pid, &status, 0) < 0) {
+        if (errno != EINTR) {
+            *spawnError = errno;
+            return -1;
+        }
+    }
+    return status;
+}
+
+std::string compileRecipe() {
+    auto argv = compilerArgv("<cc>", "<flags>", CcStage::Module, "<src>", "<out>");
+    // The runtime headers enter the key by content, not by the path this
+    // build found them at, so a bundle stays valid across checkouts.
+    for (auto& a : argv) {
+        if (a == std::string("-I") + WJ_RT_INCLUDE_DIR) a = "-I<rt>";
+    }
+    return printable(argv);
+}
+
+uint64_t toolchainVersion(const std::string& recipe) {
+    return fnv1a64(recipe.data(), recipe.size(),
+                   JitCache::runtimeHeadersVersion(WJ_RT_INCLUDE_DIR));
+}
+
 uint64_t cacheKeyFor(const std::string& cSource) {
     return JitCache::keyOf(cSource, resolvedCompiler(), resolvedFlags(),
-                           JitCache::runtimeHeadersVersion(WJ_RT_INCLUDE_DIR));
+                           currentToolchainVersion());
 }
 
 CompileResult compileAndLoad(const std::string& cSource, const std::string& tag) {
@@ -173,8 +290,7 @@ CompileResult compileAndLoad(const std::string& cSource, const std::string& tag,
     const std::string flags = resolvedFlags();
 
     JitCache& cache = JitCache::instance();
-    const uint64_t key = JitCache::keyOf(sourceHash, cc, flags,
-                                         JitCache::runtimeHeadersVersion(WJ_RT_INCLUDE_DIR));
+    const uint64_t key = JitCache::keyOf(sourceHash, cc, flags, currentToolchainVersion());
 
     static auto& memHits = trace::Metrics::instance().counter("jit.cache.hits.memory");
     static auto& diskHits = trace::Metrics::instance().counter("jit.cache.hits.disk");
@@ -279,17 +395,17 @@ CompileResult compileAndLoad(const std::string& cSource, const std::string& tag,
         out << cSource;
     }
 
-    mod->command_ =
-        format("%s -std=c11 %s -ffp-contract=off -fPIC -shared -I'%s' -o '%s' '%s' -lm 2> '%s'",
-               cc.c_str(), flags.c_str(), WJ_RT_INCLUDE_DIR, soPath.c_str(),
-               mod->srcPath_.c_str(), errPath.c_str());
+    const std::vector<std::string> argv =
+        compilerArgv(cc, flags, CcStage::Module, mod->srcPath_, soPath);
+    mod->command_ = printable(argv) + " 2> " + printable({errPath});
 
-    // Transient failures — the compiler being OOM-killed, the shell failing
-    // to launch, or an injected WJ_FAULT failcompile — are retried with
-    // exponential backoff, like any robust build farm client. Deterministic
-    // compile errors (nonzero exit with diagnostics) are not retried, and a
-    // missing compiler (shell exit 127) escalates to CompilerUnavailableError
-    // so jit() can fall back to the interpreter.
+    // Transient failures — the compiler being OOM-killed, the spawn failing
+    // for lack of resources, or an injected WJ_FAULT failcompile — are
+    // retried with exponential backoff, like any robust build farm client.
+    // Deterministic compile errors (nonzero exit with diagnostics) are not
+    // retried, and a missing compiler (no executable to spawn, or a wrapper
+    // script's exit 127) escalates to CompilerUnavailableError so jit() can
+    // fall back to the interpreter.
     const int extraRetries = std::max(0, envInt("WJ_JIT_RETRIES", 2));
     int backoffMs = std::max(1, envInt("WJ_JIT_BACKOFF_MS", 10));
     int attempts = 0;
@@ -298,20 +414,24 @@ CompileResult compileAndLoad(const std::string& cSource, const std::string& tag,
         const bool injected = fault::FaultPlan::active() &&
                               fault::FaultPlan::instance().failThisCompile();
         int raw = 0;
+        int spawnError = 0;
         bool ok = false;
         if (!injected) {
             trace::Span ccSpan("jit", "cc", "attempt", attempts);
             Timer t;
-            raw = std::system(mod->command_.c_str());
+            raw = spawnCompiler(argv, errPath, &spawnError);
             mod->compileSeconds_ += t.seconds();
             static auto& ccMs = trace::Metrics::instance().histogram("jit.cc.millis");
             ccMs.observe(static_cast<int64_t>(t.seconds() * 1e3));
-            // std::system returns a raw wait(2) status, not an exit code:
-            // decode it so "cc segfaulted" and "cc exited 1" read
-            // differently.
+            // A raw wait(2) status, not an exit code: decode it so "cc
+            // segfaulted" and "cc exited 1" read differently.
             ok = raw != -1 && WIFEXITED(raw) && WEXITSTATUS(raw) == 0;
         }
         if (ok) break;
+        if (spawnError == ENOENT || spawnError == EACCES) {
+            throw CompilerUnavailableError("external C compiler '" + cc + "' is unavailable (" +
+                                           std::strerror(spawnError) + ")");
+        }
         if (!injected && raw != -1 && WIFEXITED(raw) && WEXITSTATUS(raw) == 127) {
             throw CompilerUnavailableError("external C compiler '" + cc +
                                            "' is unavailable (" + describeExitStatus(raw) +
@@ -327,9 +447,10 @@ CompileResult compileAndLoad(const std::string& cSource, const std::string& tag,
             backoffMs *= 2;
             continue;
         }
-        const std::string status =
-            injected ? std::string("injected transient failure (WJ_FAULT failcompile)")
-                     : describeExitStatus(raw);
+        std::string status = injected
+                                 ? std::string("injected transient failure (WJ_FAULT failcompile)")
+                                 : describeExitStatus(raw);
+        if (spawnError) status += std::string(": ") + std::strerror(spawnError);
         throw UsageError(format("external C compiler failed after %d attempt%s (%s, see %s):\n",
                                 attempts, attempts == 1 ? "" : "s", status.c_str(),
                                 mod->srcPath_.c_str()) +

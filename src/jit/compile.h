@@ -6,16 +6,18 @@
 // dlopen(). Compilation wall time is reported separately because it is the
 // dominant part of the paper's Table 3 — which is exactly why the result is
 // cached: compileAndLoad() first consults the persistent compile cache
-// (see cache.h) and only shells out to the compiler on a miss. An async
-// variant compiles several translation units in parallel on a small
-// thread pool (the compile pipeline is I/O + external-process bound, so
-// parallel cold compiles of independent TUs scale almost linearly).
+// (see cache.h) and only spawns the compiler (posix_spawnp, no shell) on a
+// miss. An async variant compiles several translation units in parallel on
+// a small thread pool (the compile pipeline is I/O + external-process
+// bound, so parallel cold compiles of independent TUs scale almost
+// linearly).
 #pragma once
 
 #include <cstdint>
 #include <future>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "support/diagnostics.h"
 
@@ -23,9 +25,10 @@ namespace wj {
 
 struct CompileResult;
 
-/// The external C compiler cannot run at all (the shell reports "command
-/// not found"). Distinct from a compile *error* so jit() can degrade to the
-/// interpreter instead of failing — transient failures are retried first.
+/// The external C compiler cannot run at all (posix_spawnp finds no
+/// executable, or a wrapper script exits 127). Distinct from a compile
+/// *error* so jit() can degrade to the interpreter instead of failing —
+/// transient failures are retried first.
 class CompilerUnavailableError : public UsageError {
 public:
     explicit CompilerUnavailableError(const std::string& what) : UsageError(what) {}
@@ -101,7 +104,7 @@ CompileResult compileAndLoad(const std::string& cSource, const std::string& tag)
 
 /// compileAndLoad() for a source whose fnv1a64 the caller already holds
 /// (Translation::sourceHash): the cache key then folds in only the
-/// compiler, flags and runtime-header version, and equals cacheKeyFor().
+/// compiler, flags and toolchain version, and equals cacheKeyFor().
 CompileResult compileAndLoad(const std::string& cSource, const std::string& tag,
                              uint64_t sourceHash);
 
@@ -112,11 +115,46 @@ CompileResult compileAndLoad(const std::string& cSource, const std::string& tag,
 std::future<CompileResult> compileAndLoadAsync(const std::string& cSource,
                                                const std::string& tag, uint64_t sourceHash);
 
-/// The external compiler compileAndLoad will shell out to: $WJ_CC or "cc".
+/// The external compiler compileAndLoad will spawn: $WJ_CC or "cc". It may
+/// carry arguments ("cc -m64"); no shell reads it, so words split on
+/// whitespace and quotes are not interpreted.
 std::string resolvedCompiler();
 
-/// The flags compileAndLoad will pass: $WJ_CFLAGS or the -O2 default.
+/// The flags compileAndLoad will pass: $WJ_CFLAGS or the -O2 default,
+/// split on whitespace like $WJ_CC.
 std::string resolvedFlags();
+
+/// How far one compiler run goes. Module is the JIT's recipe; bench_tab3
+/// times all three to split a cold compile into spawn, cc1 and the rest.
+enum class CcStage {
+    Module,    ///< `src` to the loadable shared object `out`
+    Assembly,  ///< `src` to assembly `out` (-S): cc plus cc1
+    Version,   ///< `--version`: starting cc alone (src/out unused)
+};
+
+/// The argv of one compiler run: the words of `cc`, then -std=c11, the
+/// words of `flags`, then the fixed recipe. A Module links with
+/// -nodefaultlibs -lgcc: libc/libm names resolve from the host process at
+/// dlopen, like the wjrt_* exports.
+std::vector<std::string> compilerArgv(const std::string& cc, const std::string& flags,
+                                      CcStage stage, const std::string& src,
+                                      const std::string& out);
+
+/// Runs argv[0] (looked up on PATH, no shell) with stdout and stderr
+/// redirected to `errPath` and waits for it. Returns the raw wait status,
+/// or -1 when the process could not be started, with the posix_spawnp
+/// error (ENOENT or EACCES: no such compiler) in *spawnError.
+int spawnCompiler(const std::vector<std::string>& argv, const std::string& errPath,
+                  int* spawnError);
+
+/// The Module recipe as text, with placeholders for the compiler, flags and
+/// paths. It is part of every cache key (toolchainVersion), so a module or
+/// bundle built by another recipe is never served.
+std::string compileRecipe();
+
+/// The toolchain part of the cache key: the runtime-header version
+/// (JitCache::runtimeHeadersVersion) with `recipe` folded in.
+uint64_t toolchainVersion(const std::string& recipe);
 
 /// The content-address compileAndLoad uses for `cSource` under the current
 /// environment — the key wjd's in-flight dedup joins on and `wjc build`

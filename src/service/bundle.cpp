@@ -83,7 +83,7 @@ bool loadOne(const fs::path& dir, bool quiet) {
     if (!slurp(dir / source, cSource)) return skip("missing generated source");
     // The recorded key is only meaningful for the toolchain that produced
     // it. Recomputing the content address for the bundled source under the
-    // CURRENT WJ_CC/WJ_CFLAGS/runtime headers catches every kind of drift
+    // CURRENT WJ_CC/WJ_CFLAGS/runtime headers/recipe catches every kind of drift
     // at once: a mismatch means this .so is not what the daemon would
     // build, and publishing it would serve wrong code as a "cache hit".
     if (cacheKeyFor(cSource) != key) {

@@ -13,15 +13,15 @@
 //     module.c        the generated C translation unit
 //     module.so       the compiled artifact
 //     manifest.json   { "key": "16-hex", "cc": ..., "cflags": ...,
-//                       "rt_version": "16-hex", "entry_symbol": ...,
+//                       "entry_symbol": ...,
 //                       "tag": ..., "artifact": "module.so",
 //                       "source": "module.c", "so_bytes": N }
 //
 // The key is only valid for the toolchain it was built with: loadBundleDir
-// recomputes the current WJ_CC/WJ_CFLAGS/runtime-header environment and
-// skips (with a note) any bundle whose recorded cc/cflags/rt_version
-// disagree — publishing it would poison the cache with a .so that does not
-// match what the daemon would compile.
+// recomputes the key of module.c under the current WJ_CC/WJ_CFLAGS,
+// runtime headers and compile recipe, and skips (with a note) any bundle
+// whose recorded key disagrees — publishing it would poison the cache with
+// a .so that does not match what the daemon would compile.
 #pragma once
 
 #include <cstdint>

@@ -9,14 +9,17 @@
 // and against developer caches.
 #include <gtest/gtest.h>
 
+#include <elf.h>
 #include <sys/stat.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
 #include <cstdlib>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <chrono>
+#include <set>
 #include <future>
 #include <thread>
 
@@ -25,6 +28,7 @@
 #include "jit/cache.h"
 #include "jit/compile.h"
 #include "jit/jit.h"
+#include "scoped_env.h"
 #include "support/diagnostics.h"
 
 namespace fs = std::filesystem;
@@ -258,7 +262,8 @@ TEST_F(JitCacheTest, ParallelAsyncCompilesOfDistinctUnits) {
 
 TEST_F(JitCacheTest, CompilerExitCodeIsDecoded) {
     // Invalid C source: the compiler exits non-zero; the error must carry
-    // a decoded exit code, not a raw wait status.
+    // a decoded exit code, not a raw wait status, and the compiler's own
+    // diagnostic (its stderr, redirected to cc.err) must reach the message.
     try {
         compileAndLoad("this is not C at all !!!", "broken");
         FAIL() << "expected the compile to fail";
@@ -266,6 +271,8 @@ TEST_F(JitCacheTest, CompilerExitCodeIsDecoded) {
         const std::string msg = e.what();
         EXPECT_NE(msg.find("exit code"), std::string::npos) << msg;
         EXPECT_EQ(msg.find("signal"), std::string::npos) << msg;
+        EXPECT_NE(msg.find("broken.c:1:"), std::string::npos) << msg;
+        EXPECT_NE(msg.find("error:"), std::string::npos) << msg;
     }
 }
 
@@ -286,6 +293,122 @@ TEST_F(JitCacheTest, CompilerSignalDeathIsReported) {
         EXPECT_NE(std::string(e.what()).find("signal"), std::string::npos) << e.what();
     }
     EXPECT_EQ(0u, entryCount());
+}
+
+// ---- the spawn path and the lean link ---------------------------------
+
+TEST_F(JitCacheTest, CompilerWithArgumentsIsSplitOnWhitespace) {
+    // No shell reads WJ_CC: "cc -m64" must still run cc with -m64 as its
+    // own argument, and the words show up in the printable command.
+    setenv("WJ_CC", "cc   -m64", 1);
+    auto res = compileAndLoad("int wj_probe(void) { return 64; }\n", "cc_with_args");
+    EXPECT_FALSE(res.cacheHit);
+    using Fn = int (*)(void);
+    EXPECT_EQ(64, reinterpret_cast<Fn>(res.module->symbol("wj_probe"))());
+    EXPECT_EQ(res.module->compileCommand().rfind("cc -m64 -std=c11 ", 0), 0u)
+        << res.module->compileCommand();
+}
+
+TEST_F(JitCacheTest, RecipeIsPartOfTheKey) {
+    // The fixed recipe (argv template and link mode) is hashed into every
+    // key: a module or bundle built by another recipe is never served.
+    const std::string src = "int wj_probe(void) { return 2; }\n";
+    const std::string recipe = compileRecipe();
+    EXPECT_EQ(cacheKeyFor(src),
+              JitCache::keyOf(src, resolvedCompiler(), resolvedFlags(), toolchainVersion(recipe)));
+    const size_t link = recipe.find(" -nodefaultlibs -lgcc");
+    ASSERT_NE(link, std::string::npos) << recipe;
+    const std::string withLibm = recipe.substr(0, link) + " -lm";
+    EXPECT_NE(toolchainVersion(recipe), toolchainVersion(withLibm));
+    EXPECT_NE(cacheKeyFor(src), JitCache::keyOf(src, resolvedCompiler(), resolvedFlags(),
+                                                toolchainVersion(withLibm)));
+}
+
+namespace {
+
+/// What an ELF64 shared object asks of the dynamic linker: its DT_NEEDED
+/// libraries and its undefined dynamic symbols.
+struct DynamicDeps {
+    std::vector<std::string> needed;
+    std::set<std::string> undefined;
+};
+
+DynamicDeps dynamicDeps(const std::string& path) {
+    std::ifstream in(path, std::ios::binary);
+    const std::string img((std::istreambuf_iterator<char>(in)), std::istreambuf_iterator<char>());
+    DynamicDeps out;
+    if (img.size() < sizeof(Elf64_Ehdr)) return out;
+    const auto* eh = reinterpret_cast<const Elf64_Ehdr*>(img.data());
+    const auto* sh = reinterpret_cast<const Elf64_Shdr*>(img.data() + eh->e_shoff);
+    for (int i = 0; i < eh->e_shnum; ++i) {
+        const char* strtab = img.data() + sh[sh[i].sh_link].sh_offset;
+        if (sh[i].sh_type == SHT_DYNAMIC) {
+            const auto* dyn = reinterpret_cast<const Elf64_Dyn*>(img.data() + sh[i].sh_offset);
+            for (size_t k = 0; k < sh[i].sh_size / sizeof(Elf64_Dyn); ++k) {
+                if (dyn[k].d_tag == DT_NEEDED) out.needed.emplace_back(strtab + dyn[k].d_un.d_val);
+            }
+        } else if (sh[i].sh_type == SHT_DYNSYM) {
+            const auto* sym = reinterpret_cast<const Elf64_Sym*>(img.data() + sh[i].sh_offset);
+            for (size_t k = 1; k < sh[i].sh_size / sizeof(Elf64_Sym); ++k) {
+                if (sym[k].st_shndx == SHN_UNDEF) out.undefined.insert(strtab + sym[k].st_name);
+            }
+        }
+    }
+    return out;
+}
+
+/// double run(int n): a float min reduction over sqrt/exp terms (its chunk
+/// partials start at INFINITY), plus fabs and sqrtf — libm names a lean
+/// module resolves from the host process.
+Program mathProgram() {
+    ProgramBuilder pb;
+    auto& c = pb.cls("MathUnit").finalClass();
+    auto term = [] {
+        return cast(Type::f32(),
+                    sub(intr(Intrinsic::MathSqrtF64, add(cast(Type::f64(), lv("i")), cd(0.5))),
+                        intr(Intrinsic::MathExpF64, mul(cast(Type::f64(), lv("i")), cd(0.03)))));
+    };
+    c.method("run", Type::f64())
+        .param("n", Type::i32())
+        .body(blk(decl("m", Type::f32(), cf(1e30f)),
+                  forRange("i", ci(0), lv("n"),
+                           blk(ifs(lt(term(), lv("m")), blk(assign("m", term()))))),
+                  ret(add(intr(Intrinsic::MathFabsF64, cast(Type::f64(), lv("m"))),
+                          cast(Type::f64(), intr(Intrinsic::MathSqrtF32, cast(Type::f32(),
+                                                                              lv("n"))))))));
+    return pb.build();
+}
+
+} // namespace
+
+TEST_F(JitCacheTest, LeanLinkedMathUnitMatchesTheInterpreter) {
+    test::ScopedEnv par("WJ_PARALLEL", "1");
+    test::ScopedEnv threads("WJ_THREADS", "2");
+    Program p = mathProgram();
+    Interp in(p);
+    Value unit = in.instantiate("MathUnit", {});
+    JitCode code = WootinJ::jit(p, unit, "run", {Value::ofI32(200)});
+    ASSERT_EQ(ExecMode::Native, code.execMode());
+    EXPECT_EQ(1, code.reduceLoops());
+    EXPECT_NE(code.generatedC().find("= INFINITY;"), std::string::npos);
+    EXPECT_NE(code.compileCommand().find(" -nodefaultlibs -lgcc"), std::string::npos)
+        << code.compileCommand();
+    EXPECT_EQ(code.compileCommand().find("-lm"), std::string::npos) << code.compileCommand();
+    ASSERT_EQ(1u, entryCount());
+    // No libc/libm/libgcc_s dependency: exp is left for the host to
+    // provide at dlopen.
+    for (const auto& de : fs::directory_iterator(dir_)) {
+        if (de.path().extension() != ".so") continue;
+        const DynamicDeps deps = dynamicDeps(de.path().string());
+        EXPECT_TRUE(deps.needed.empty()) << de.path() << " needs " << deps.needed.front();
+        EXPECT_EQ(1u, deps.undefined.count("exp")) << de.path();
+    }
+    for (int n : {200, 7, 0}) {
+        const double want = in.call(unit, "run", {Value::ofI32(n)}).asF64();
+        const double got = code.invokeWith({Value::ofI32(n)}).asF64();
+        EXPECT_EQ(0, std::memcmp(&want, &got, sizeof want)) << "n=" << n << ": " << want
+                                                             << " vs " << got;
+    }
 }
 
 TEST_F(JitCacheTest, HonorsTmpdirForScratch) {

@@ -9,7 +9,6 @@
 // the compiler flags) must hit, and still pick the right module.
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <cstring>
 #include <functional>
 #include <list>
@@ -130,17 +129,32 @@ ObjRef baseCfg(const Program& p) {
     return o;
 }
 
-/// Bitwise equality, except that any two NaNs agree: the generated C spells
-/// every NaN field as 0.0f/0.0f, whose sign the interpreter does not share.
-bool sameResult(double a, double b) {
-    if (std::isnan(a) && std::isnan(b)) return true;
-    return std::memcmp(&a, &b, sizeof a) == 0;
-}
+/// Bitwise equality, NaN payload and sign included: the generated C spells
+/// every NaN literal by its exact bits.
+bool sameResult(double a, double b) { return std::memcmp(&a, &b, sizeof a) == 0; }
 
 float f32OfBits(uint32_t bits) {
     float f;
     std::memcpy(&f, &bits, sizeof f);
     return f;
+}
+
+double f64OfBits(uint64_t bits) {
+    double d;
+    std::memcpy(&d, &bits, sizeof d);
+    return d;
+}
+
+uint32_t bitsOf(float f) {
+    uint32_t u;
+    std::memcpy(&u, &f, sizeof u);
+    return u;
+}
+
+uint64_t bitsOf(double d) {
+    uint64_t u;
+    std::memcpy(&u, &d, sizeof u);
+    return u;
 }
 
 /// One side of a soundness pair: a receiver edit, the argument, and the
@@ -295,6 +309,51 @@ TEST(TranslationMemo, CflagsChangePicksAnotherModule) {
     EXPECT_NE(other.compileCommand().find("-O1 -fopenmp-simd"), std::string::npos);
     Interp in(p);
     EXPECT_EQ(in.call(recv, "run", {Value::ofI32(1)}).asF64(), other.invoke().asF64());
+}
+
+TEST(NanLiterals, KeepTheirBitsInFieldsStaticsAndConstants) {
+    // NaNs reach the generated C three ways: a field of the receiver baked
+    // into the entry, a file-scope static const, and a literal in a method
+    // body. Each must reproduce the interpreter's bits, payload and sign.
+    const float qnan1 = f32OfBits(0x7fc00001u);      // quiet, payload 1
+    const float snan = f32OfBits(0xff800005u);       // negative, signaling
+    const double negNan = f64OfBits(0xfff8000000000abcull);
+    const double snan64 = f64OfBits(0x7ff0000000000003ull);
+    ProgramBuilder pb;
+    auto& c = pb.cls("Nans").finalClass();
+    c.field("f", Type::f32());
+    c.field("g", Type::f32());
+    c.field("d", Type::f64());
+    c.staticConst("S", Type::f64(), 0, negNan);
+    c.staticConst("T", Type::f64(), 0, snan64);
+    c.method("f", Type::f32()).body(blk(ret(selff("f"))));
+    c.method("g", Type::f32()).body(blk(ret(selff("g"))));
+    c.method("d", Type::f64()).body(blk(ret(selff("d"))));
+    c.method("s", Type::f64()).body(blk(ret(sget("Nans", "S"))));
+    c.method("t", Type::f64()).body(blk(ret(sget("Nans", "T"))));
+    c.method("k", Type::f64()).body(blk(ret(cd(negNan))));
+    c.method("kf", Type::f32()).body(blk(ret(cf(qnan1))));
+    Program p = pb.build();
+    ObjRef o = object(p, "Nans");
+    o->fields["f"] = Value::ofF32(qnan1);
+    o->fields["g"] = Value::ofF32(snan);
+    o->fields["d"] = Value::ofF64(negNan);
+    const Value recv = Value::ofObj(o);
+
+    Switches sw;
+    Interp in(p);
+    for (const char* m : {"f", "g", "kf"}) {
+        const float want = in.call(recv, m, {}).asF32();
+        const float got = WootinJ::jit(p, recv, m, {}).invoke().asF32();
+        EXPECT_EQ(bitsOf(want), bitsOf(got)) << m;
+    }
+    EXPECT_EQ(0x7fc00001u, bitsOf(in.call(recv, "f", {}).asF32()));
+    for (const char* m : {"d", "s", "t", "k"}) {
+        const double want = in.call(recv, m, {}).asF64();
+        const double got = WootinJ::jit(p, recv, m, {}).invoke().asF64();
+        EXPECT_EQ(bitsOf(want), bitsOf(got)) << m;
+    }
+    EXPECT_EQ(0xfff8000000000abcull, bitsOf(in.call(recv, "d", {}).asF64()));
 }
 
 TEST(TranslationMemo, SourceHashKeyEqualsTheFullKey) {

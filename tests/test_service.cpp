@@ -29,11 +29,15 @@
 
 #include "fault/fault.h"
 #include "jit/cache.h"
+#include "jit/codegen.h"
+#include "jit/compile.h"
+#include "service/bundle.h"
 #include "service/client.h"
 #include "service/daemon.h"
 #include "service/protocol.h"
 #include "support/diagnostics.h"
 #include "support/scratch.h"
+#include "support/strings.h"
 #include "trace/metrics.h"
 
 namespace fs = std::filesystem;
@@ -154,6 +158,43 @@ TEST_F(ServiceTest, PingStatsAndColdWarmCompile) {
     ASSERT_TRUE(st.ok);
     EXPECT_GE(counterIn(st.statsJson, "wjd.requests.total"), 4);
     EXPECT_GE(counterIn(st.statsJson, "wjd.compile.ok"), 2);
+}
+
+TEST_F(ServiceTest, BundleBuiltByAnotherRecipeIsSkipped) {
+    // A bundle records the key its module was built under. Once the fixed
+    // compile recipe changes (here: the old -lm link instead of the lean
+    // -nodefaultlibs -lgcc), the recorded key no longer matches and the
+    // bundle must be skipped, not served as a hit.
+    Translation tr;
+    tr.cSource = "int wj_bundle_probe(void) { return " + std::to_string(nonceBase() + 7) + "; }\n";
+    tr.entrySymbol = "wj_bundle_probe";
+    const std::string dir = scratch_ + "/bundle";
+    const BundleInfo info = writeBundle(dir, tr, "recipe_probe");
+    EXPECT_EQ(cacheKeyFor(tr.cSource), info.key);
+
+    JitCache::instance().clearDisk();
+    EXPECT_EQ(1, loadBundleDir(dir, /*quiet=*/true));
+
+    const std::string recipe = compileRecipe();
+    const size_t link = recipe.find(" -nodefaultlibs -lgcc");
+    ASSERT_NE(link, std::string::npos) << recipe;
+    const uint64_t oldKey = JitCache::keyOf(tr.cSource, resolvedCompiler(), resolvedFlags(),
+                                            toolchainVersion(recipe.substr(0, link) + " -lm"));
+    std::string manifest;
+    {
+        std::ifstream in(info.manifestPath);
+        manifest.assign(std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>());
+    }
+    const std::string keyHex = format("%016llx", static_cast<unsigned long long>(info.key));
+    const size_t at = manifest.find(keyHex);
+    ASSERT_NE(at, std::string::npos) << manifest;
+    manifest.replace(at, keyHex.size(),
+                     format("%016llx", static_cast<unsigned long long>(oldKey)));
+    std::ofstream(info.manifestPath, std::ios::trunc) << manifest;
+
+    JitCache::instance().clearDisk();
+    EXPECT_EQ(0, loadBundleDir(dir, /*quiet=*/true));
+    EXPECT_TRUE(JitCache::instance().lookup(oldKey).empty());
 }
 
 TEST_F(ServiceTest, TypedErrorsForBadModules) {
