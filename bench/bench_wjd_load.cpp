@@ -18,7 +18,8 @@
 //                request loop of mixed traffic: warm hits (the same
 //                precompiled module), cold misses (unique modules), and
 //                malformed modules answered with typed errors. Reports
-//                p50/p99 request latency and the cache-hit rate; the
+//                p50/p99 request latency, over all requests and over the
+//                warm hits alone, and the cache-hit rate; the
 //                daemon must answer every request and stay up (verified
 //                by a final ping + clean drain).
 //
@@ -31,6 +32,7 @@
 // Persisted rows (BENCH_wjd_load.json, gated by tools/bench_compare):
 //   closed_loop_p50 / closed_loop_p99   request latency in ns (threads =
 //                                       client count)
+//   closed_loop_hit_p50 / _hit_p99      the same over warm hits only
 //   hit_rate_permille                   compile responses served from cache
 //   reject_permille                     admission rejections in the burst
 #include <unistd.h>
@@ -131,6 +133,7 @@ void joinProof(const std::string& sock, int base) {
 
 struct LoopStats {
     std::vector<int64_t> latenciesNs;
+    std::vector<int64_t> hitLatenciesNs;
     int64_t hits = 0, okCompiles = 0, typedErrors = 0, unexpected = 0;
 };
 
@@ -173,7 +176,10 @@ void closedLoop(const std::string& sock, int clients, int reqsPerClient, int bas
                     r = submit(c, base);
                     if (r.ok) {
                         ++s.okCompiles;
-                        if (r.cacheHit) ++s.hits;
+                        if (r.cacheHit) {
+                            ++s.hits;
+                            s.hitLatenciesNs.push_back(nowNs() - t0);
+                        }
                     } else {
                         ++s.unexpected;
                     }
@@ -189,15 +195,23 @@ void closedLoop(const std::string& sock, int clients, int reqsPerClient, int bas
     for (auto& s : per) {
         all.latenciesNs.insert(all.latenciesNs.end(), s.latenciesNs.begin(),
                                s.latenciesNs.end());
+        all.hitLatenciesNs.insert(all.hitLatenciesNs.end(), s.hitLatenciesNs.begin(),
+                                  s.hitLatenciesNs.end());
         all.hits += s.hits;
         all.okCompiles += s.okCompiles;
         all.typedErrors += s.typedErrors;
         all.unexpected += s.unexpected;
     }
-    std::sort(all.latenciesNs.begin(), all.latenciesNs.end());
+    auto quantile = [](std::vector<int64_t>& v, size_t permille) -> int64_t {
+        if (v.empty()) return 0;
+        std::sort(v.begin(), v.end());
+        return v[std::min(v.size() - 1, v.size() * permille / 1000)];
+    };
     const size_t n = all.latenciesNs.size();
-    const int64_t p50 = all.latenciesNs[n / 2];
-    const int64_t p99 = all.latenciesNs[std::min(n - 1, n * 99 / 100)];
+    const int64_t p50 = quantile(all.latenciesNs, 500);
+    const int64_t p99 = quantile(all.latenciesNs, 990);
+    const int64_t hitP50 = quantile(all.hitLatenciesNs, 500);
+    const int64_t hitP99 = quantile(all.hitLatenciesNs, 990);
     const int64_t hitPermille = all.okCompiles ? all.hits * 1000 / all.okCompiles : 0;
 
     std::printf("  %zu requests: ok %lld, typed errors %lld, unexpected %lld\n", n,
@@ -206,12 +220,16 @@ void closedLoop(const std::string& sock, int clients, int reqsPerClient, int bas
                 static_cast<long long>(all.unexpected));
     std::printf("  p50 %.2f ms  p99 %.2f ms  hit rate %lld permille\n", p50 / 1e6, p99 / 1e6,
                 static_cast<long long>(hitPermille));
+    std::printf("  warm hits: %zu, p50 %.2f ms  p99 %.2f ms\n", all.hitLatenciesNs.size(),
+                hitP50 / 1e6, hitP99 / 1e6);
     expect(all.unexpected == 0, "every request answered as expected");
     expect(all.typedErrors > 0, "fault traffic came back as typed errors");
     expect(all.hits > 0, "warm traffic was served from the cache");
 
     wjbench::jsonRow("closed_loop_p50", static_cast<double>(p50), clients);
     wjbench::jsonRow("closed_loop_p99", static_cast<double>(p99), clients);
+    wjbench::jsonRow("closed_loop_hit_p50", static_cast<double>(hitP50), clients);
+    wjbench::jsonRow("closed_loop_hit_p99", static_cast<double>(hitP99), clients);
     wjbench::jsonRow("hit_rate_permille", static_cast<double>(hitPermille), clients);
 }
 

@@ -1858,6 +1858,7 @@ void CodeGen::emitGraphInit(Emitter& em, const std::string& prefix, const Shape*
         case Shape::Kind::Array:
             if (fv.asArr()) {
                 em.line(member + " = arrs[" + std::to_string(out_.plan.arraySlots++) + "];");
+                out_.plan.receiverLengths.push_back(static_cast<int64_t>(fv.asArr()->data.size()));
             } else {
                 em.line(member + " = 0; /* null at jit time */");
             }

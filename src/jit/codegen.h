@@ -40,6 +40,9 @@ struct EntryPlan {
     /// Number of wj_array* slots: receiver-graph arrays first (in depth-
     /// first field order, nulls skipped), then explicit array arguments.
     int arraySlots = 0;
+    /// Lengths of the receiver-graph arrays, in slot order. The proofs
+    /// read them exactly, so invoke refuses a receiver whose arrays differ.
+    std::vector<int64_t> receiverLengths;
     /// Return type of the entry method (void or primitive).
     Type ret = Type::voidTy();
 };

@@ -280,6 +280,12 @@ uint64_t cacheKeyFor(const std::string& cSource) {
                            currentToolchainVersion());
 }
 
+/// The build half of compileAndLoad(), for a `key` loadCompiled() just
+/// missed: the cross-process build lock, cc with retries, publish, dlopen.
+CompileResult buildAndLoad(const std::string& cSource, const std::string& tag, uint64_t key,
+                           const std::string& cc, const std::string& flags,
+                           double lookupSeconds);
+
 CompileResult compileAndLoad(const std::string& cSource, const std::string& tag) {
     return compileAndLoad(cSource, tag, fnv1a64(cSource.data(), cSource.size()));
 }
@@ -288,13 +294,16 @@ CompileResult compileAndLoad(const std::string& cSource, const std::string& tag,
                              uint64_t sourceHash) {
     const std::string cc = resolvedCompiler();
     const std::string flags = resolvedFlags();
-
-    JitCache& cache = JitCache::instance();
     const uint64_t key = JitCache::keyOf(sourceHash, cc, flags, currentToolchainVersion());
+    CompileResult res = loadCompiled(key);
+    if (res.module) return res;
+    return buildAndLoad(cSource, tag, key, cc, flags, res.lookupSeconds);
+}
 
+CompileResult loadCompiled(uint64_t key) {
+    JitCache& cache = JitCache::instance();
     static auto& memHits = trace::Metrics::instance().counter("jit.cache.hits.memory");
     static auto& diskHits = trace::Metrics::instance().counter("jit.cache.hits.disk");
-    static auto& misses = trace::Metrics::instance().counter("jit.cache.misses");
     static auto& corrupt = trace::Metrics::instance().counter("jit.cache.corrupt");
 
     CompileResult res;
@@ -310,16 +319,16 @@ CompileResult compileAndLoad(const std::string& cSource, const std::string& tag,
         return res;
     }
 
-    auto mod = std::shared_ptr<NativeModule>(new NativeModule());
     const std::string cachedSo = cache.lookup(key);
     if (!cachedSo.empty()) {
+        auto mod = std::shared_ptr<NativeModule>(new NativeModule());
         trace::Span dlopenSpan("jit", "dlopen");
         mod->handle_ = dlopen(cachedSo.c_str(), RTLD_NOW | RTLD_LOCAL);
         if (mod->handle_) {
             diskHits.inc();
             lookupSpan.arg(0, "hit", 1);
-            mod->command_ = format("(cached) %s %s [key %016llx]", cc.c_str(), flags.c_str(),
-                                   static_cast<unsigned long long>(key));
+            mod->command_ = format("(cached) %s %s [key %016llx]", resolvedCompiler().c_str(),
+                                   resolvedFlags().c_str(), static_cast<unsigned long long>(key));
             mod->loadedPath_ = cachedSo;
             cache.registerLoaded(key, mod);
             res.module = std::move(mod);
@@ -336,7 +345,20 @@ CompileResult compileAndLoad(const std::string& cSource, const std::string& tag,
     }
     res.lookupSeconds = lookupT.seconds();
     lookupSpan.arg(0, "hit", 0);
-    lookupSpan.end();
+    return res;
+}
+
+CompileResult buildAndLoad(const std::string& cSource, const std::string& tag, uint64_t key,
+                           const std::string& cc, const std::string& flags,
+                           double lookupSeconds) {
+    JitCache& cache = JitCache::instance();
+    static auto& diskHits = trace::Metrics::instance().counter("jit.cache.hits.disk");
+    static auto& misses = trace::Metrics::instance().counter("jit.cache.misses");
+    static auto& corrupt = trace::Metrics::instance().counter("jit.cache.corrupt");
+
+    CompileResult res;
+    res.lookupSeconds = lookupSeconds;
+    auto mod = std::shared_ptr<NativeModule>(new NativeModule());
 
     // Cross-process in-flight dedup: exactly one process per key runs cc;
     // everyone else blocks on the leader's lock file and adopts the

@@ -66,8 +66,11 @@ public:
     const std::string& loadedPath() const noexcept { return loadedPath_; }
 
 private:
-    friend struct CompileResult;
-    friend CompileResult compileAndLoad(const std::string&, const std::string&, uint64_t);
+    // The two halves of compileAndLoad() build modules.
+    friend CompileResult loadCompiled(uint64_t key);
+    friend CompileResult buildAndLoad(const std::string& cSource, const std::string& tag,
+                                      uint64_t key, const std::string& cc,
+                                      const std::string& flags, double lookupSeconds);
     NativeModule() = default;
 
     void* handle_ = nullptr;
@@ -89,8 +92,9 @@ struct CompileResult {
     int attempts = 0;          ///< compiler invocations (> 1 means retries)
 };
 
-/// Returns the module for `cSource`: from the in-process registry, the
-/// on-disk compile cache, or — on a cold miss — by writing the source to a
+/// Returns the module for `cSource`: from the in-process registry or the
+/// on-disk compile cache (its lookup half, loadCompiled()), or — on a
+/// cold miss, its build half — by writing the source to a
 /// fresh temp directory (honoring $TMPDIR), compiling it as C11, dlopening
 /// the result, and publishing the .so to the cache. `tag` becomes part of
 /// the file name for easier debugging. Transient compiler failures (signal
@@ -107,6 +111,14 @@ CompileResult compileAndLoad(const std::string& cSource, const std::string& tag)
 /// compiler, flags and toolchain version, and equals cacheKeyFor().
 CompileResult compileAndLoad(const std::string& cSource, const std::string& tag,
                              uint64_t sourceHash);
+
+/// The lookup half of compileAndLoad() for a cache key (cacheKeyFor): the
+/// in-process module registry, then the on-disk cache and dlopen. A hit
+/// is counted and returned with cacheHit set; a miss returns no module
+/// and counts nothing, because the build half that follows counts it.
+/// wjd's lookup lane answers hits with this alone and leaves misses to
+/// compileAndLoad() on its cc lane.
+CompileResult loadCompiled(uint64_t key);
 
 /// Queues compileAndLoad(cSource, tag, sourceHash) on the shared compile
 /// thread pool. Independent translation units compile in parallel

@@ -1,5 +1,7 @@
 #include "jit/jit.h"
 
+#include <sys/resource.h>
+
 #include <cstdlib>
 #include <cstring>
 #include <optional>
@@ -13,6 +15,7 @@
 #include "runtime/context.h"
 #include "runtime/wjrt.h"
 #include "support/diagnostics.h"
+#include "support/strings.h"
 #include "support/timer.h"
 #include "trace/metrics.h"
 #include "trace/trace.h"
@@ -22,18 +25,29 @@ namespace wj {
 namespace {
 
 /// Depth-first walk over the receiver graph collecting non-null arrays, in
-/// the exact order codegen's emitGraphInit assigned arrs[] indices.
-void collectArrays(const Program& prog, const Value& v, std::vector<ArrRef>& out) {
+/// the exact order codegen's emitGraphInit assigned arrs[] indices. With
+/// `paths`, also the field path of each ("this.grid.cur") for messages.
+void collectArrays(const Program& prog, const Value& v, std::vector<ArrRef>& out,
+                   std::vector<std::string>* paths = nullptr, const std::string& at = "this") {
     const ObjRef& o = v.asObj();
     if (!o) throw UsageError("null object in receiver graph at invoke time");
     for (const Field* f : prog.allFields(o->cls->name)) {
         const Value& fv = o->fields.at(f->name);
         if (f->type.isArray()) {
-            if (fv.asArr()) out.push_back(fv.asArr());
+            if (!fv.asArr()) continue;
+            out.push_back(fv.asArr());
+            if (paths) paths->push_back(at + "." + f->name);
         } else if (f->type.isClass()) {
-            collectArrays(prog, fv, out);
+            collectArrays(prog, fv, out, paths, paths ? at + "." + f->name : at);
         }
     }
+}
+
+/// Minor page faults this thread has taken so far.
+int64_t threadMinorFaults() {
+    rusage ru{};
+    getrusage(RUSAGE_THREAD, &ru);
+    return ru.ru_minflt;
 }
 
 /// Deep copy: interpreter array -> native wj_array (the translated code's
@@ -177,6 +191,27 @@ JitCode::JitCode(const Program& prog, Value receiver, std::string method, std::v
     span.arg(0, "memo", memoHit_ ? 1 : 0);
 }
 
+std::vector<ArrRef> JitCode::receiverArrays() const {
+    std::vector<ArrRef> arrays;
+    collectArrays(*prog_, receiver_, arrays);
+    const std::vector<int64_t>& lengths = translation_->plan.receiverLengths;
+    if (arrays.size() != lengths.size()) return arrays;  // invokeRank reports the layout
+    for (size_t i = 0; i < arrays.size(); ++i) {
+        const auto len = static_cast<int64_t>(arrays[i]->data.size());
+        if (len != lengths[i]) {
+            std::vector<std::string> paths;
+            arrays.clear();
+            collectArrays(*prog_, receiver_, arrays, &paths);
+            throw UsageError(format("invoke: receiver array %s has length %lld, but the code "
+                                    "was specialized to length %lld at jit() time; jit() "
+                                    "again for the new length",
+                                    paths[i].c_str(), static_cast<long long>(len),
+                                    static_cast<long long>(lengths[i])));
+        }
+    }
+    return arrays;
+}
+
 void JitCode::load(CompileResult compiled) {
     compile_ = std::move(compiled);
     mode_ = compile_.cacheHit ? ExecMode::NativeCached : ExecMode::Native;
@@ -253,12 +288,16 @@ Value decodeResult(int kind, int64_t bits) {
     }
 }
 
-/// The value of a bool/int/long `v` when `recorded` has the same kind —
-/// the arguments the prover abstracts exactly.
-std::optional<int64_t> exactIntOf(const Value& recorded, const Value& v) {
+/// What the prover reads exactly of argument `v` when `recorded` has the
+/// same kind: the value of a bool/int/long, the length of an array (-1
+/// for null).
+std::optional<int64_t> exactPartOf(const Value& recorded, const Value& v) {
     if (recorded.isBool() && v.isBool()) return v.asBool() ? 1 : 0;
     if (recorded.isI32() && v.isI32()) return v.asI32();
     if (recorded.isI64() && v.isI64()) return v.asI64();
+    if (recorded.isArr() && v.isArr()) {
+        return v.asArr() ? static_cast<int64_t>(v.asArr()->data.size()) : -1;
+    }
     return std::nullopt;
 }
 
@@ -271,15 +310,15 @@ JitCode::Variant JitCode::resolve(const std::vector<Value>& args) {
     if (&args == &recordedArgs_) return recorded;
     bool differs = false;
     for (size_t i = 0; i < args.size() && !differs; ++i) {
-        const auto v = exactIntOf(recordedArgs_[i], args[i]);
-        differs = v && v != exactIntOf(recordedArgs_[i], recordedArgs_[i]);
+        const auto v = exactPartOf(recordedArgs_[i], args[i]);
+        differs = v && v != exactPartOf(recordedArgs_[i], recordedArgs_[i]);
     }
     if (!differs) return recorded;
 
     std::vector<int64_t> tuple;
     std::vector<Value> keyArgs = recordedArgs_;
     for (size_t i = 0; i < args.size(); ++i) {
-        if (const auto v = exactIntOf(recordedArgs_[i], args[i])) {
+        if (const auto v = exactPartOf(recordedArgs_[i], args[i])) {
             tuple.push_back(*v);
             keyArgs[i] = args[i];
         }
@@ -303,6 +342,7 @@ Value JitCode::invokeWith(const std::vector<Value>& args) {
                      trace::enabled() ? trace::intern("invoke " + method_) : "invoke",
                      "ranks", mpi_ ? ranks_ : 1);
     if (mode_ == ExecMode::Interpreter) return invokeInterpreter(args);
+    const std::vector<ArrRef> recvArrays = receiverArrays();
     const Variant variant = resolve(args);
     if (mpi_ && ranks_ > 1) {
         if (copyBack_) {
@@ -313,7 +353,7 @@ Value JitCode::invokeWith(const std::vector<Value>& args) {
             // One GPU per node (paper Section 4.1): each rank owns a device.
             gpusim::Device dev(comm.rank());
             runtime::RankScope scope(&comm, &dev);
-            Value r = invokeRank(args, variant);
+            Value r = invokeRank(args, variant, recvArrays);
             // Rank 0's result leaves the world through the transport's
             // result slot: lambda captures cannot carry it back across a
             // fork boundary on the process transport, and MPI entries
@@ -333,7 +373,7 @@ Value JitCode::invokeWith(const std::vector<Value>& args) {
     }
     gpusim::Device dev(0);
     runtime::RankScope scope(nullptr, &dev);
-    return invokeRank(args, variant);
+    return invokeRank(args, variant, recvArrays);
 }
 
 Value JitCode::invokeInterpreter(const std::vector<Value>& args) {
@@ -359,11 +399,11 @@ Value JitCode::invokeInterpreter(const std::vector<Value>& args) {
     return interp.call(recvCopy, method_, std::move(argCopies));
 }
 
-Value JitCode::invokeRank(const std::vector<Value>& args, const Variant& v) {
+Value JitCode::invokeRank(const std::vector<Value>& args, const Variant& v,
+                          const std::vector<ArrRef>& recvArrays) {
     const EntryPlan& plan = v.tr->plan;
     // Deep-copy the argument arrays into this rank's private memory space.
-    std::vector<ArrRef> interpArrays;
-    collectArrays(*prog_, receiver_, interpArrays);
+    std::vector<ArrRef> interpArrays = recvArrays;
     for (const Value& a : args) {
         if (a.isArr() && a.asArr()) interpArrays.push_back(a.asArr());
     }
@@ -407,6 +447,10 @@ Value JitCode::invokeRank(const std::vector<Value>& args, const Variant& v) {
         invokes.inc();
     }
     trace::Span entrySpan("jit", "entry");
+    // The entry's minor faults on this thread show memory the allocator
+    // handed back to the kernel since the last invoke and now refaults.
+    const bool traced = trace::enabled();
+    const int64_t minflt0 = traced ? threadMinorFaults() : 0;
     try {
         // The scope reclaims every array the translated code allocates —
         // entries return only primitives, so none of them escape — and is
@@ -417,6 +461,7 @@ Value JitCode::invokeRank(const std::vector<Value>& args, const Variant& v) {
         for (wj_array* a : nativeArrays) wjrt_free_array(a);
         throw;
     }
+    if (traced) entrySpan.arg(0, "minflt", threadMinorFaults() - minflt0);
     entrySpan.end();
 
     if (copyBack_) {

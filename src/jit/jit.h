@@ -58,16 +58,18 @@ public:
     Value invoke();
 
     /// Runs with overriding arguments (same types as recorded). The
-    /// translation was specialized to the recorded bool/int/long values
-    /// (the bounds, parallel and SIMD proofs read them exactly), so when one
-    /// of them differs, the call runs the translation made for the new
-    /// values: through the Program's translation memo (jit/memo.h), and the
-    /// compile cache, which serves byte-identical C without a compile. Each
-    /// distinct tuple of such values is resolved once per JitCode. Float
-    /// and double arguments, which the proofs treat as unknown, and array
-    /// arguments run the recorded translation. Overriding invokes fill that
-    /// per-JitCode table, so do not run them on one JitCode from two
-    /// threads at once.
+    /// translation was specialized to the recorded bool/int/long values and
+    /// array lengths (the bounds, parallel and SIMD proofs read them
+    /// exactly), so when one of them differs, the call runs the translation
+    /// made for the new values: through the Program's translation memo
+    /// (jit/memo.h), and the compile cache, which serves byte-identical C
+    /// without a compile. Each distinct tuple of such values is resolved
+    /// once per JitCode. Float and double arguments, which the proofs treat
+    /// as unknown, and array contents run the recorded translation. The
+    /// proofs read the receiver's array lengths too: a receiver array
+    /// swapped for one of another length since jit() is a UsageError that
+    /// names its field. Overriding invokes fill the per-JitCode table, so
+    /// do not run them on one JitCode from two threads at once.
     Value invokeWith(const std::vector<Value>& args);
 
     /// EXTENSION beyond the paper: copy the receiver-graph and argument
@@ -179,9 +181,14 @@ private:
     void fallBackToInterpreter();
 
     /// The recorded translation, or the Variant for the bool/int/long
-    /// values of `args` when they differ from the recorded ones.
+    /// values and array lengths of `args` when they differ from the
+    /// recorded ones.
     Variant resolve(const std::vector<Value>& args);
-    Value invokeRank(const std::vector<Value>& args, const Variant& v);
+    /// The receiver graph's arrays, in arrs[] order. Throws UsageError
+    /// naming the first one whose length differs from its length at jit().
+    std::vector<ArrRef> receiverArrays() const;
+    Value invokeRank(const std::vector<Value>& args, const Variant& v,
+                     const std::vector<ArrRef>& recvArrays);
     Value invokeInterpreter(const std::vector<Value>& args);
 
     const Program* prog_;
@@ -200,7 +207,8 @@ private:
     CompileResult compile_;  // module is shared via the module registry
     ExecMode mode_ = ExecMode::Native;
     EntryFn entry_ = nullptr;
-    /// Override tuple (the bool/int/long arguments, in order) -> Variant.
+    /// Override tuple (the bool/int/long arguments and array lengths, in
+    /// order) -> Variant.
     std::map<std::vector<int64_t>, Variant> variants_;
 };
 

@@ -120,6 +120,19 @@ struct Job {
     int64_t admittedNs = 0;
 };
 
+/// A request the lookup lane could not answer, handed to the cc lane. The
+/// leader of its key carries the promise every joiner's future reads.
+struct CcJob {
+    Job job;
+    std::string cSource;
+    std::string method;
+    uint64_t sourceHash = 0;
+    uint64_t key = 0;
+    std::unique_ptr<std::promise<Outcome>> lead;  ///< null for a joiner
+    std::shared_future<Outcome> outcome;
+    int64_t handoffNs = 0;
+};
+
 struct Counters {
     trace::Counter& reqTotal;
     trace::Counter& reqCompile;
@@ -136,6 +149,8 @@ struct Counters {
     trace::Counter& inflightNow;
     trace::Histogram& requestMicros;
     trace::Histogram& compileMicros;
+    trace::Histogram& queueWaitMicros;  ///< admission to lookup-lane start
+    trace::Histogram& ccWaitMicros;     ///< handoff to cc-lane start
 
     static Counters& instance() {
         auto& m = trace::Metrics::instance();
@@ -155,6 +170,8 @@ struct Counters {
             m.counter("wjd.inflight.current"),
             m.histogram("wjd.request.micros"),
             m.histogram("wjd.compile.micros"),
+            m.histogram("wjd.queue.wait.micros"),
+            m.histogram("wjd.cc.wait.micros"),
         };
         return c;
     }
@@ -175,11 +192,13 @@ struct Daemon::Impl {
     std::thread acceptThread;
     std::vector<std::thread> pool;
 
-    std::mutex mu;  ///< queue, activeJobs, conns, readers
-    std::condition_variable cv;       ///< workers: work available / exit
+    std::mutex mu;  ///< both queues, inflightKeys, activeJobs, conns, readers
+    std::condition_variable cv;       ///< lookup lane: work available / exit
+    std::condition_variable ccCv;     ///< cc lane: work available / exit
     std::condition_variable drainCv;  ///< wait()/Shutdown: drain progress
-    std::deque<Job> queue;
-    int activeJobs = 0;
+    std::deque<Job> queue;            ///< admitted, awaiting the lookup lane
+    std::deque<CcJob> ccQueue;        ///< handed off, awaiting the cc lane
+    int activeJobs = 0;               ///< requests a lane thread is holding
     int shutdownRepliers = 0;  ///< readers still owing a Shutdown Ok
     bool workersExit = false;
     std::vector<ConnPtr> conns;  ///< open connections (erased on reader exit)
@@ -188,7 +207,6 @@ struct Daemon::Impl {
     std::vector<std::thread> deadReaders;     ///< exited readers awaiting join
 
     /// In-process singleflight: cache key -> the one compile resolving it.
-    std::mutex sfMu;
     std::map<uint64_t, std::shared_future<Outcome>> inflightKeys;
 
     /// Modules whose only on-disk artifact is their scratch .so (cache
@@ -199,28 +217,43 @@ struct Daemon::Impl {
     std::vector<std::shared_ptr<NativeModule>> pinnedModules;
 
     // ---- request pipeline ---------------------------------------------
-    Outcome compileBody(const std::string& rawBody);
-    Outcome runPipeline(const Body& req);
+    bool lookup(const std::string& rawBody, Outcome& out, CcJob& miss);
+    void handOff(CcJob cj);
+    Outcome compile(const CcJob& cj);
+    Outcome served(uint64_t key, const CompileResult& cr);
     std::string artifactPathFor(uint64_t key, const CompileResult& cr);
-    void workerLoop();
+    void finish(const Job& job, const Outcome& out);
+    void lookupLoop();
+    void ccLoop();
     void readerLoop(ConnPtr conn, uint64_t readerId);
     void acceptLoop();
     void reapDeadReaders();
     bool drained() {
-        return queue.empty() && activeJobs == 0;
+        return queue.empty() && ccQueue.empty() && activeJobs == 0;
     }
 };
 
 // ---------------------------------------------------------------- pipeline
 
-Outcome Daemon::Impl::runPipeline(const Body& req) {
-    Outcome out;
+/// The lookup lane's part of one request: decode, parse, rules, translate,
+/// key, then the registry and the on-disk cache. Returns true with `out`
+/// set when the request is answered here (a typed error or a hit); false
+/// with `miss` filled in when it needs the cc lane.
+bool Daemon::Impl::lookup(const std::string& rawBody, Outcome& out, CcJob& miss) {
+    Body req;
+    try {
+        req = decodeBody(rawBody);
+    } catch (const UsageError& e) {
+        out.code = ErrCode::BadRequest;
+        out.message = e.what();
+        return true;
+    }
     const std::string* newExpr = req.find("new");
     const std::string* method = req.find("method");
     if (!newExpr || !method || newExpr->empty() || method->empty()) {
         out.code = ErrCode::BadRequest;
         out.message = "compile request requires new= and method= kv entries";
-        return out;
+        return true;
     }
 
     Translation tr;
@@ -248,77 +281,104 @@ Outcome Daemon::Impl::runPipeline(const Body& req) {
         const bool isParse = std::string(e.what()).find("parse error") != std::string::npos;
         out.code = isParse ? ErrCode::ParseError : ErrCode::SemanticError;
         out.message = e.what();
-        return out;
+        return true;
     } catch (const WjError& e) {
         // Coding-rule violations, analysis defects, composition failures.
         out.code = ErrCode::SemanticError;
         out.message = e.what();
-        return out;
+        return true;
     } catch (const std::exception& e) {
         // Backstop for anything the frontend throws beyond its typed
         // errors (std::bad_alloc on a pathological module, library
         // exceptions): malformed input is never a daemon crash.
         out.code = ErrCode::Internal;
         out.message = e.what();
-        return out;
+        return true;
     }
 
-    // ---- compile with in-process singleflight --------------------------
     const uint64_t key = cacheKeyFor(tr.cSource);
-    std::shared_future<Outcome> fut;
-    std::promise<Outcome> prom;
-    bool leader = false;
-    {
-        std::lock_guard<std::mutex> lock(sfMu);
-        auto it = inflightKeys.find(key);
-        if (it != inflightKeys.end()) {
-            fut = it->second;
-        } else {
-            leader = true;
-            fut = prom.get_future().share();
-            inflightKeys.emplace(key, fut);
-        }
-    }
-    if (!leader) {
-        Counters::instance().joins.inc();
-        trace::Span joinSpan("wjd", "compile.join");
-        return fut.get();
-    }
-
-    Outcome res;
-    res.key = key;
     {
         const int64_t t0 = nowNs();
-        trace::Span ccSpan("wjd", "compile");
+        trace::Span lookupSpan("wjd", "lookup");
+        CompileResult cr;
         try {
-            CompileResult cr = compileAndLoad(tr.cSource, *method);
-            res.ok = true;
-            res.code = ErrCode::None;
-            res.cacheHit = cr.cacheHit;
-            res.attempts = cr.attempts;
-            res.path = artifactPathFor(key, cr);
-            Counters::instance().compileOk.inc();
-        } catch (const CompilerUnavailableError& e) {
-            res.code = ErrCode::CompilerUnavailable;
-            res.message = e.what();
-        } catch (const WjError& e) {
-            res.code = ErrCode::CompileError;
-            res.message = e.what();
-        } catch (const std::exception& e) {
-            res.code = ErrCode::Internal;
-            res.message = e.what();
+            cr = loadCompiled(key);
+        } catch (const std::exception&) {
+            // The cc lane repeats the lookup and reports its failure typed.
         }
-        if (!res.ok) Counters::instance().compileErr.inc();
-        Counters::instance().compileMicros.observe((nowNs() - t0) / 1000);
+        if (cr.module) {
+            out = served(key, cr);
+            Counters::instance().compileMicros.observe((nowNs() - t0) / 1000);
+            return true;
+        }
     }
-    // Publish to joiners, THEN retire the key: a request arriving between
-    // set_value and erase still joins a completed future (instant get()),
-    // never a dangling one.
-    prom.set_value(res);
+    miss.cSource = std::move(tr.cSource);
+    miss.method = *method;
+    miss.sourceHash = tr.sourceHash;
+    miss.key = key;
+    return false;
+}
+
+/// Moves a miss from the lookup lane to the cc lane. Under `mu` it either
+/// joins the compile already in flight for its key or becomes that key's
+/// leader, and is queued in the same step: a leader is always queued ahead
+/// of its joiners, so a joiner blocking a cc thread never waits on a
+/// compile that no thread has started.
+void Daemon::Impl::handOff(CcJob cj) {
+    cj.handoffNs = nowNs();
+    bool joined = false;
     {
-        std::lock_guard<std::mutex> lock(sfMu);
-        inflightKeys.erase(key);
+        std::lock_guard<std::mutex> lock(mu);
+        auto it = inflightKeys.find(cj.key);
+        joined = it != inflightKeys.end();
+        if (joined) {
+            cj.outcome = it->second;
+        } else {
+            cj.lead = std::make_unique<std::promise<Outcome>>();
+            cj.outcome = cj.lead->get_future().share();
+            inflightKeys.emplace(cj.key, cj.outcome);
+        }
+        ccQueue.push_back(std::move(cj));
+        --activeJobs;  // queued again, so the drain still waits for it
     }
+    if (joined) Counters::instance().joins.inc();
+    ccCv.notify_one();
+}
+
+/// The leader's compile of its key: compileAndLoad(), whose lookup half
+/// catches a module published since the lookup lane missed.
+Outcome Daemon::Impl::compile(const CcJob& cj) {
+    Outcome res;
+    res.key = cj.key;
+    const int64_t t0 = nowNs();
+    trace::Span ccSpan("wjd", "compile");
+    try {
+        res = served(cj.key, compileAndLoad(cj.cSource, cj.method, cj.sourceHash));
+    } catch (const CompilerUnavailableError& e) {
+        res.code = ErrCode::CompilerUnavailable;
+        res.message = e.what();
+    } catch (const WjError& e) {
+        res.code = ErrCode::CompileError;
+        res.message = e.what();
+    } catch (const std::exception& e) {
+        res.code = ErrCode::Internal;
+        res.message = e.what();
+    }
+    if (!res.ok) Counters::instance().compileErr.inc();
+    Counters::instance().compileMicros.observe((nowNs() - t0) / 1000);
+    return res;
+}
+
+/// The Ok outcome for a module either lane obtained under `key`.
+Outcome Daemon::Impl::served(uint64_t key, const CompileResult& cr) {
+    Outcome res;
+    res.ok = true;
+    res.code = ErrCode::None;
+    res.key = key;
+    res.cacheHit = cr.cacheHit;
+    res.attempts = cr.attempts;
+    res.path = artifactPathFor(key, cr);
+    Counters::instance().compileOk.inc();
     return res;
 }
 
@@ -342,22 +402,31 @@ std::string Daemon::Impl::artifactPathFor(uint64_t key, const CompileResult& cr)
     return std::string();
 }
 
-Outcome Daemon::Impl::compileBody(const std::string& rawBody) {
-    Body req;
-    try {
-        req = decodeBody(rawBody);
-    } catch (const UsageError& e) {
-        Outcome out;
-        out.code = ErrCode::BadRequest;
-        out.message = e.what();
-        return out;
-    }
-    return runPipeline(req);
-}
-
 // ------------------------------------------------------------------ threads
 
-void Daemon::Impl::workerLoop() {
+/// Replies to `job` and releases its admission slots.
+void Daemon::Impl::finish(const Job& job, const Outcome& out) {
+    if (out.ok) {
+        Body b;
+        b.set("key", format("%016llx", static_cast<unsigned long long>(out.key)));
+        b.set("path", out.path);
+        b.set("cacheHit", out.cacheHit ? "1" : "0");
+        b.set("attempts", format("%d", out.attempts));
+        job.conn->reply(makeOk(job.reqId, std::move(b)));
+    } else {
+        job.conn->reply(makeError(job.reqId, out.code, out.message));
+    }
+    job.conn->inflight.fetch_sub(1);
+    Counters::instance().inflightNow.add(-1);
+    Counters::instance().requestMicros.observe((nowNs() - job.admittedNs) / 1000);
+    {
+        std::lock_guard<std::mutex> lock(mu);
+        --activeJobs;
+    }
+    drainCv.notify_all();
+}
+
+void Daemon::Impl::lookupLoop() {
     for (;;) {
         Job job;
         {
@@ -368,25 +437,44 @@ void Daemon::Impl::workerLoop() {
             queue.pop_front();
             ++activeJobs;
         }
-        Outcome out = compileBody(job.body);
-        if (out.ok) {
-            Body b;
-            b.set("key", format("%016llx", static_cast<unsigned long long>(out.key)));
-            b.set("path", out.path);
-            b.set("cacheHit", out.cacheHit ? "1" : "0");
-            b.set("attempts", format("%d", out.attempts));
-            job.conn->reply(makeOk(job.reqId, std::move(b)));
+        Counters::instance().queueWaitMicros.observe((nowNs() - job.admittedNs) / 1000);
+        Outcome out;
+        CcJob miss;
+        if (lookup(job.body, out, miss)) {
+            finish(job, out);
         } else {
-            job.conn->reply(makeError(job.reqId, out.code, out.message));
+            miss.job = std::move(job);
+            handOff(std::move(miss));
         }
-        job.conn->inflight.fetch_sub(1);
-        Counters::instance().inflightNow.add(-1);
-        Counters::instance().requestMicros.observe((nowNs() - job.admittedNs) / 1000);
+    }
+}
+
+void Daemon::Impl::ccLoop() {
+    for (;;) {
+        CcJob cj;
         {
-            std::lock_guard<std::mutex> lock(mu);
-            --activeJobs;
+            std::unique_lock<std::mutex> lock(mu);
+            ccCv.wait(lock, [&] { return workersExit || !ccQueue.empty(); });
+            if (ccQueue.empty()) return;  // workersExit and nothing left
+            cj = std::move(ccQueue.front());
+            ccQueue.pop_front();
+            ++activeJobs;
         }
-        drainCv.notify_all();
+        Counters::instance().ccWaitMicros.observe((nowNs() - cj.handoffNs) / 1000);
+        Outcome out;
+        if (cj.lead) {
+            out = compile(cj);
+            // Publish to joiners, THEN retire the key: a request handed off
+            // between set_value and erase still joins a completed future
+            // (instant get()), never a dangling one.
+            cj.lead->set_value(out);
+            std::lock_guard<std::mutex> lock(mu);
+            inflightKeys.erase(cj.key);
+        } else {
+            trace::Span joinSpan("wjd", "compile.join");
+            out = cj.outcome.get();
+        }
+        finish(cj.job, out);
     }
 }
 
@@ -466,7 +554,7 @@ void Daemon::Impl::readerLoop(ConnPtr conn, uint64_t readerId) {
             bool queued = false;
             {
                 std::lock_guard<std::mutex> lock(mu);
-                if (static_cast<int>(queue.size()) < queueCap) {
+                if (static_cast<int>(queue.size() + ccQueue.size()) < queueCap) {
                     conn->inflight.fetch_add(1);
                     Job j;
                     j.conn = conn;
@@ -668,10 +756,13 @@ void Daemon::start() {
     }
 
     d.started = true;
-    for (int i = 0; i < d.workers; ++i) d.pool.emplace_back([&d] { d.workerLoop(); });
+    for (int i = 0; i < d.workers; ++i) {
+        d.pool.emplace_back([&d] { d.lookupLoop(); });
+        d.pool.emplace_back([&d] { d.ccLoop(); });
+    }
     d.acceptThread = std::thread([&d] { d.acceptLoop(); });
     if (!d.opts.quiet) {
-        std::fprintf(stderr, "wjd: listening on %s (%d workers, %d/client, queue %d)\n",
+        std::fprintf(stderr, "wjd: listening on %s (%d workers per lane, %d/client, queue %d)\n",
                      d.opts.socketPath.c_str(), d.workers, d.maxPerClient, d.queueCap);
     }
 }
@@ -681,6 +772,7 @@ void Daemon::requestStop() {
     d.stopping.store(true);
     if (d.listenFd >= 0) ::shutdown(d.listenFd, SHUT_RDWR);
     d.cv.notify_all();
+    d.ccCv.notify_all();
     d.drainCv.notify_all();
 }
 
@@ -701,6 +793,7 @@ void Daemon::wait() {
         d.workersExit = true;
     }
     d.cv.notify_all();
+    d.ccCv.notify_all();
     for (auto& t : d.pool) t.join();
     d.pool.clear();
     if (d.acceptThread.joinable()) d.acceptThread.join();

@@ -11,13 +11,20 @@
 //     BuildLock — so a thundering herd of N identical cold requests costs
 //     one compile, not N;
 //   * admission control: per-connection in-flight cap (WJD_MAX_INFLIGHT,
-//     default 8) and a global compile-queue cap (WJD_QUEUE_CAP, default
-//     64). Past either, the request is REJECTED immediately with
+//     default 8, held from admission to reply) and a global queue cap
+//     (WJD_QUEUE_CAP, default 64, on the requests waiting in either lane's
+//     queue). Past either, the request is REJECTED immediately with
 //     RESOURCE_EXHAUSTED — a saturated daemon stays responsive (Ping/Stats
 //     never queue behind compiles) instead of accumulating unbounded work;
-//   * a bounded worker pool (WJD_WORKERS, default 4) running the compile
-//     pipeline, which already carries the retry/backoff ladder
-//     (WJ_JIT_RETRIES) and typed fault taxonomy;
+//   * two lanes of WJD_WORKERS threads each (default 4), so a warm hit
+//     never waits behind a cold compile. A lookup-lane thread runs parse →
+//     rules → translate → key → registry and on-disk lookup and answers
+//     hits itself; it hands a miss, or a request whose key is already
+//     being compiled, to the cc lane. A cc-lane thread either leads its
+//     key's compile (compileAndLoad, with the retry/backoff ladder
+//     WJ_JIT_RETRIES and the typed fault taxonomy) or waits on the
+//     leader's result as a joiner. WJD_WORKERS therefore bounds both the
+//     concurrent lookups and the concurrent cc runs;
 //   * graceful drain: SIGTERM or a Shutdown request stops admission
 //     (new Compiles get SHUTTING_DOWN), finishes every in-flight compile,
 //     answers the shutdown, and exits — no orphaned cc children, no
@@ -26,7 +33,9 @@
 //   * observability: per-stage spans (category "wjd") and a metrics
 //     registry any client can dump with a Stats request —
 //     wjd.requests.*, wjd.compile.{ok,errors,joins}, wjd.admission.
-//     rejects.{client,queue}, histograms wjd.{request,compile}.micros.
+//     rejects.{client,queue}, histograms wjd.{request,compile}.micros,
+//     wjd.queue.wait.micros (admission to lookup-lane start) and
+//     wjd.cc.wait.micros (handoff to cc-lane start).
 //
 // Client disconnect mid-compile does NOT cancel or orphan the work: the
 // compile completes (other clients may be joined to it and the artifact
@@ -48,7 +57,7 @@ namespace wj::service {
 struct DaemonOptions {
     std::string socketPath;    ///< required: where to listen
     std::string bundleDir;     ///< optional: preload bundles at start
-    int workers = 0;           ///< 0 = $WJD_WORKERS or 4
+    int workers = 0;           ///< threads per lane; 0 = $WJD_WORKERS or 4
     int maxInflightPerClient = 0;  ///< 0 = $WJD_MAX_INFLIGHT or 8
     int queueCap = 0;          ///< 0 = $WJD_QUEUE_CAP or 64
     bool quiet = false;        ///< suppress stderr chatter (tests/benches)
@@ -63,8 +72,8 @@ public:
     Daemon& operator=(const Daemon&) = delete;
 
     /// Binds the socket (stealing it from a dead previous daemon, refusing
-    /// a live one), preloads bundles, starts the accept thread and worker
-    /// pool. Throws UsageError on bind failure.
+    /// a live one), preloads bundles, starts the accept thread and both
+    /// lanes. Throws UsageError on bind failure.
     void start();
 
     /// Begins the drain: stop accepting connections, reject new Compiles

@@ -411,6 +411,35 @@ TEST_F(JitCacheTest, LeanLinkedMathUnitMatchesTheInterpreter) {
     }
 }
 
+// compileAndLoad() is its lookup half, loadCompiled(), then its build
+// half. The lookup half counts only hits, so a caller that looks up first
+// and compiles on a miss (wjd's two lanes) counts one miss per cc run.
+TEST_F(JitCacheTest, LookupHalfCountsHitsAndLeavesTheMissToTheBuild) {
+    const std::string src = "int wj_split_probe(void) { return 43; }\n";
+    const uint64_t key = cacheKeyFor(src);
+    const CompileResult before = loadCompiled(key);
+    EXPECT_FALSE(before.module);
+    EXPECT_FALSE(before.cacheHit);
+    EXPECT_EQ(0, JitCache::instance().stats().misses);
+
+    const CompileResult built = compileAndLoad(src, "split_probe");
+    EXPECT_FALSE(built.cacheHit);
+    EXPECT_EQ(1, JitCache::instance().stats().misses);
+
+    const CompileResult memory = loadCompiled(key);
+    EXPECT_TRUE(memory.cacheHit);
+    EXPECT_EQ(built.module, memory.module);
+    JitCache::instance().clearLoaded();
+    const CompileResult disk = loadCompiled(key);
+    ASSERT_TRUE(disk.module);
+    using Fn = int (*)();
+    EXPECT_EQ(43, reinterpret_cast<Fn>(disk.module->symbol("wj_split_probe"))());
+    const CacheStats st = JitCache::instance().stats();
+    EXPECT_EQ(1, st.memoryHits);
+    EXPECT_EQ(1, st.diskHits);
+    EXPECT_EQ(1, st.misses);
+}
+
 TEST_F(JitCacheTest, HonorsTmpdirForScratch) {
     // Point TMPDIR at a private dir: the generated .c must land there.
     const fs::path scratch = dir_ / "scratch";

@@ -384,7 +384,8 @@ TEST(TranslationMemo, RefusedTranslationsAreNotStored) {
 }
 
 // The jit/translate span says whether the memo served it; the jit/marshal
-// span and jit.marshal.bytes count the deep copy both ways.
+// span and jit.marshal.bytes count the deep copy both ways; the jit/entry
+// span carries the entry's minor faults.
 TEST(TranslationMemo, TraceShowsTheMemoAndTheMarshal) {
     Switches sw;
     Program p = cfgProgram();
@@ -405,6 +406,7 @@ TEST(TranslationMemo, TraceShowsTheMemoAndTheMarshal) {
 
     std::vector<int64_t> memo;
     std::vector<std::pair<bool, int64_t>> marshals;  // (copy-back, bytes)
+    std::vector<int64_t> minflt;
     for (const trace::SpanRec& sp : spans) {
         const std::string cat = sp.cat, name = sp.name;
         if (cat != "jit") continue;
@@ -416,7 +418,10 @@ TEST(TranslationMemo, TraceShowsTheMemoAndTheMarshal) {
         };
         if (name == "translate run") memo.push_back(arg("memo").value_or(-1));
         if (name == "marshal") marshals.emplace_back(arg("back").has_value(), arg("bytes").value_or(-1));
+        if (name == "entry") minflt.push_back(arg("minflt").value_or(-1));
     }
+    ASSERT_EQ(1u, minflt.size());
+    EXPECT_GE(minflt[0], 0);
     EXPECT_EQ((std::vector<int64_t>{0, 1}), memo);
     // Two float[8] fields, copied in and back: 64 bytes each way.
     const std::vector<std::pair<bool, int64_t>> want{{false, 64}, {true, 64}};
@@ -558,4 +563,77 @@ TEST(InvokeWithOverrides, ZeroStepDiffusionRunsItsOwnTranslation) {
     const int64_t misses0 = memoMisses();
     EXPECT_EQ(in.call(c.receiver, "run", zero).asF64(), code.invokeWith(zero).asF64());
     EXPECT_EQ(1, memoMisses() - misses0);
+}
+
+namespace {
+
+/// run(float[] a, int n): the sum of a[0..n). Safe exactly when n <= a.length.
+Program headProgram() {
+    ProgramBuilder pb;
+    pb.cls("Head").method("run", Type::f32())
+        .param("a", Type::array(Type::f32())).param("n", Type::i32())
+        .body(blk(decl("s", Type::f32(), cf(0.0f)),
+                  forRange("i", ci(0), lv("n"),
+                           blk(assign("s", add(lv("s"), aget(lv("a"), lv("i")))))),
+                  ret(lv("s"))));
+    return pb.build();
+}
+
+} // namespace
+
+// Jitted with an 8-element array and n=8, the loads are proven in bounds
+// and run unguarded. An override with a 4-element array must not run that
+// proof: it runs the translation for length 4, whose guard traps exactly
+// like jit() with that array. Another array of the recorded length keeps
+// the recorded module without a memo lookup.
+TEST(InvokeWithOverrides, ArgumentArrayLengthSelectsTheTranslation) {
+    Switches sw(EnvList{{"WJ_BOUNDS", "1"}});
+    Program p = headProgram();
+    Interp in(p);
+    const Value obj = in.instantiate("Head", {});
+    const Value eight = Value::ofArr(floats(8));
+    JitCode code = WootinJ::jit(p, obj, "run", {eight, Value::ofI32(8)});
+    EXPECT_EQ(0, code.boundsGuards());
+
+    const std::vector<Value> shortArgs{Value::ofArr(floats(4)), Value::ofI32(8)};
+    JitCode shortCode = WootinJ::jit(p, obj, "run", shortArgs);
+    EXPECT_GT(shortCode.boundsGuards(), 0);
+    const std::string viaOverride = messageOf([&] { code.invokeWith(shortArgs); });
+    EXPECT_NE(viaOverride.find("array index out of bounds"), std::string::npos) << viaOverride;
+    EXPECT_EQ(messageOf([&] { shortCode.invoke(); }), viaOverride);
+
+    const std::vector<Value> longArgs{Value::ofArr(floats(16)), Value::ofI32(8)};
+    EXPECT_EQ(in.call(obj, "run", longArgs).asF32(), code.invokeWith(longArgs).asF32());
+
+    const int64_t lookups = memoHits() + memoMisses();
+    const std::vector<Value> sameLength{Value::ofArr(floats(8, 2.0f)), Value::ofI32(8)};
+    EXPECT_EQ(in.call(obj, "run", sameLength).asF32(), code.invokeWith(sameLength).asF32());
+    EXPECT_EQ(lookups, memoHits() + memoMisses());
+}
+
+// The proofs also read the receiver's array lengths. Swapping a receiver
+// array for one of another length after jit() is refused at invoke with a
+// UsageError that names the field; the recorded length runs as before.
+TEST(InvokeWithOverrides, ReceiverArrayOfAnotherLengthIsRefused) {
+    Switches sw(EnvList{{"WJ_BOUNDS", "1"}});
+    Program p = cfgProgram();
+    ObjRef o = baseCfg(p);
+    Interp in(p);
+    const std::vector<Value> args{Value::ofI32(3)};
+    JitCode code = WootinJ::jit(p, Value::ofObj(o), "run", args);
+    EXPECT_EQ(0, code.boundsGuards());
+
+    o->fields["a"] = Value::ofArr(floats(2));
+    try {
+        code.invokeWith(args);
+        ADD_FAILURE() << "a 2-element receiver array ran proofs made for 8 elements";
+    } catch (const UsageError& e) {
+        const std::string what = e.what();
+        EXPECT_NE(what.find("this.a"), std::string::npos) << what;
+        EXPECT_NE(what.find("length 2"), std::string::npos) << what;
+    }
+
+    o->fields["a"] = Value::ofArr(floats(8, 4.0f));
+    EXPECT_TRUE(sameResult(in.call(Value::ofObj(o), "run", args).asF64(),
+                           code.invokeWith(args).asF64()));
 }

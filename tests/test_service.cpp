@@ -1,5 +1,6 @@
 // The wjd compile service (src/service/): protocol framing, in-flight
-// dedup, admission control, typed error taxonomy, graceful drain, and the
+// dedup, the lookup lane answering hits while the cc lane compiles,
+// admission control, typed error taxonomy, graceful drain, and the
 // daemon's resilience to misbehaving clients.
 //
 // Two tiers:
@@ -13,6 +14,7 @@
 //     single-cc guarantee of two daemons sharing one cache directory.
 #include <gtest/gtest.h>
 
+#include <poll.h>
 #include <signal.h>
 #include <sys/stat.h>
 #include <sys/wait.h>
@@ -83,9 +85,13 @@ protected:
     }
 
     void TearDown() override {
+        // A test that holds its compiles behind gateCompiler() releases
+        // them here too, so the drain below cannot wait on a held cc.
+        std::ofstream(scratch_ + "/release");
         daemon_.reset();
         fault::FaultPlan::instance().disarm();
         unsetenv("WJ_CACHE_DIR");
+        unsetenv("WJ_CC");
         unsetenv("WJ_JIT_RETRIES");
         unsetenv("WJ_JIT_BACKOFF_MS");
         JitCache::instance().clearLoaded();
@@ -112,9 +118,62 @@ protected:
         return c;
     }
 
+    /// A compiler wrapper that logs each run to `<scratch>/cc-runs`, then
+    /// blocks until `<scratch>/release` exists and runs cc. Set as WJ_CC,
+    /// it holds every cold compile for as long as the test wants.
+    std::string gateCompiler() {
+        const std::string path = scratch_ + "/gate-cc.sh";
+        {
+            std::ofstream out(path);
+            out << "#!/bin/sh\necho run >> '" << scratch_ << "/cc-runs'\n"
+                << "while [ ! -e '" << scratch_ << "/release' ]; do sleep 0.01; done\n"
+                << "exec cc \"$@\"\n";
+        }
+        ::chmod(path.c_str(), 0755);
+        return path;
+    }
+
+    /// Compiler runs the gate has logged so far.
+    int gateRuns() {
+        std::ifstream in(scratch_ + "/cc-runs");
+        int n = 0;
+        for (std::string line; std::getline(in, line);) ++n;
+        return n;
+    }
+
+    void openGate() { std::ofstream(scratch_ + "/release"); }
+    void closeGate() { fs::remove(scratch_ + "/release"); }
+
     std::string scratch_;
     std::unique_ptr<Daemon> daemon_;
 };
+
+/// Sends a Compile of moduleSource(nonce) without waiting for the reply.
+void sendCompile(Client& c, int nonce, uint64_t reqId) {
+    Body b;
+    b.set("new", "Svc" + std::to_string(nonce) + "()");
+    b.set("method", "run");
+    b.set("args", "8");
+    b.payload = moduleSource(nonce);
+    writeFrame(c.fd(), Frame{MsgType::Compile, reqId, encodeBody(b)});
+}
+
+/// Reads one reply if it arrives within `ms`; false on timeout.
+bool replyWithin(Client& c, int ms, Frame& out) {
+    pollfd p{c.fd(), POLLIN, 0};
+    return ::poll(&p, 1, ms) == 1 && c.readReply(out);
+}
+
+/// Polls `pred` for up to 10 s.
+template <class Pred>
+bool eventually(Pred pred) {
+    const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (!pred()) {
+        if (std::chrono::steady_clock::now() > deadline) return false;
+        std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    }
+    return true;
+}
 
 /// kv field of a decoded body, "" when absent.
 std::string bodyField(const Body& b, const std::string& key) {
@@ -128,6 +187,11 @@ int64_t counterIn(const std::string& json, const std::string& name) {
     const size_t at = json.find(needle);
     if (at == std::string::npos) return -1;
     return std::strtoll(json.c_str() + at + needle.size(), nullptr, 10);
+}
+
+/// Sample count of a histogram in the Stats JSON, -1 when absent.
+int64_t histogramCountIn(const std::string& json, const std::string& name) {
+    return counterIn(json, name + "\": {\"count");
 }
 
 } // namespace
@@ -306,6 +370,108 @@ TEST_F(ServiceTest, ClientDisconnectMidCompileDoesNotOrphanTheEntry) {
     }
     EXPECT_EQ(0, inflight) << "orphaned in-flight work after client disconnect";
     EXPECT_TRUE(b.ping().ok);
+}
+
+// ------------------------------------------------- lookup lane, cc lane
+
+TEST_F(ServiceTest, HitIsAnsweredWhileEveryWorkerCompiles) {
+    // One worker per lane. A cold compile is held inside cc; a warm hit on
+    // another connection must still be answered, because a hit never
+    // queues behind a compile.
+    setenv("WJ_CC", gateCompiler().c_str(), 1);  // WJ_CC is part of the key
+    startDaemon(1);
+    const int hitNonce = nonceBase() + 100, coldNonce = nonceBase() + 101;
+
+    openGate();
+    Client warm = connect();
+    Client::Reply w = warm.compile(moduleSource(hitNonce),
+                                   "Svc" + std::to_string(hitNonce) + "()", "run", "8");
+    ASSERT_TRUE(w.ok) << w.message;
+    ASSERT_FALSE(w.cacheHit);
+    closeGate();
+
+    Client cold = connect();
+    sendCompile(cold, coldNonce, 1);
+    ASSERT_TRUE(eventually([&] { return gateRuns() == 2; })) << "cold compile never started";
+
+    Client hot = connect();
+    sendCompile(hot, hitNonce, 2);
+    Frame hit;
+    ASSERT_TRUE(replyWithin(hot, 10000, hit)) << "the hit waited behind the held compile";
+    ASSERT_EQ(MsgType::Ok, hit.type);
+    EXPECT_EQ("1", bodyField(decodeBody(hit.body), "cacheHit"));
+    Frame early;
+    EXPECT_FALSE(replyWithin(cold, 0, early)) << "the held compile answered early";
+
+    openGate();
+    Frame coldReply;
+    ASSERT_TRUE(replyWithin(cold, 60000, coldReply));
+    ASSERT_EQ(MsgType::Ok, coldReply.type);
+    EXPECT_EQ("0", bodyField(decodeBody(coldReply.body), "cacheHit"));
+    EXPECT_EQ(2, gateRuns());
+
+    // Both queue waits are measured: every request entered the lookup
+    // lane, and the two misses (warm-up and cold) the cc lane.
+    Client::Reply st = hot.stats();
+    ASSERT_TRUE(st.ok);
+    EXPECT_GE(histogramCountIn(st.statsJson, "wjd.queue.wait.micros"), 3) << st.statsJson;
+    EXPECT_GE(histogramCountIn(st.statsJson, "wjd.cc.wait.micros"), 2) << st.statsJson;
+}
+
+TEST_F(ServiceTest, HitIsAnsweredWhileAHerdJoinsOneHeldCompile) {
+    // Four identical cold requests and one hit, one worker per lane. The
+    // first cold request leads the compile; the other three join it in
+    // the cc lane, so the lookup lane stays free for the hit. Only after
+    // the gate opens do the four cold replies arrive, from one cc run.
+    setenv("WJ_CC", gateCompiler().c_str(), 1);
+    startDaemon(1);
+    const int hitNonce = nonceBase() + 110, coldNonce = nonceBase() + 111;
+
+    openGate();
+    Client warm = connect();
+    ASSERT_TRUE(warm.compile(moduleSource(hitNonce), "Svc" + std::to_string(hitNonce) + "()",
+                             "run", "8")
+                    .ok);
+    closeGate();
+
+    auto& metrics = trace::Metrics::instance();
+    const int64_t joins0 = metrics.counter("wjd.compile.joins").value();
+    const int64_t misses0 = JitCache::instance().stats().misses;
+
+    std::vector<Client> herd;
+    for (int i = 0; i < 4; ++i) herd.push_back(connect());
+    sendCompile(herd[0], coldNonce, 1);
+    ASSERT_TRUE(eventually([&] { return gateRuns() == 2; })) << "cold compile never started";
+    for (int i = 1; i < 4; ++i) sendCompile(herd[i], coldNonce, 1);
+    ASSERT_TRUE(eventually([&] {
+        return metrics.counter("wjd.compile.joins").value() - joins0 == 3;
+    })) << "the herd did not join the held compile";
+
+    Client hot = connect();
+    sendCompile(hot, hitNonce, 2);
+    Frame hit;
+    ASSERT_TRUE(replyWithin(hot, 10000, hit)) << "the hit waited behind the held compile";
+    ASSERT_EQ(MsgType::Ok, hit.type);
+    EXPECT_EQ("1", bodyField(decodeBody(hit.body), "cacheHit"));
+    for (Client& c : herd) {
+        Frame early;
+        EXPECT_FALSE(replyWithin(c, 0, early)) << "a held request answered early";
+    }
+
+    openGate();
+    std::string key;
+    for (Client& c : herd) {
+        Frame r;
+        ASSERT_TRUE(replyWithin(c, 60000, r));
+        ASSERT_EQ(MsgType::Ok, r.type);
+        const Body b = decodeBody(r.body);
+        EXPECT_EQ("0", bodyField(b, "cacheHit"));
+        if (key.empty()) key = bodyField(b, "key");
+        EXPECT_EQ(key, bodyField(b, "key"));
+    }
+    EXPECT_EQ(2, gateRuns()) << "the herd ran cc more than once";
+    EXPECT_EQ(1, JitCache::instance().stats().misses - misses0);
+    EXPECT_EQ(3, metrics.counter("wjd.compile.joins").value() - joins0);
 }
 
 // -------------------------------------------------------- fault injection
