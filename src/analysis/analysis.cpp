@@ -257,7 +257,7 @@ struct AVal {
 };
 
 /// An abstract object: exact class plus per-field abstract values. Produced
-/// either from a concrete interpreter Obj (jit entry analysis) or by
+/// either from an Object node of the jit() snapshot (entry analysis) or by
 /// abstractly executing a constructor at a `new` site.
 struct AbsObj {
     const ClassDecl* cls = nullptr;
@@ -468,8 +468,7 @@ public:
     Engine(const Program& prog, Result& out, bool lint, bool soa)
         : prog_(prog), out_(out), lint_(lint), soaOn_(soa), facts_(ProgramFacts::of(prog)) {}
 
-    void runEntry(const Value& receiver, const std::string& method, const std::vector<Value>& args,
-                  const Method* entryBody);
+    void runEntry(const GraphSnapshot& g, const std::string& method, const Method* entryBody);
     void runLint();
 
     // -- shared helpers used by the dataflow domain (public for the local
@@ -496,9 +495,8 @@ private:
         return v;
     }
 
-    // ---- conversion of concrete interpreter values (jit-entry analysis)
-    AVal absOfValue(const Value& v, const Type& declared);
-    AbsObjPtr absOfObj(const ObjRef& ref);
+    // ---- abstraction of the jit() snapshot (jit-entry analysis)
+    AVal absOfNode(const GraphSnapshot& g, uint32_t id, const Type& declared);
 
     /// Re-joins mutated-group array fields of a freshly built object so
     /// every later read already sees the over-approximation (cur/nxt swap).
@@ -577,7 +575,7 @@ private:
 
     std::map<const void*, int> rootIds_;
     int nextRoot_ = 1;
-    std::map<const Obj*, AbsObjPtr> absMemo_;
+    std::vector<AbsObjPtr> snapObjs_;  ///< by snapshot node: object graphs may share and cycle
     std::unordered_map<std::string, AbsObjPtr> newMemo_;  ///< keyed by memoKey()
     std::unordered_map<std::string, AVal> callMemo_;
     std::unordered_set<std::string> inProgress_;
@@ -599,57 +597,36 @@ private:
     friend struct IntervalDomain;
 };
 
-AVal Engine::absOfValue(const Value& v, const Type& declared) {
-    if (v.isBool()) {
-        AVal r = unknownOf(Type::boolean());
-        r.num = Itv::of(v.asBool() ? 1 : 0);
+AVal Engine::absOfNode(const GraphSnapshot& g, uint32_t id, const Type& declared) {
+    using Kind = GraphSnapshot::Kind;
+    const GraphSnapshot::Node& n = g[id];
+    AVal r;
+    switch (n.kind) {
+    case Kind::Prim:
+        r = unknownOf(Type::prim(n.prim()));
+        if (n.exactPrim()) r.num = Itv::of(n.bits);  // floats stay unknown
         return r;
-    }
-    if (v.isI32()) {
-        AVal r = unknownOf(Type::i32());
-        r.num = Itv::of(v.asI32());
+    case Kind::Array:
+        r.type = Type::array(g.elemType(n));
+        r.len = Itv::of(n.bits);
+        r.roots = {static_cast<int>(id)};  // the node number: shared arrays alias
         return r;
-    }
-    if (v.isI64()) {
-        AVal r = unknownOf(Type::i64());
-        r.num = Itv::of(v.asI64());
+    case Kind::Object:
+        r.type = Type::cls(n.cls->name);
+        if (!snapObjs_[id]) {
+            AbsObjPtr o = std::make_shared<AbsObj>();
+            o->cls = n.cls;
+            snapObjs_[id] = o;  // set first: object graphs may be cyclic
+            for (uint32_t k = 0; k < n.count; ++k) {
+                const Field& f = *g[n.first + k].field;
+                o->fields.emplace(f.name, absOfNode(g, g.field(id, k), f.type));
+            }
+            normalizeMutatedFields(o);
+        }
+        r.objs = {snapObjs_[id]};
         return r;
+    default: return unknownOf(declared);
     }
-    if (v.isF32()) return unknownOf(Type::f32());
-    if (v.isF64()) return unknownOf(Type::f64());
-    if (v.isArr()) {
-        const ArrRef& a = v.asArr();
-        if (!a) return unknownOf(declared);
-        AVal r;
-        r.type = Type::array(a->elem);
-        r.len = Itv::of(static_cast<int64_t>(a->data.size()));
-        r.roots = {rootOf(a.get())};
-        return r;
-    }
-    if (v.isObj()) {
-        const ObjRef& o = v.asObj();
-        if (!o) return unknownOf(declared);
-        AVal r;
-        r.type = Type::cls(o->cls->name);
-        r.objs = {absOfObj(o)};
-        return r;
-    }
-    return unknownOf(declared);
-}
-
-AbsObjPtr Engine::absOfObj(const ObjRef& ref) {
-    auto it = absMemo_.find(ref.get());
-    if (it != absMemo_.end()) return it->second;
-    AbsObjPtr o = std::make_shared<AbsObj>();
-    o->cls = ref->cls;
-    absMemo_.emplace(ref.get(), o);  // insert first: object graphs may be cyclic
-    for (const auto& [name, val] : ref->fields) {
-        const Field* fd = prog_.resolveField(ref->cls->name, name);
-        const Type declared = fd ? fd->type : Type::voidTy();
-        o->fields.emplace(name, absOfValue(val, declared));
-    }
-    normalizeMutatedFields(o);
-    return o;
 }
 
 void Engine::normalizeMutatedFields(const AbsObjPtr& o) {
@@ -3234,54 +3211,29 @@ ParVerdict Engine::proveLoop(const std::string& label, const ForStmt& fs, const 
 
 // ----------------------------------------------------------------- drivers
 
-namespace {
-
-/// Classes whose arrays cross the jit() boundary in the entry's receiver
-/// graph or arguments: invoke() marshals those payloads AoS (in fact it
-/// refuses non-primitive elements outright), so proveLayout boxes them.
-void collectBoundaryClasses(const Value& v, std::set<const Obj*>& seen,
-                            std::set<std::string>& out) {
-    if (v.isArr()) {
-        const ArrRef& a = v.asArr();
-        if (!a) return;
-        if (a->elem.isClass()) out.insert(a->elem.className());
-        if (a->elem.isClass() || a->elem.isArray()) {
-            for (const Value& e : a->data) collectBoundaryClasses(e, seen, out);
-        }
-        return;
+void Engine::runEntry(const GraphSnapshot& g, const std::string& method,
+                      const Method* entryBody) {
+    // Classes whose arrays cross the jit() boundary: invoke() marshals those
+    // payloads AoS (in fact it refuses non-primitive elements outright), so
+    // proveLayout boxes them.
+    std::set<std::string> boundary;
+    for (uint32_t id = 0; id < g.size(); ++id) {
+        if (g[id].kind == GraphSnapshot::Kind::Array && g[id].cls) boundary.insert(g[id].cls->name);
     }
-    if (v.isObj()) {
-        const ObjRef& o = v.asObj();
-        if (!o || !seen.insert(o.get()).second) return;
-        for (const auto& [name, fv] : o->fields) {
-            (void)name;
-            collectBoundaryClasses(fv, seen, out);
-        }
-    }
-}
-
-} // namespace
-
-void Engine::runEntry(const Value& receiver, const std::string& method,
-                      const std::vector<Value>& args, const Method* entryBody) {
-    {
-        std::set<const Obj*> seen;
-        std::set<std::string> boundary;
-        collectBoundaryClasses(receiver, seen, boundary);
-        for (const Value& a : args) collectBoundaryClasses(a, seen, boundary);
-        out_.layoutClasses = proveLayout(prog_, boundary, /*lint=*/false);
-    }
-    const AVal self = absOfValue(receiver, Type::voidTy());
+    out_.layoutClasses = proveLayout(prog_, boundary, /*lint=*/false);
+    snapObjs_.assign(g.size(), nullptr);
+    nextRoot_ = static_cast<int>(g.size());  // allocation sites number after the snapshot
+    const AVal self = absOfNode(g, g.root(0), Type::voidTy());
     if (self.objs.empty()) return;  // jit() rejects non-object receivers itself
     const std::string clsName = self.objs[0]->cls->name;
     const ClassDecl* owner = prog_.methodOwner(clsName, method);
     const Method* m = owner ? owner->ownMethod(method) : nullptr;
     if (!owner || !m) return;
     std::vector<AVal> argVals;
-    argVals.reserve(args.size());
-    for (size_t i = 0; i < args.size(); ++i) {
+    argVals.reserve(g.argCount());
+    for (size_t i = 0; i < g.argCount(); ++i) {
         const Type declared = i < m->params.size() ? m->params[i].type : Type::voidTy();
-        argVals.push_back(absOfValue(args[i], declared));
+        argVals.push_back(absOfNode(g, g.root(i + 1), declared));
     }
     if (entryBody) {
         entryBody_ = entryBody;
@@ -3352,13 +3304,18 @@ Result lintProgram(const Program& prog, bool soa) {
     return out;
 }
 
-Result analyzeEntry(const Program& prog, const Value& receiver, const std::string& method,
-                    const std::vector<Value>& args, const Method* entryBody, bool soa) {
+Result analyzeEntry(const GraphSnapshot& snap, const std::string& method,
+                    const Method* entryBody, bool soa) {
     Result out;
-    Engine eng(prog, out, /*lint=*/false, soa);
-    eng.runEntry(receiver, method, args, entryBody);
+    Engine eng(snap.program(), out, /*lint=*/false, soa);
+    eng.runEntry(snap, method, entryBody);
     tally(out);
     return out;
+}
+
+Result analyzeEntry(const Program& prog, const Value& receiver, const std::string& method,
+                    const std::vector<Value>& args, const Method* entryBody, bool soa) {
+    return analyzeEntry(GraphSnapshot(prog, receiver, args), method, entryBody, soa);
 }
 
 } // namespace wj::analysis

@@ -34,7 +34,7 @@
 #include <vector>
 
 #include "analysis/layout.h"
-#include "interp/value.h"
+#include "interp/snapshot.h"
 #include "ir/program.h"
 #include "support/diagnostics.h"
 
@@ -201,14 +201,18 @@ std::vector<Violation> checkDefiniteAssignment(const Program& prog, const ClassD
 /// reports the SIMD verdicts the translator would see under WJ_SOA=1.
 Result lintProgram(const Program& prog, bool soa = false);
 
-/// Analysis of one jit() entry: `method` invoked on the concrete composed
-/// `receiver` with `args`, covering everything reachable. Field primitives
-/// and array lengths from the receiver graph are treated as constants —
-/// exactly the specialization contract the translator itself uses.
-/// `entryBody`, when given, is analyzed in place of the entry method (the
-/// fusion pass's rewritten copy: same name, parameters and return type).
-/// `soa`: the translator stores arrays of Inline-verdict classes SoA
+/// Analysis of one jit() entry: `method` invoked on the snapshot's concrete
+/// composed receiver with its arguments, covering everything reachable.
+/// Field primitives, array lengths and array sharing are treated as
+/// constants — exactly the specialization contract the translator itself
+/// uses. `entryBody`, when given, is analyzed in place of the entry method
+/// (the fusion pass's rewritten copy: same name, parameters and return
+/// type). `soa`: the translator stores arrays of Inline-verdict classes SoA
 /// (WJ_SOA=1), which element loops' SIMD verdicts depend on.
+Result analyzeEntry(const GraphSnapshot& snap, const std::string& method,
+                    const Method* entryBody = nullptr, bool soa = false);
+
+/// analyzeEntry() of a snapshot of `receiver` and `args`.
 Result analyzeEntry(const Program& prog, const Value& receiver, const std::string& method,
                     const std::vector<Value>& args, const Method* entryBody = nullptr,
                     bool soa = false);

@@ -6,7 +6,6 @@
 #include <set>
 #include <utility>
 
-#include "interp/value.h"
 #include "ir/clone.h"
 #include "ir/walk.h"
 #include "ir/printer.h"
@@ -155,9 +154,9 @@ struct Plan {
 
 class Planner {
 public:
-    Planner(const Program& prog, const Value& receiver, const ClassDecl& owner, const Method& m,
+    Planner(const GraphSnapshot& snap, const ClassDecl& owner, const Method& m,
             const std::map<PairKey, std::string>& refused)
-        : prog_(prog), receiver_(receiver), owner_(owner), m_(m), refused_(refused) {}
+        : prog_(snap.program()), snap_(snap), owner_(owner), m_(m), refused_(refused) {}
 
     Plan run() {
         for (const Param& p : m_.params) used_.insert(p.name);
@@ -217,15 +216,22 @@ private:
         return c;
     }
 
-    /// The concrete object a `this`-rooted field path names in the receiver
-    /// graph (object fields never change after construction).
-    const Obj* resolvePath(const Expr& e) const {
-        if (e.kind == ExprKind::This) return receiver_.isObj() ? receiver_.asObj().get() : nullptr;
-        if (e.kind != ExprKind::FieldGet) return nullptr;
-        const Obj* o = resolvePath(*as<FieldGetExpr>(e).obj);
-        if (!o) return nullptr;
-        auto it = o->fields.find(as<FieldGetExpr>(e).field);
-        return it != o->fields.end() && it->second.isObj() ? it->second.asObj().get() : nullptr;
+    /// The snapshot node of the concrete object a `this`-rooted field path
+    /// names (object fields never change after construction).
+    std::optional<uint32_t> resolvePath(const Expr& e) const {
+        std::optional<uint32_t> id;
+        if (e.kind == ExprKind::This) id = snap_.root(0);
+        if (e.kind == ExprKind::FieldGet) {
+            const auto& get = as<FieldGetExpr>(e);
+            if (const std::optional<uint32_t> obj = resolvePath(*get.obj)) {
+                const GraphSnapshot::Node& o = snap_[*obj];
+                for (uint32_t k = 0; k < o.count && !id; ++k) {
+                    if (snap_[o.first + k].field->name == get.field) id = snap_.field(*obj, k);
+                }
+            }
+        }
+        if (id && snap_[*id].kind != GraphSnapshot::Kind::Object) return std::nullopt;
+        return id;
     }
 
     std::optional<Member> classify(const Stmt& s) const {
@@ -244,9 +250,9 @@ private:
         }
         if (!e || e->kind != ExprKind::Call) return std::nullopt;
         const auto& call = as<CallExpr>(*e);
-        const Obj* target = resolvePath(*call.recv);
-        if (!target || !target->cls) return std::nullopt;
-        mb.owner = prog_.methodOwner(target->cls->name, call.method);
+        const std::optional<uint32_t> target = resolvePath(*call.recv);
+        if (!target) return std::nullopt;
+        mb.owner = prog_.methodOwner(snap_[*target].cls->name, call.method);
         mb.callee = mb.owner ? mb.owner->ownMethod(call.method) : nullptr;
         if (!mb.callee || mb.callee->isAbstract || mb.callee->isGlobal || mb.callee->isStatic ||
             mb.callee->params.size() != call.args.size() ||
@@ -612,7 +618,7 @@ private:
     }
 
     const Program& prog_;
-    const Value& receiver_;
+    const GraphSnapshot& snap_;
     const ClassDecl& owner_;
     const Method& m_;
     const std::map<PairKey, std::string>& refused_;
@@ -634,20 +640,21 @@ bool simdUsable(const Result& r, const ForStmt* loop) {
 
 } // namespace
 
-Result analyzeEntryFused(const Program& prog, const Value& receiver, const std::string& method,
-                         const std::vector<Value>& args, bool simd, bool soa) {
+Result analyzeEntryFused(const GraphSnapshot& snap, const std::string& method, bool simd,
+                         bool soa) {
+    const GraphSnapshot::Node& recv = snap[snap.root(0)];
     const ClassDecl* owner = nullptr;
     const Method* m = nullptr;
-    if (receiver.isObj() && receiver.asObj() && receiver.asObj()->cls) {
-        owner = prog.methodOwner(receiver.asObj()->cls->name, method);
+    if (recv.kind == GraphSnapshot::Kind::Object) {
+        owner = snap.program().methodOwner(recv.cls->name, method);
         m = owner ? owner->ownMethod(method) : nullptr;
     }
-    if (!m || m->isAbstract) return analyzeEntry(prog, receiver, method, args, nullptr, soa);
+    if (!m || m->isAbstract) return analyzeEntry(snap, method, nullptr, soa);
 
     std::map<PairKey, std::string> refused;
     for (;;) {
-        Plan plan = Planner(prog, receiver, *owner, *m, refused).run();
-        Result r = analyzeEntry(prog, receiver, method, args, plan.method.get(), soa);
+        Plan plan = Planner(snap, *owner, *m, refused).run();
+        Result r = analyzeEntry(snap, method, plan.method.get(), soa);
         bool again = false;
         for (const Group& g : plan.groups) {
             auto it = r.loopParallel.find(g.fused);

@@ -28,7 +28,7 @@ namespace wj::analysis {
 /// land in the result's fusedEntry / fusedLoops / fusionReport. Analysis
 /// runs once when every planned group proves; a refusal re-runs it without
 /// the refused group.
-Result analyzeEntryFused(const Program& prog, const Value& receiver, const std::string& method,
-                         const std::vector<Value>& args, bool simd, bool soa = false);
+Result analyzeEntryFused(const GraphSnapshot& snap, const std::string& method, bool simd,
+                         bool soa = false);
 
 } // namespace wj::analysis

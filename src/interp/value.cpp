@@ -1,5 +1,7 @@
 #include "interp/value.h"
 
+#include <bit>
+
 #include "support/strings.h"
 
 namespace wj {
@@ -21,6 +23,33 @@ Value Value::defaultOf(const Type& t) {
         return ofArr(nullptr);  // Java null
     case Type::Kind::Class:
         return ofObj(nullptr);  // Java null
+    }
+    return Value();
+}
+
+std::optional<Prim> Value::prim() const noexcept {
+    if (isBool()) return Prim::Bool;
+    if (isI32()) return Prim::I32;
+    if (isI64()) return Prim::I64;
+    if (isF32()) return Prim::F32;
+    if (isF64()) return Prim::F64;
+    return std::nullopt;
+}
+
+int64_t Value::bits() const {
+    if (isF32()) return std::bit_cast<uint32_t>(asF32());
+    if (isF64()) return std::bit_cast<int64_t>(asF64());
+    if (isBool()) return asBool() ? 1 : 0;
+    return isI32() ? asI32() : asI64();
+}
+
+Value Value::ofBits(Prim p, int64_t bits) {
+    switch (p) {
+    case Prim::Bool: return ofBool(bits != 0);
+    case Prim::I32: return ofI32(static_cast<int32_t>(bits));
+    case Prim::I64: return ofI64(bits);
+    case Prim::F32: return ofF32(std::bit_cast<float>(static_cast<uint32_t>(bits)));
+    case Prim::F64: return ofF64(std::bit_cast<double>(bits));
     }
     return Value();
 }

@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <variant>
 #include <vector>
@@ -56,6 +57,15 @@ public:
 
     /// Default (zero / null) value for a declared type.
     static Value defaultOf(const Type& t);
+
+    /// The primitive kind; nullopt for void and references.
+    std::optional<Prim> prim() const noexcept;
+    /// A primitive's exact bits as an int64 slot carries them across the
+    /// jit boundary: bool 0/1, ints sign-extended, floats bit-cast (every
+    /// NaN payload and the sign of zero kept). Throws on a non-primitive.
+    int64_t bits() const;
+    /// The primitive of kind `p` whose bits() are `bits`.
+    static Value ofBits(Prim p, int64_t bits);
 
     std::string str() const;
 

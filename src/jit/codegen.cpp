@@ -70,15 +70,13 @@ std::string primLiteral(Prim p, int64_t i, double f) {
     return "0";
 }
 
-std::string primLiteralOf(const Value& v) {
-    if (v.isBool()) return v.asBool() ? "1" : "0";
-    if (v.isI32()) return primLiteral(Prim::I32, v.asI32(), 0);
-    if (v.isI64()) return primLiteral(Prim::I64, v.asI64(), 0);
-    // Straight from the float: a detour through double would quieten a
+/// The exact literal of a primitive given by its Value::bits().
+std::string primLiteralOf(Prim p, int64_t bits) {
+    // Straight from the bits: a detour through double would quieten a
     // signaling NaN.
-    if (v.isF32()) return f32Literal(v.asF32());
-    if (v.isF64()) return f64Literal(v.asF64());
-    xerr("non-primitive literal");
+    if (p == Prim::F32) return f32Literal(Value::ofBits(p, bits).asF32());
+    if (p == Prim::F64) return f64Literal(Value::ofBits(p, bits).asF64());
+    return primLiteral(p, bits, 0);
 }
 
 /// Indented line collector for one C function body.
@@ -154,8 +152,7 @@ public:
     /// emitted in place of the source body; null keeps the source.
     void setEntryBody(const Method* body) { entryBody_ = body; }
 
-    Translation run(const Value& receiver, const std::string& method,
-                    const std::vector<Value>& args);
+    Translation run(const GraphSnapshot& snap, const std::string& method);
 
 private:
     // ---- value being generated: a C expression + exact shape.
@@ -243,10 +240,9 @@ private:
     std::string staticRef(const std::string& cls, const std::string& field);
 
     // ---- entry
-    void genEntry(const Value& receiver, const std::string& method,
-                  const std::vector<Value>& args);
+    void genEntry(const GraphSnapshot& snap, const std::string& method);
     void emitGraphInit(Emitter& em, const std::string& prefix, const Shape* shape,
-                       const Value& v);
+                       const GraphSnapshot& snap, uint32_t id);
 
     const Program& prog_;
     ShapeTable shapes_;
@@ -1845,34 +1841,33 @@ CodeGen::CVal CodeGen::genIntrinsic(Env& env, const IntrinsicExpr& n) {
 // -------------------------------------------------------------------- entry
 
 void CodeGen::emitGraphInit(Emitter& em, const std::string& prefix, const Shape* shape,
-                            const Value& v) {
-    // Depth-first over fields; the invoke() marshaller walks the receiver
-    // Value in the same order to fill the arrays table.
-    for (const auto& [name, fs] : shape->fields()) {
-        const Value& fv = v.asObj()->fields.at(name);
+                            const GraphSnapshot& snap, uint32_t id) {
+    // Depth-first over fields; each array's arrs[] index is its snapshot
+    // number, which is also its place in invoke()'s marshal.
+    for (size_t k = 0; k < shape->fields().size(); ++k) {
+        const auto& [name, fs] = shape->fields()[k];
+        const GraphSnapshot::Node& fv = snap[snap.field(id, k)];
         const std::string member = prefix + ".f_" + name;
         switch (fs->kind()) {
         case Shape::Kind::Prim:
-            em.line(member + " = " + primLiteralOf(fv) + ";");
+            em.line(member + " = " + primLiteralOf(fv.prim(), fv.bits) + ";");
             break;
         case Shape::Kind::Array:
-            if (fv.asArr()) {
-                em.line(member + " = arrs[" + std::to_string(out_.plan.arraySlots++) + "];");
-                out_.plan.receiverLengths.push_back(static_cast<int64_t>(fv.asArr()->data.size()));
+            if (fv.kind == GraphSnapshot::Kind::Array) {
+                em.line(member + " = arrs[" + std::to_string(fv.slot) + "];");
             } else {
                 em.line(member + " = 0; /* null at jit time */");
             }
             break;
         case Shape::Kind::Object:
-            emitGraphInit(em, member, fs, fv);
+            emitGraphInit(em, member, fs, snap, snap.field(id, k));
             break;
         }
     }
 }
 
-void CodeGen::genEntry(const Value& receiver, const std::string& method,
-                       const std::vector<Value>& args) {
-    const Shape* recvShape = shapes_.ofValue(receiver);
+void CodeGen::genEntry(const GraphSnapshot& snap, const std::string& method) {
+    const Shape* recvShape = shapes_.ofNode(snap, snap.root(0));
     if (!recvShape->isObject()) xerr("jit receiver must be an object");
     const ClassDecl& exact = recvShape->cls();
     if (!exact.wootinj) {
@@ -1882,34 +1877,35 @@ void CodeGen::genEntry(const Value& receiver, const std::string& method,
     const Method* m = owner ? owner->ownMethod(method) : nullptr;
     if (!m || m->isAbstract) xerr(exact.name + " has no concrete method " + method);
     if (m->isGlobal) xerr("the jit entry method cannot be @Global");
-    if (args.size() != m->params.size()) {
+    if (snap.argCount() != m->params.size()) {
         xerr(method + ": expected " + std::to_string(m->params.size()) + " arguments, got " +
-             std::to_string(args.size()));
+             std::to_string(snap.argCount()));
     }
     if (!m->ret.isVoid() && !m->ret.isPrim()) {
         xerr("entry method must return void or a primitive (got " + m->ret.str() + ")");
     }
-    out_.plan.ret = m->ret;
+    out_.entryRet = m->ret;
 
+    // The receiver and object arguments are rebuilt from the snapshot.
     Emitter em;
-    const std::string recvStruct = structFor(recvShape);
-    em.line(recvStruct + " self_s;");
-    em.line("memset(&self_s, 0, sizeof self_s);");
-    emitGraphInit(em, "self_s", recvShape, receiver);
+    auto rebuild = [&](const std::string& var, const Shape* shape, uint32_t id) {
+        em.line(structFor(shape) + " " + var + ";");
+        em.line("memset(&" + var + ", 0, sizeof " + var + ");");
+        emitGraphInit(em, var, shape, snap, id);
+    };
+    rebuild("self_s", recvShape, snap.root(0));
 
     // Explicit arguments: primitives from the prims[] table (bit-cast), and
-    // arrays from the tail of the arrays table. Object arguments are
-    // reconstructed from their jit-time snapshot like the receiver.
+    // arrays from the arrays table.
     std::vector<const Shape*> argShapes;
     std::vector<std::string> argTexts;
     int primIdx = 0;
-    for (size_t i = 0; i < args.size(); ++i) {
-        const Value& av = args[i];
-        const Shape* as = shapes_.ofValue(av);
+    for (size_t i = 0; i < snap.argCount(); ++i) {
+        const uint32_t av = snap.root(i + 1);
+        const Shape* as = shapes_.ofNode(snap, av);
         argShapes.push_back(as);
         switch (as->kind()) {
         case Shape::Kind::Prim: {
-            out_.plan.primSlots.push_back(as->prim());
             std::string slot = "prims[" + std::to_string(primIdx++) + "]";
             switch (as->prim()) {
             case Prim::Bool: argTexts.push_back("((int32_t)(" + slot + " != 0))"); break;
@@ -1921,16 +1917,12 @@ void CodeGen::genEntry(const Value& receiver, const std::string& method,
             break;
         }
         case Shape::Kind::Array:
-            argTexts.push_back("arrs[" + std::to_string(out_.plan.arraySlots++) + "]");
+            argTexts.push_back("arrs[" + std::to_string(snap[av].slot) + "]");
             break;
-        case Shape::Kind::Object: {
-            std::string av_s = format("arg%zu_s", i);
-            em.line(structFor(as) + " " + av_s + ";");
-            em.line("memset(&" + av_s + ", 0, sizeof " + av_s + ");");
-            emitGraphInit(em, av_s, as, av);
-            argTexts.push_back("(&" + av_s + ")");
+        case Shape::Kind::Object:
+            rebuild(format("arg%zu_s", i), as, av);
+            argTexts.push_back(format("(&arg%zu_s)", i));
             break;
-        }
         }
     }
 
@@ -1959,11 +1951,10 @@ void CodeGen::genEntry(const Value& receiver, const std::string& method,
     entry_ += "}\n";
 }
 
-Translation CodeGen::run(const Value& receiver, const std::string& method,
-                         const std::vector<Value>& args) {
+Translation CodeGen::run(const GraphSnapshot& snap, const std::string& method) {
     Timer timer;
     out_.entrySymbol = "wj_entry";
-    genEntry(receiver, method, args);
+    genEntry(snap, method);
 
     std::string src;
     src += "/* Generated by WootinC (WootinJ reproduction). Do not edit. */\n";
@@ -2026,11 +2017,11 @@ TranslateOptions TranslateOptions::fromEnv() {
 
 Translation translate(const Program& prog, const Value& receiver, const std::string& method,
                       const std::vector<Value>& args) {
-    return translate(prog, receiver, method, args, TranslateOptions::fromEnv());
+    return translate(GraphSnapshot(prog, receiver, args), method, TranslateOptions::fromEnv());
 }
 
-Translation translate(const Program& prog, const Value& receiver, const std::string& method,
-                      const std::vector<Value>& args, const TranslateOptions& opts) {
+Translation translate(const GraphSnapshot& snap, const std::string& method,
+                      const TranslateOptions& opts) {
     // Parallel outlining and SIMD are translation-time choices baked into
     // the generated C; the worker count (WJ_THREADS) is a pure run-time
     // decision, so the generated code and its cache key are thread-count
@@ -2042,12 +2033,11 @@ Translation translate(const Program& prog, const Value& receiver, const std::str
     // regardless of the guard mode. The guard mode only decides what the
     // interval verdicts are *used* for.
     analysis::Result facts =
-        opts.parallel
-            ? analysis::analyzeEntryFused(prog, receiver, method, args, opts.simd, opts.soa)
-            : analysis::analyzeEntry(prog, receiver, method, args, nullptr, opts.soa);
+        opts.parallel ? analysis::analyzeEntryFused(snap, method, opts.simd, opts.soa)
+                      : analysis::analyzeEntry(snap, method, nullptr, opts.soa);
     facts.require();
 
-    CodeGen cg(prog);
+    CodeGen cg(snap.program());
     cg.setBounds(opts.bounds,
                  opts.bounds == TranslateOptions::Bounds::Unproven ? &facts.accessSafety : nullptr);
     if (opts.parallel) {
@@ -2056,7 +2046,7 @@ Translation translate(const Program& prog, const Value& receiver, const std::str
     }
     if (opts.simd) cg.setSimd(&facts.loopVector);
     if (opts.soa) cg.setSoa(&facts.layoutClasses);
-    Translation t = cg.run(receiver, method, args);
+    Translation t = cg.run(snap, method);
     t.fusedLoops = facts.fusedLoops;
     t.fusionReport = std::move(facts.fusionReport);
     t.sourceHash = fnv1a64(t.cSource.data(), t.cSource.size());

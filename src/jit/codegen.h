@@ -27,31 +27,19 @@
 #include <string>
 #include <vector>
 
-#include "interp/value.h"
+#include "interp/snapshot.h"
 #include "ir/program.h"
 
 namespace wj {
-
-/// How invoke() must marshal the recorded (or overriding) arguments.
-struct EntryPlan {
-    /// Primitive kinds of the explicit entry arguments, in order. Each
-    /// occupies one int64 slot (floats bit-cast) in the prims[] table.
-    std::vector<Prim> primSlots;
-    /// Number of wj_array* slots: receiver-graph arrays first (in depth-
-    /// first field order, nulls skipped), then explicit array arguments.
-    int arraySlots = 0;
-    /// Lengths of the receiver-graph arrays, in slot order. The proofs
-    /// read them exactly, so invoke refuses a receiver whose arrays differ.
-    std::vector<int64_t> receiverLengths;
-    /// Return type of the entry method (void or primitive).
-    Type ret = Type::voidTy();
-};
 
 /// A completed translation.
 struct Translation {
     std::string cSource;
     std::string entrySymbol;
-    EntryPlan plan;
+    /// Return type of the entry (void or primitive). Its prims[] and
+    /// arrs[] tables follow the translated GraphSnapshot: the primitive
+    /// arguments, and each distinct array a field path reaches.
+    Type entryRet = Type::voidTy();
 
     // ---- optimization accounting (tests + EXPERIMENTS.md evidence)
     int64_t specializations = 0;   ///< C functions generated from WJ methods
@@ -107,16 +95,17 @@ struct TranslateOptions {
     static TranslateOptions fromEnv();
 };
 
-/// Translates `method`, called on `receiver` with `args`, plus everything
-/// reachable from it, under `opts`. The program must already satisfy the
-/// coding rules (the public jit() entry verifies them first). Runs the
-/// mandatory dataflow analyses first and throws AnalysisError on a proven
-/// defect; the bounds mode only decides what the interval verdicts are used
-/// for.
-Translation translate(const Program& prog, const Value& receiver, const std::string& method,
-                      const std::vector<Value>& args, const TranslateOptions& opts);
+/// Translates `method`, called on the snapshot's receiver with its
+/// arguments, plus everything reachable from it, under `opts`. The program
+/// must already satisfy the coding rules (the public jit() entry verifies
+/// them first). Runs the mandatory dataflow analyses first and throws
+/// AnalysisError on a proven defect; the bounds mode only decides what the
+/// interval verdicts are used for.
+Translation translate(const GraphSnapshot& snap, const std::string& method,
+                      const TranslateOptions& opts);
 
-/// translate() under TranslateOptions::fromEnv().
+/// translate() of a snapshot of `receiver` and `args`, under
+/// TranslateOptions::fromEnv().
 Translation translate(const Program& prog, const Value& receiver, const std::string& method,
                       const std::vector<Value>& args);
 

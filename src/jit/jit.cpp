@@ -3,8 +3,6 @@
 #include <sys/resource.h>
 
 #include <cstdlib>
-#include <cstring>
-#include <optional>
 #include <unordered_map>
 
 #include "gpusim/gpusim.h"
@@ -23,25 +21,6 @@
 namespace wj {
 
 namespace {
-
-/// Depth-first walk over the receiver graph collecting non-null arrays, in
-/// the exact order codegen's emitGraphInit assigned arrs[] indices. With
-/// `paths`, also the field path of each ("this.grid.cur") for messages.
-void collectArrays(const Program& prog, const Value& v, std::vector<ArrRef>& out,
-                   std::vector<std::string>* paths = nullptr, const std::string& at = "this") {
-    const ObjRef& o = v.asObj();
-    if (!o) throw UsageError("null object in receiver graph at invoke time");
-    for (const Field* f : prog.allFields(o->cls->name)) {
-        const Value& fv = o->fields.at(f->name);
-        if (f->type.isArray()) {
-            if (!fv.asArr()) continue;
-            out.push_back(fv.asArr());
-            if (paths) paths->push_back(at + "." + f->name);
-        } else if (f->type.isClass()) {
-            collectArrays(prog, fv, out, paths, paths ? at + "." + f->name : at);
-        }
-    }
-}
 
 /// Minor page faults this thread has taken so far.
 int64_t threadMinorFaults() {
@@ -104,70 +83,29 @@ bool fallbackEnabled() {
 /// Deep copy of a value graph (objects, arrays, primitives). The
 /// interpreter fallback runs on copies so the paper's no-copy-back
 /// contract (Section 3.1) holds on every rung of the degradation ladder.
-Value deepCopyValue(const Value& v, std::unordered_map<const Obj*, ObjRef>& memo) {
-    if (v.isArr()) {
-        const ArrRef& a = v.asArr();
-        if (!a) return v;
+/// Objects and arrays are copied once each, so the copy shares what the
+/// original shares (the snapshot's identity rule).
+Value deepCopyValue(const Value& v, std::unordered_map<const void*, Value>& memo) {
+    if (v.isArr() && v.asArr()) {
+        const Arr& a = *v.asArr();
+        if (auto it = memo.find(&a); it != memo.end()) return it->second;
         auto copy = std::make_shared<Arr>();
-        copy->elem = a->elem;
-        copy->data.reserve(a->data.size());
-        for (const Value& e : a->data) copy->data.push_back(deepCopyValue(e, memo));
+        memo.emplace(&a, Value::ofArr(copy));
+        copy->elem = a.elem;
+        copy->data.reserve(a.data.size());
+        for (const Value& e : a.data) copy->data.push_back(deepCopyValue(e, memo));
         return Value::ofArr(std::move(copy));
     }
-    if (v.isObj()) {
-        const ObjRef& o = v.asObj();
-        if (!o) return v;
-        if (auto it = memo.find(o.get()); it != memo.end()) return Value::ofObj(it->second);
+    if (v.isObj() && v.asObj()) {
+        const Obj& o = *v.asObj();
+        if (auto it = memo.find(&o); it != memo.end()) return it->second;
         auto copy = std::make_shared<Obj>();
-        copy->cls = o->cls;
-        memo.emplace(o.get(), copy);
-        for (const auto& [name, fv] : o->fields) copy->fields[name] = deepCopyValue(fv, memo);
+        memo.emplace(&o, Value::ofObj(copy));
+        copy->cls = o.cls;
+        for (const auto& [name, fv] : o.fields) copy->fields[name] = deepCopyValue(fv, memo);
         return Value::ofObj(std::move(copy));
     }
     return v;
-}
-
-int64_t primToSlot(const Value& v, Prim expected) {
-    switch (expected) {
-    case Prim::Bool: return v.asBool() ? 1 : 0;
-    case Prim::I32: return v.asI32();
-    case Prim::I64: return v.asI64();
-    case Prim::F32: {
-        uint32_t bits;
-        float f = v.asF32();
-        std::memcpy(&bits, &f, sizeof bits);
-        return static_cast<int64_t>(bits);
-    }
-    case Prim::F64: {
-        uint64_t bits;
-        double d = v.asF64();
-        std::memcpy(&bits, &d, sizeof bits);
-        return static_cast<int64_t>(bits);
-    }
-    }
-    throw UsageError("bad prim slot");
-}
-
-Value slotToValue(int64_t slot, const Type& ret) {
-    if (ret.isVoid()) return Value();
-    switch (ret.prim()) {
-    case Prim::Bool: return Value::ofBool(slot != 0);
-    case Prim::I32: return Value::ofI32(static_cast<int32_t>(slot));
-    case Prim::I64: return Value::ofI64(slot);
-    case Prim::F32: {
-        uint32_t bits = static_cast<uint32_t>(slot);
-        float f;
-        std::memcpy(&f, &bits, sizeof f);
-        return Value::ofF32(f);
-    }
-    case Prim::F64: {
-        uint64_t bits = static_cast<uint64_t>(slot);
-        double d;
-        std::memcpy(&d, &bits, sizeof d);
-        return Value::ofF64(d);
-    }
-    }
-    return Value();
 }
 
 } // namespace
@@ -185,31 +123,10 @@ JitCode::JitCode(const Program& prog, Value receiver, std::string method, std::v
     trace::Span span("jit", trace::enabled() ? trace::intern("translate " + method_)
                                              : "translate");
     Timer t;
-    translation_ =
-        TranslationMemo::lookup(prog, receiver_, method_, recordedArgs_, opts_, &memoHit_);
+    snapshot_ = std::make_shared<const GraphSnapshot>(prog, receiver_, recordedArgs_);
+    translation_ = TranslationMemo::lookup(*snapshot_, method_, opts_, &memoHit_);
     codegenSeconds_ = memoHit_ ? t.seconds() : translation_->codegenSeconds;
     span.arg(0, "memo", memoHit_ ? 1 : 0);
-}
-
-std::vector<ArrRef> JitCode::receiverArrays() const {
-    std::vector<ArrRef> arrays;
-    collectArrays(*prog_, receiver_, arrays);
-    const std::vector<int64_t>& lengths = translation_->plan.receiverLengths;
-    if (arrays.size() != lengths.size()) return arrays;  // invokeRank reports the layout
-    for (size_t i = 0; i < arrays.size(); ++i) {
-        const auto len = static_cast<int64_t>(arrays[i]->data.size());
-        if (len != lengths[i]) {
-            std::vector<std::string> paths;
-            arrays.clear();
-            collectArrays(*prog_, receiver_, arrays, &paths);
-            throw UsageError(format("invoke: receiver array %s has length %lld, but the code "
-                                    "was specialized to length %lld at jit() time; jit() "
-                                    "again for the new length",
-                                    paths[i].c_str(), static_cast<long long>(len),
-                                    static_cast<long long>(lengths[i])));
-        }
-    }
-    return arrays;
 }
 
 void JitCode::load(CompileResult compiled) {
@@ -232,101 +149,28 @@ void JitCode::set4MPI(int ranks, const std::string& /*nodeList*/) {
     ranks_ = ranks;
 }
 
-namespace {
-
-// Primitive result <-> (kind, bits) codec for Transport::publishResult.
-// JIT entry points return primitive slots only (arrays travel by argument),
-// so this covers every legal MPI entry result.
-enum ResultKind { kResVoid = 0, kResBool, kResI32, kResI64, kResF32, kResF64 };
-
-void encodeResult(const Value& v, int* kind, int64_t* bits) {
-    *bits = 0;
-    if (v.isVoid()) {
-        *kind = kResVoid;
-    } else if (v.isBool()) {
-        *kind = kResBool;
-        *bits = v.asBool() ? 1 : 0;
-    } else if (v.isI32()) {
-        *kind = kResI32;
-        *bits = v.asI32();
-    } else if (v.isI64()) {
-        *kind = kResI64;
-        *bits = v.asI64();
-    } else if (v.isF32()) {
-        *kind = kResF32;
-        const float f = v.asF32();
-        uint32_t u = 0;
-        std::memcpy(&u, &f, sizeof f);
-        *bits = static_cast<int64_t>(u);
-    } else if (v.isF64()) {
-        *kind = kResF64;
-        const double d = v.asF64();
-        std::memcpy(bits, &d, sizeof d);
-    } else {
-        throw ExecError("MPI entry returned a non-primitive result; only void/bool/int/"
-                        "long/float/double can cross the rank boundary");
-    }
-}
-
-Value decodeResult(int kind, int64_t bits) {
-    switch (kind) {
-    case kResBool: return Value::ofBool(bits != 0);
-    case kResI32: return Value::ofI32(static_cast<int32_t>(bits));
-    case kResI64: return Value::ofI64(bits);
-    case kResF32: {
-        const auto u = static_cast<uint32_t>(bits);
-        float f = 0;
-        std::memcpy(&f, &u, sizeof f);
-        return Value::ofF32(f);
-    }
-    case kResF64: {
-        double d = 0;
-        std::memcpy(&d, &bits, sizeof d);
-        return Value::ofF64(d);
-    }
-    default: return Value();
-    }
-}
-
-/// What the prover reads exactly of argument `v` when `recorded` has the
-/// same kind: the value of a bool/int/long, the length of an array (-1
-/// for null).
-std::optional<int64_t> exactPartOf(const Value& recorded, const Value& v) {
-    if (recorded.isBool() && v.isBool()) return v.asBool() ? 1 : 0;
-    if (recorded.isI32() && v.isI32()) return v.asI32();
-    if (recorded.isI64() && v.isI64()) return v.asI64();
-    if (recorded.isArr() && v.isArr()) {
-        return v.asArr() ? static_cast<int64_t>(v.asArr()->data.size()) : -1;
-    }
-    return std::nullopt;
-}
-
-} // namespace
-
 Value JitCode::invoke() { return invokeWith(recordedArgs_); }
 
 JitCode::Variant JitCode::resolve(const std::vector<Value>& args) {
-    const Variant recorded{translation_, compile_.module, entry_};
+    const Variant recorded{snapshot_, translation_, compile_.module, entry_};
     if (&args == &recordedArgs_) return recorded;
-    bool differs = false;
-    for (size_t i = 0; i < args.size() && !differs; ++i) {
-        const auto v = exactPartOf(recordedArgs_[i], args[i]);
-        differs = v && v != exactPartOf(recordedArgs_[i], recordedArgs_[i]);
-    }
-    if (!differs) return recorded;
-
-    std::vector<int64_t> tuple;
-    std::vector<Value> keyArgs = recordedArgs_;
+    // Floats and doubles, which the proofs do not read, and objects, which
+    // were baked in at jit(), keep their recorded values.
+    std::vector<Value> keyArgs = args;
     for (size_t i = 0; i < args.size(); ++i) {
-        if (const auto v = exactPartOf(recordedArgs_[i], args[i])) {
-            tuple.push_back(*v);
-            keyArgs[i] = args[i];
-        }
+        if (args[i].isF32() || args[i].isF64() || args[i].isObj()) keyArgs[i] = recordedArgs_[i];
     }
+    auto snap = std::make_shared<const GraphSnapshot>(*prog_, receiver_, keyArgs);
+    std::vector<int64_t> tuple = snap->exactArgs();
+    if (tuple == snapshot_->exactArgs()) return recorded;
+
     auto it = variants_.find(tuple);
     if (it == variants_.end()) {
+        // A receiver changed since jit() is refused, not translated anew.
+        snapshot_->liveArrays(receiver_, recordedArgs_);
         Variant v;
-        v.tr = TranslationMemo::lookup(*prog_, receiver_, method_, keyArgs, opts_);
+        v.snap = std::move(snap);
+        v.tr = TranslationMemo::lookup(*v.snap, method_, opts_);
         v.module = compileAndLoad(v.tr->cSource, method_, v.tr->sourceHash).module;
         v.entry = reinterpret_cast<EntryFn>(v.module->symbol(v.tr->entrySymbol));
         it = variants_.emplace(std::move(tuple), std::move(v)).first;
@@ -342,8 +186,8 @@ Value JitCode::invokeWith(const std::vector<Value>& args) {
                      trace::enabled() ? trace::intern("invoke " + method_) : "invoke",
                      "ranks", mpi_ ? ranks_ : 1);
     if (mode_ == ExecMode::Interpreter) return invokeInterpreter(args);
-    const std::vector<ArrRef> recvArrays = receiverArrays();
     const Variant variant = resolve(args);
+    const std::vector<ArrRef> arrays = variant.snap->liveArrays(receiver_, args);
     if (mpi_ && ranks_ > 1) {
         if (copyBack_) {
             throw UsageError("copy-back is only defined for single-rank invocations");
@@ -353,27 +197,28 @@ Value JitCode::invokeWith(const std::vector<Value>& args) {
             // One GPU per node (paper Section 4.1): each rank owns a device.
             gpusim::Device dev(comm.rank());
             runtime::RankScope scope(&comm, &dev);
-            Value r = invokeRank(args, variant, recvArrays);
+            const Value r = invokeRank(args, variant, arrays);
             // Rank 0's result leaves the world through the transport's
             // result slot: lambda captures cannot carry it back across a
             // fork boundary on the process transport, and MPI entries
-            // return primitives only, so a kind + 64-bit payload suffices.
+            // return primitives only, so a kind (0 for void, else 1 + its
+            // Prim) and its bits suffice.
             if (comm.rank() == 0) {
-                int kind = 0;
-                int64_t bits = 0;
-                encodeResult(r, &kind, &bits);
-                comm.publishResult(kind, bits);
+                comm.publishResult(r.prim() ? 1 + static_cast<int>(*r.prim()) : 0,
+                                   r.prim() ? r.bits() : 0);
             }
         });
         commStats_ = world.stats();
         int kind = 0;
         int64_t bits = 0;
-        if (world.takeResult(&kind, &bits)) return decodeResult(kind, bits);
+        if (world.takeResult(&kind, &bits) && kind > 0) {
+            return Value::ofBits(static_cast<Prim>(kind - 1), bits);
+        }
         return Value();
     }
     gpusim::Device dev(0);
     runtime::RankScope scope(nullptr, &dev);
-    return invokeRank(args, variant, recvArrays);
+    return invokeRank(args, variant, arrays);
 }
 
 Value JitCode::invokeInterpreter(const std::vector<Value>& args) {
@@ -391,7 +236,7 @@ Value JitCode::invokeInterpreter(const std::vector<Value>& args) {
         // Copy-back semantics are exactly in-place interpretation.
         return interp.call(receiver_, method_, args);
     }
-    std::unordered_map<const Obj*, ObjRef> memo;
+    std::unordered_map<const void*, Value> memo;
     Value recvCopy = deepCopyValue(receiver_, memo);
     std::vector<Value> argCopies;
     argCopies.reserve(args.size());
@@ -400,19 +245,9 @@ Value JitCode::invokeInterpreter(const std::vector<Value>& args) {
 }
 
 Value JitCode::invokeRank(const std::vector<Value>& args, const Variant& v,
-                          const std::vector<ArrRef>& recvArrays) {
-    const EntryPlan& plan = v.tr->plan;
-    // Deep-copy the argument arrays into this rank's private memory space.
-    std::vector<ArrRef> interpArrays = recvArrays;
-    for (const Value& a : args) {
-        if (a.isArr() && a.asArr()) interpArrays.push_back(a.asArr());
-    }
-    if (static_cast<int>(interpArrays.size()) != plan.arraySlots) {
-        throw UsageError("invoke: the receiver graph's array layout changed since jit() time (" +
-                         std::to_string(interpArrays.size()) + " arrays vs " +
-                         std::to_string(plan.arraySlots) + " recorded)");
-    }
-
+                          const std::vector<ArrRef>& interpArrays) {
+    // Deep-copy each distinct array into this rank's private memory space;
+    // every arrs[] slot that names it gets the one copy.
     static auto& marshalBytes = trace::Metrics::instance().counter("jit.marshal.bytes");
     std::vector<wj_array*> nativeArrays;
     nativeArrays.reserve(interpArrays.size());
@@ -428,17 +263,15 @@ Value JitCode::invokeRank(const std::vector<Value>& args, const Variant& v,
     }
 
     std::vector<int64_t> prims;
-    size_t slotIdx = 0;
-    for (const Value& a : args) {
-        if (a.isArr()) continue;
-        if (a.isObj()) continue;  // object args were baked in at jit() time
-        if (slotIdx >= plan.primSlots.size()) {
-            throw UsageError("invoke: more primitive arguments than recorded");
+    for (size_t i = 0; i < args.size(); ++i) {
+        // Arrays travel in arrs[]; object arguments were baked in at jit().
+        const GraphSnapshot::Node& n = (*v.snap)[v.snap->root(i + 1)];
+        if (n.kind != GraphSnapshot::Kind::Prim) continue;
+        if (args[i].prim() != n.prim()) {
+            throw ExecError(std::string("value is not a ") + primName(n.prim()) + ": " +
+                            args[i].str());
         }
-        prims.push_back(primToSlot(a, plan.primSlots[slotIdx++]));
-    }
-    if (slotIdx != plan.primSlots.size()) {
-        throw UsageError("invoke: fewer primitive arguments than recorded");
+        prims.push_back(args[i].bits());
     }
 
     int64_t raw;
@@ -476,7 +309,8 @@ Value JitCode::invokeRank(const std::vector<Value>& args, const Variant& v,
     }
     // No copy-back by default (paper Section 3.1); release the private space.
     for (wj_array* a : nativeArrays) wjrt_free_array(a);
-    return slotToValue(raw, plan.ret);
+    const Type& ret = v.tr->entryRet;
+    return ret.isVoid() ? Value() : Value::ofBits(ret.prim(), raw);
 }
 
 JitCode WootinJ::jit(const Program& prog, const Value& receiver, const std::string& method,

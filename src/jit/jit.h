@@ -10,12 +10,13 @@
 // translation is specialized to the receiver graph and the arguments, so a
 // repeated jit() of an unchanged composition on one Program is served by
 // the Program's translation memo (jit/memo.h) and the compile cache.
-// invoke() deep-copies the recorded array arguments into the translated
-// code's own memory space (per rank, for MPI) and calls the generated
-// entry. invokeWith() does the same with other arguments, and runs the
-// translation specialized to them when its bool/int/long values differ
-// from the recorded ones. Modified arrays are NOT copied back (paper,
-// Section 3.1) unless the copy-back extension is requested.
+// invoke() deep-copies each distinct array of the receiver graph and the
+// recorded arguments into the translated code's own memory space (per
+// rank, for MPI) and calls the generated entry. invokeWith() does the same
+// with other arguments, and runs the translation specialized to them when
+// their exact part differs from the recorded one. Modified arrays are NOT
+// copied back (paper, Section 3.1) unless the copy-back extension is
+// requested.
 #pragma once
 
 #include <map>
@@ -58,18 +59,18 @@ public:
     Value invoke();
 
     /// Runs with overriding arguments (same types as recorded). The
-    /// translation was specialized to the recorded bool/int/long values and
-    /// array lengths (the bounds, parallel and SIMD proofs read them
-    /// exactly), so when one of them differs, the call runs the translation
-    /// made for the new values: through the Program's translation memo
+    /// translation was specialized to the exact part of the recorded
+    /// arguments (bool/int/long values, array lengths, and which arrays are
+    /// shared with the receiver or each other; the bounds, parallel and
+    /// SIMD proofs read them), so when it differs, the call runs the
+    /// translation made for it: through the Program's translation memo
     /// (jit/memo.h), and the compile cache, which serves byte-identical C
-    /// without a compile. Each distinct tuple of such values is resolved
-    /// once per JitCode. Float and double arguments, which the proofs treat
-    /// as unknown, and array contents run the recorded translation. The
-    /// proofs read the receiver's array lengths too: a receiver array
-    /// swapped for one of another length since jit() is a UsageError that
-    /// names its field. Overriding invokes fill the per-JitCode table, so
-    /// do not run them on one JitCode from two threads at once.
+    /// without a compile. Each distinct exact part is resolved once per
+    /// JitCode. Float and double arguments and array contents run the
+    /// recorded translation. A receiver whose arrays changed length or
+    /// sharing since jit() is a UsageError that names the fields.
+    /// Overriding invokes fill the per-JitCode table, so do not run them on
+    /// one JitCode from two threads at once.
     Value invokeWith(const std::vector<Value>& args);
 
     /// EXTENSION beyond the paper: copy the receiver-graph and argument
@@ -162,9 +163,11 @@ public:
 private:
     friend class WootinJ;
     using EntryFn = int64_t (*)(const int64_t*, ::wj_array**);
-    /// A translation of this composition for other integer argument values
-    /// than the recorded ones (see invokeWith), with its loaded entry.
+    /// A translation of this composition for other exact argument values
+    /// than the recorded ones (see invokeWith), with the snapshot it was
+    /// made from and its loaded entry.
     struct Variant {
+        std::shared_ptr<const GraphSnapshot> snap;
         std::shared_ptr<const Translation> tr;
         std::shared_ptr<NativeModule> module;
         EntryFn entry = nullptr;
@@ -180,15 +183,13 @@ private:
     /// current exception when WJ_JIT_FALLBACK forbids it.
     void fallBackToInterpreter();
 
-    /// The recorded translation, or the Variant for the bool/int/long
-    /// values and array lengths of `args` when they differ from the
-    /// recorded ones.
+    /// The recorded translation, or the Variant for `args`' exact part
+    /// (GraphSnapshot::exactArgs) when it differs from the recorded one.
     Variant resolve(const std::vector<Value>& args);
-    /// The receiver graph's arrays, in arrs[] order. Throws UsageError
-    /// naming the first one whose length differs from its length at jit().
-    std::vector<ArrRef> receiverArrays() const;
+    /// Runs `v`'s entry on this rank, marshalling each of its snapshot's
+    /// live arrays once.
     Value invokeRank(const std::vector<Value>& args, const Variant& v,
-                     const std::vector<ArrRef>& recvArrays);
+                     const std::vector<ArrRef>& interpArrays);
     Value invokeInterpreter(const std::vector<Value>& args);
 
     const Program* prog_;
@@ -200,6 +201,7 @@ private:
     bool copyBack_ = false;
 
     TranslateOptions opts_;
+    std::shared_ptr<const GraphSnapshot> snapshot_;  ///< of the recorded call
     std::shared_ptr<const Translation> translation_;
     double codegenSeconds_ = 0;
     bool memoHit_ = false;
@@ -207,8 +209,7 @@ private:
     CompileResult compile_;  // module is shared via the module registry
     ExecMode mode_ = ExecMode::Native;
     EntryFn entry_ = nullptr;
-    /// Override tuple (the bool/int/long arguments and array lengths, in
-    /// order) -> Variant.
+    /// Override tuple (GraphSnapshot::exactArgs) -> Variant.
     std::map<std::vector<int64_t>, Variant> variants_;
 };
 

@@ -8,17 +8,11 @@
 // jit() of an unchanged composition is a lookup instead of an entry
 // analysis plus codegen.
 //
-// The key is a depth-first serialization, compared byte for byte (no hash):
-//   * the receiver graph: each object's exact class and every field by
-//     name. A primitive is its kind plus its exact bits (codegen bakes
-//     field values into the entry; the prover reads ints exactly). An array
-//     is its null-ness, element type and length; arrays of class or array
-//     elements recurse into their elements. Primitive array contents are
-//     left out: neither the prover nor codegen reads them. Objects and
-//     arrays are numbered by identity on first sight and referenced by
-//     number after it, so aliasing and cycles are part of the key;
-//   * the method name, then the arguments, numbered on from the receiver;
-//   * the TranslateOptions.
+// The key is the call's GraphSnapshot (interp/snapshot.h), compared byte
+// for byte (no hash), then the method name and the TranslateOptions. The
+// snapshot holds exact classes, primitive bits, array lengths and sharing;
+// its field and class declarations are addresses that live as long as the
+// Program, which owns the memo too.
 // WJ_THREADS, WJ_CC and WJ_CFLAGS are not in it: the first is run-time
 // only, the other two select the compiled module, whose cache key every
 // jit() still computes from Translation::sourceHash.
@@ -32,7 +26,6 @@
 
 #include <memory>
 #include <string>
-#include <vector>
 
 #include "jit/codegen.h"
 
@@ -40,14 +33,14 @@ namespace wj {
 
 class TranslationMemo {
 public:
-    /// The translation of `receiver.method(args)` under `opts`: the one
-    /// stored on `prog` under the same key, else a fresh translate() that
-    /// is stored if it succeeds. `*hit` (when given) says which. Counts
-    /// jit.translate.memo.hits / .misses. Safe to call from any thread;
-    /// racing misses on one key translate twice and share the first stored.
-    static std::shared_ptr<const Translation> lookup(const Program& prog, const Value& receiver,
+    /// The translation of `snap`'s receiver.method(args) under `opts`: the
+    /// one stored on its Program under the same key, else a fresh
+    /// translate() that is stored if it succeeds. `*hit` (when given) says
+    /// which. Counts jit.translate.memo.hits / .misses. Safe to call from
+    /// any thread; racing misses on one key translate twice and share the
+    /// first stored.
+    static std::shared_ptr<const Translation> lookup(const GraphSnapshot& snap,
                                                      const std::string& method,
-                                                     const std::vector<Value>& args,
                                                      const TranslateOptions& opts,
                                                      bool* hit = nullptr);
 };

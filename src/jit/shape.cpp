@@ -31,15 +31,6 @@ const Shape* Shape::field(const std::string& name) const {
     throw UsageError("shape " + key_ + " has no field " + name);
 }
 
-Type Shape::type() const {
-    switch (kind_) {
-    case Kind::Prim: return Type::prim(prim_);
-    case Kind::Array: return Type::array(*elem_);
-    case Kind::Object: return Type::cls(cls_->name);
-    }
-    throw UsageError("bad shape");
-}
-
 namespace {
 
 const char* primKey(Prim p) {
@@ -115,47 +106,37 @@ const Shape* ShapeTable::ofType(const Type& t) {
     throw UsageError("no shape for type " + t.str());
 }
 
-const Shape* ShapeTable::ofValue(const Value& v) {
-    if (v.isBool()) return ofPrim(Prim::Bool);
-    if (v.isI32()) return ofPrim(Prim::I32);
-    if (v.isI64()) return ofPrim(Prim::I64);
-    if (v.isF32()) return ofPrim(Prim::F32);
-    if (v.isF64()) return ofPrim(Prim::F64);
-    if (v.isArr()) {
-        const ArrRef& a = v.asArr();
-        if (!a) throw UsageError("cannot derive the shape of a null array without a declared type");
-        return ofArray(a->elem);
-    }
-    if (v.isObj()) {
-        const ObjRef& o = v.asObj();
-        if (!o) {
-            throw UsageError("null object in the composed application graph: the translator "
-                             "cannot determine its actual type (initialize every object field "
-                             "before calling jit)");
-        }
+const Shape* ShapeTable::ofNode(const GraphSnapshot& g, uint32_t id) {
+    using Kind = GraphSnapshot::Kind;
+    const GraphSnapshot::Node& n = g[id];
+    switch (n.kind) {
+    case Kind::Prim: return ofPrim(n.prim());
+    case Kind::Array: return ofArray(g.elemType(n));
+    case Kind::NullArr:
+        throw UsageError("cannot derive the shape of a null array without a declared type");
+    case Kind::NullObj:
+        throw UsageError("null object in the composed application graph: the translator "
+                         "cannot determine its actual type (initialize every object field "
+                         "before calling jit)");
+    case Kind::Object: {
         std::vector<std::pair<std::string, const Shape*>> fields;
-        for (const Field* f : prog_->allFields(o->cls->name)) {
-            const Value& fv = o->fields.at(f->name);
-            fields.emplace_back(f->name, ofValueAs(fv, f->type));
+        for (uint32_t k = 0; k < n.count; ++k) {
+            const Field& f = *g[n.first + k].field;
+            const GraphSnapshot::Node& v = g[g.field(id, k)];
+            if (f.type.isArray() && v.kind == Kind::Array && g.elemType(v) != f.type.elem()) {
+                throw UsageError("array field holds " + g.elemType(v).str() +
+                                 "[] but is declared " + f.type.str());
+            }
+            // Array fields may legally be null at jit time (allocated later
+            // by the translated code); their shape is the declared type.
+            fields.emplace_back(f.name, f.type.isArray() ? ofArray(f.type.elem())
+                                                         : ofNode(g, g.field(id, k)));
         }
-        return ofObject(*o->cls, std::move(fields));
+        return ofObject(*n.cls, std::move(fields));
     }
-    throw UsageError("cannot derive a shape from a void value");
-}
-
-const Shape* ShapeTable::ofValueAs(const Value& v, const Type& declared) {
-    // Array fields may legally be null at jit time (allocated later by the
-    // translated code); their shape is the declared element type.
-    if (declared.isArray()) {
-        const ArrRef& a = v.asArr();
-        if (!a) return ofArray(declared.elem());
-        if (a->elem != declared.elem()) {
-            throw UsageError("array field holds " + a->elem.str() + "[] but is declared " +
-                             declared.str());
-        }
-        return ofArray(a->elem);
+    default:
+        throw UsageError("cannot derive a shape from a void value");
     }
-    return ofValue(v);
 }
 
 } // namespace wj

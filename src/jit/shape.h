@@ -23,7 +23,7 @@
 #include <string>
 #include <vector>
 
-#include "interp/value.h"
+#include "interp/snapshot.h"
 #include "ir/program.h"
 
 namespace wj {
@@ -51,9 +51,6 @@ public:
 
     /// Canonical key, e.g. "Dif3DSolver{a:f32,q:DiffQ{k:f32}}".
     const std::string& key() const noexcept { return key_; }
-
-    /// The WJ static type this shape instantiates.
-    Type type() const;
 
 private:
     friend class ShapeTable;
@@ -85,16 +82,13 @@ public:
     const Shape* ofObject(const ClassDecl& cls,
                           std::vector<std::pair<std::string, const Shape*>> fields);
 
-    /// Shape of an actual runtime value (the composed application object
-    /// passed to jit()). Object fields must be non-null; array fields may
-    /// be null (their shape depends only on the declared element type).
-    const Shape* ofValue(const Value& v);
-
-    const Program& program() const noexcept { return *prog_; }
+    /// Shape of node `id` of a jit() snapshot (the composed application
+    /// object or an argument). Object fields must be non-null; array fields
+    /// may be null (their shape depends only on the declared element type).
+    const Shape* ofNode(const GraphSnapshot& g, uint32_t id);
 
 private:
     const Shape* intern(std::unique_ptr<Shape> s);
-    const Shape* ofValueAs(const Value& v, const Type& declared);
 
     const Program* prog_;
     std::map<std::string, std::unique_ptr<Shape>> byKey_;

@@ -272,7 +272,7 @@ bool Daemon::Impl::lookup(const std::string& rawBody, Outcome& out, CcJob& miss)
             while (ss >> tok) args.push_back(frontend::parseArgLiteral(tok));
         }
         trace::Span xlSpan("wjd", "translate");
-        tr = translate(prog, receiver, *method, args, TranslateOptions::fromEnv());
+        tr = translate(GraphSnapshot(prog, receiver, args), *method, TranslateOptions::fromEnv());
     } catch (const UsageError& e) {
         // Thrown by the parser with line/col context; by the composition /
         // argument readers without. The distinction the client cares about

@@ -802,3 +802,140 @@ TEST_P(SharedAccumulatorDifferential, TwoReductionsIntoOneLocalNeverFuse) {
 
 INSTANTIATE_TEST_SUITE_P(SharedAccumulatorSweep, SharedAccumulatorDifferential,
                          ::testing::Range(0, 6));
+
+// ------------------------------------------------- aliased-or-disjoint family
+//
+// Array sharing across the jit boundary (interp/snapshot.h). The receiver's
+// two float[] fields `a` and `b` hold one array or two, chosen by seed, and
+// the float[] argument `x` is a fresh array, `a`'s or `b`'s. The loops read
+// and write them at seeded index shifts, so when two names share an array
+// a store is visible to a later load, and a proof made for two separate
+// arrays (a parallel chunking, a restrict-hoisted SIMD loop) would read
+// stale elements. Lengths stay under the 64-chunk reduce grid, so every
+// config agrees with the interpreter bitwise.
+
+namespace {
+
+struct AliasCase {
+    Program prog;
+    bool shared = false;  ///< `a` and `b` are one array
+    int argAlias = 0;     ///< `x` is 0: a fresh array, 1: `a`'s, 2: `b`'s
+    int32_t n = 0;        ///< the arrays' length
+};
+
+AliasCase aliasFamilyProgram(uint64_t seed) {
+    SplitMix64 rng(seed);
+    const bool shared = rng.nextBelow(2) == 1;
+    const int argAlias = static_cast<int>(rng.nextBelow(3));
+    const int32_t n = 8 + static_cast<int32_t>(rng.nextBelow(40));
+    auto shift = [&] { return static_cast<int32_t>(rng.nextBelow(2)); };
+    const int32_t s1 = shift(), s2 = shift(), s3 = shift(), s4 = shift();
+    const float w1 = 0.25f * static_cast<float>(1 + rng.nextBelow(5));
+    const float w2 = 0.125f * static_cast<float>(1 + rng.nextBelow(7));
+    auto at = [](const char* arr, int32_t s) {
+        ExprPtr i = s ? add(lv("i"), ci(s)) : lv("i");
+        return std::string(arr) == "x" ? aget(lv("x"), std::move(i))
+                                       : aget(selff(arr), std::move(i));
+    };
+    auto term = [](ExprPtr e, double w) { return mul(cast(Type::f64(), std::move(e)), cd(w)); };
+    ProgramBuilder pb;
+    auto& cls = pb.cls("A");
+    cls.field("a", Type::array(Type::f32())).field("b", Type::array(Type::f32()));
+    cls.method("run", Type::f64())
+        .param("x", Type::array(Type::f32()))
+        .param("p", Type::f64())
+        .body(blk(
+            // a[i + s1] = b[i + s2] * w1 + x[i]
+            forRange("i", ci(0), sub(alen(lv("x")), ci(1)),
+                     blk(aset(selff("a"), s1 ? add(lv("i"), ci(s1)) : lv("i"),
+                              add(mul(at("b", s2), cf(w1)), at("x", 0))))),
+            // x[i + s3] = a[i + s4] * w2 + x[i + s3]
+            forRange("i", ci(0), sub(alen(lv("x")), ci(1)),
+                     blk(aset(lv("x"), s3 ? add(lv("i"), ci(s3)) : lv("i"),
+                              add(mul(at("a", s4), cf(w2)), at("x", s3))))),
+            decl("s", Type::f64(), lv("p")),
+            forRange("i", ci(0), alen(lv("x")),
+                     blk(assign("s", add(lv("s"), add(term(at("a", 0), 1.0),
+                                                      add(term(at("b", 0), 0.5),
+                                                          term(at("x", 0), 0.25))))))),
+            ret(lv("s"))));
+    return {pb.build(), shared, argAlias, n};
+}
+
+/// A fresh receiver and argument for `c`, with the same contents each time
+/// (the interpreter writes into the arrays it runs on).
+std::pair<Value, Value> aliasGraph(const AliasCase& c) {
+    auto floats = [&](int salt) {
+        auto arr = std::make_shared<Arr>();
+        arr->elem = Type::f32();
+        for (int32_t i = 0; i < c.n; ++i) {
+            arr->data.push_back(Value::ofF32(0.25f * static_cast<float>((i * 7 + salt) % 11)));
+        }
+        return Value::ofArr(arr);
+    };
+    auto o = std::make_shared<Obj>();
+    o->cls = &c.prog.require("A");
+    o->fields["a"] = floats(1);
+    o->fields["b"] = c.shared ? o->fields["a"] : floats(2);
+    const Value x = c.argAlias == 0 ? floats(3) : o->fields[c.argAlias == 1 ? "a" : "b"];
+    return {Value::ofObj(o), x};
+}
+
+} // namespace
+
+class AliasDifferential : public ::testing::TestWithParam<int> {};
+
+TEST_P(AliasDifferential, SharedOrDisjointArraysBitwiseAgree) {
+    const uint64_t seed = static_cast<uint64_t>(GetParam()) * 0x9e3779b9u + 11;
+    ScopedEnv pinB("WJ_BOUNDS", nullptr);
+    ScopedEnv pinP("WJ_PARALLEL", nullptr);
+    ScopedEnv pinT("WJ_THREADS", nullptr);
+    ScopedEnv pinS("WJ_SIMD", nullptr);
+    ScopedEnv pinL("WJ_SOA", nullptr);
+
+    const AliasCase c = aliasFamilyProgram(seed);
+    const auto [obj, x] = aliasGraph(c);
+    const std::vector<Value> jitArgs{x, Value::ofF64(0.0)};
+    auto jitWith = [&](std::initializer_list<std::pair<const char*, const char*>> env) {
+        std::vector<std::unique_ptr<ScopedEnv>> scopes;
+        for (const auto& [k, v] : env) scopes.push_back(std::make_unique<ScopedEnv>(k, v));
+        return WootinJ::jit(c.prog, obj, "run", jitArgs);
+    };
+    JitCode plain = jitWith({});
+    JitCode bounds = jitWith({{"WJ_BOUNDS", "all"}});
+    JitCode par = jitWith({{"WJ_PARALLEL", "1"}});
+    JitCode simd = jitWith({{"WJ_SIMD", "1"}});
+    JitCode parSimd = jitWith({{"WJ_PARALLEL", "1"}, {"WJ_SIMD", "1"}});
+    JitCode soa = jitWith({{"WJ_SOA", "1"}});
+    JitCode parSimdSoa = jitWith({{"WJ_PARALLEL", "1"}, {"WJ_SIMD", "1"}, {"WJ_SOA", "1"}});
+
+    for (double p : {0.0, 1.5, -3.25}) {
+        const auto [refObj, refX] = aliasGraph(c);
+        Interp in(c.prog);
+        const uint64_t ref = bitsOf(in.call(refObj, "run", {refX, Value::ofF64(p)}).asF64());
+        const std::vector<Value> args{x, Value::ofF64(p)};
+        struct Row {
+            const char* config;
+            JitCode* code;
+            const char* threads;
+        };
+        const Row rows[] = {{"jit", &plain, nullptr},
+                            {"jit+bounds=all", &bounds, nullptr},
+                            {"jit+parallel@1", &par, "1"},
+                            {"jit+parallel@4", &par, "4"},
+                            {"jit+simd", &simd, nullptr},
+                            {"jit+parallel+simd@4", &parSimd, "4"},
+                            {"jit+soa", &soa, nullptr},
+                            {"jit+parallel+simd+soa@4", &parSimdSoa, "4"}};
+        for (const Row& r : rows) {
+            ScopedEnv t("WJ_THREADS", r.threads);
+            EXPECT_EQ(ref, bitsOf(r.code->invokeWith(args).asF64()))
+                << "config=" << r.config << " diverged from the interpreter: seed=" << seed
+                << " shared=" << c.shared << " argAlias=" << c.argAlias << " n=" << c.n
+                << " p=" << p << " (replay: AliasDifferential sweep index " << GetParam()
+                << ")";
+        }
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(AliasSweep, AliasDifferential, ::testing::Range(0, 24));

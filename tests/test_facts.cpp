@@ -104,8 +104,9 @@ void renderFindings(std::string& out, const analysis::Result& r) {
 std::string analysisText(const Program& p, const Value& recv, const std::vector<Value>& args) {
     const bool par = flagOn("WJ_PARALLEL"), simd = flagOn("WJ_SIMD"), soa = flagOn("WJ_SOA");
     std::string out;
-    renderFindings(out, par ? analysis::analyzeEntryFused(p, recv, "run", args, simd, soa)
-                            : analysis::analyzeEntry(p, recv, "run", args, nullptr, soa));
+    const GraphSnapshot snap(p, recv, args);
+    renderFindings(out, par ? analysis::analyzeEntryFused(snap, "run", simd, soa)
+                            : analysis::analyzeEntry(snap, "run", nullptr, soa));
     return out;
 }
 
@@ -223,7 +224,8 @@ std::string factsText(const Composition& c) {
     out += "-- entry\n";
     renderFindings(out, analysis::analyzeEntry(p, recv, "run", c.args, nullptr, false));
     out += "-- entry fused simd soa\n";
-    renderFindings(out, analysis::analyzeEntryFused(p, recv, "run", c.args, true, true));
+    renderFindings(out,
+                   analysis::analyzeEntryFused(GraphSnapshot(p, recv, c.args), "run", true, true));
     return out;
 }
 

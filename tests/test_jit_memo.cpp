@@ -637,3 +637,110 @@ TEST(InvokeWithOverrides, ReceiverArrayOfAnotherLengthIsRefused) {
     EXPECT_TRUE(sameResult(in.call(Value::ofObj(o), "run", args).asF64(),
                            code.invokeWith(args).asF64()));
 }
+
+// The proofs read which receiver arrays are one array too (a restrict
+// hoist proven for two arrays is unsound for one). Fields that share
+// arrays in another pattern than at jit() are refused at invoke with a
+// UsageError naming both fields, in either direction.
+TEST(InvokeWithOverrides, ReceiverFieldsThatChangedSharingAreRefused) {
+    Switches sw;
+    Program p = cfgProgram();
+    const std::vector<Value> args{Value::ofI32(3)};
+    auto refusal = [&](JitCode& code) { return messageOf([&] { code.invokeWith(args); }); };
+
+    ObjRef two = baseCfg(p);
+    JitCode twoCode = WootinJ::jit(p, Value::ofObj(two), "run", args);
+    two->fields["c"] = two->fields["a"];
+    const std::string merged = refusal(twoCode);
+    EXPECT_NE(merged.find("this.a and this.c held two arrays"), std::string::npos) << merged;
+
+    ObjRef one = baseCfg(p);
+    one->fields["c"] = one->fields["a"];
+    JitCode oneCode = WootinJ::jit(p, Value::ofObj(one), "run", args);
+    one->fields["c"] = Value::ofArr(floats(8, 2.0f));
+    const std::string split = refusal(oneCode);
+    EXPECT_NE(split.find("this.a and this.c held one array"), std::string::npos) << split;
+
+    one->fields["c"] = one->fields["a"];
+    Interp in(p);
+    EXPECT_TRUE(sameResult(in.call(Value::ofObj(one), "run", args).asF64(),
+                           oneCode.invokeWith(args).asF64()));
+}
+
+namespace {
+
+/// Shift: float[] field `a`. fromField(x, n) copies a[i - 1] + 1 into x[i]
+/// and fromArg(x, y, n) copies y[i - 1] + 1 into x[i], for 0 < i < n; both
+/// return x[n - 1]. When the source and x are one array, each iteration
+/// reads the previous one's store, so the result is a ramp; for two
+/// arrays the loops are dependence-free and vectorize.
+Program shiftProgram() {
+    ProgramBuilder pb;
+    auto& c = pb.cls("Shift").field("a", Type::array(Type::f32()));
+    auto body = [](ExprPtr src) {
+        return blk(forRange("i", ci(1), lv("n"),
+                            blk(aset(lv("x"), lv("i"),
+                                     add(aget(std::move(src), sub(lv("i"), ci(1))), cf(1.0f))))),
+                   ret(aget(lv("x"), sub(lv("n"), ci(1)))));
+    };
+    c.method("fromField", Type::f32())
+        .param("x", Type::array(Type::f32())).param("n", Type::i32())
+        .body(body(selff("a")));
+    c.method("fromArg", Type::f32())
+        .param("x", Type::array(Type::f32())).param("y", Type::array(Type::f32()))
+        .param("n", Type::i32())
+        .body(body(lv("y")));
+    return pb.build();
+}
+
+} // namespace
+
+// Jitted with separate arrays, the shifted copy proves vectorizable with
+// restrict-hoisted pointers. An argument that now aliases the receiver's
+// array, or another argument, must not run that proof: it runs the
+// translation made for the shared pattern, which agrees with the
+// interpreter, and the recorded pattern keeps the recorded module.
+TEST(InvokeWithOverrides, ArgumentThatNowAliasesSelectsTheTranslation) {
+    Switches sw(EnvList{{"WJ_SIMD", "1"}});
+    Program p = shiftProgram();
+    Interp in(p);
+    constexpr int kN = 32;
+    const Value n = Value::ofI32(kN);
+    auto jagged = [] {
+        ArrRef a = floats(kN);
+        for (size_t i = 0; i < a->data.size(); ++i) {
+            a->data[i] = Value::ofF32(0.25f * static_cast<float>((i * 7) % 11));
+        }
+        return Value::ofArr(a);
+    };
+    auto shift = [&] {
+        ObjRef o = object(p, "Shift");
+        o->fields["a"] = jagged();
+        return Value::ofObj(o);
+    };
+    auto lookups = [] { return memoHits() + memoMisses(); };
+
+    // x aliases the receiver's array.
+    const Value obj = shift();
+    JitCode field = WootinJ::jit(p, obj, "fromField", {jagged(), n});
+    EXPECT_GT(field.vectorLoops(), 0);
+    const Value ref = shift();
+    const float ramp = in.call(ref, "fromField", {ref.asObj()->fields["a"], n}).asF32();
+    int64_t before = lookups();
+    EXPECT_EQ(ramp, field.invokeWith({obj.asObj()->fields["a"], n}).asF32());
+    EXPECT_EQ(before + 1, lookups());
+    before = lookups();
+    EXPECT_EQ(in.call(obj, "fromField", {jagged(), n}).asF32(),
+              field.invokeWith({jagged(), n}).asF32());
+    EXPECT_EQ(before, lookups());
+
+    // y aliases x.
+    JitCode arg = WootinJ::jit(p, obj, "fromArg", {jagged(), jagged(), n});
+    EXPECT_GT(arg.vectorLoops(), 0);
+    const Value xr = jagged(), x = jagged();
+    before = lookups();
+    EXPECT_EQ(in.call(obj, "fromArg", {xr, xr, n}).asF32(), arg.invokeWith({x, x, n}).asF32());
+    EXPECT_EQ(before + 1, lookups());
+    EXPECT_NE(in.call(obj, "fromArg", {jagged(), jagged(), n}).asF32(),
+              arg.invokeWith({x, x, n}).asF32());
+}

@@ -6,6 +6,8 @@
 #include "ir/builder.h"
 #include "jit/jit.h"
 #include "jit/shape.h"
+#include "scoped_env.h"
+#include "trace/metrics.h"
 
 using namespace wj;
 using namespace wj::dsl;
@@ -24,6 +26,12 @@ Program shapeProgram() {
     auto& h = pb.cls("Holder").field("i", Type::cls("I")).field("arr", Type::array(Type::f32()));
     h.ctor().param("i_", Type::cls("I")).body(blk(setSelf("i", lv("i_"))));
     return pb.build();
+}
+
+/// The shape jit() derives for `v`: from its snapshot.
+const Shape* shapeOf(ShapeTable& st, const Program& p, const Value& v) {
+    const GraphSnapshot g(p, v, {});
+    return st.ofNode(g, g.root(0));
 }
 
 } // namespace
@@ -52,7 +60,7 @@ TEST(Shape, FromValueCapturesDynamicType) {
     Interp in(p);
     ShapeTable st(p);
     Value holder = in.instantiate("Holder", {in.instantiate("A", {Value::ofF32(1.f)})});
-    const Shape* s = st.ofValue(holder);
+    const Shape* s = shapeOf(st, p, holder);
     EXPECT_EQ("Holder", s->cls().name);
     EXPECT_EQ("A", s->field("i")->cls().name);  // exact class, not the interface
     EXPECT_TRUE(s->field("arr")->isArray());    // null array field: shape from type
@@ -66,7 +74,7 @@ TEST(Shape, NullObjectFieldRejected) {
     Interp in(p);
     ShapeTable st(p);
     Value h = in.instantiate("H", {});
-    EXPECT_THROW(st.ofValue(h), UsageError);
+    EXPECT_THROW(shapeOf(st, p, h), UsageError);
 }
 
 TEST(Shape, KeyDistinguishesFieldShapes) {
@@ -75,8 +83,8 @@ TEST(Shape, KeyDistinguishesFieldShapes) {
     ShapeTable st(p);
     Value ha = in.instantiate("Holder", {in.instantiate("A", {Value::ofF32(0)})});
     Value hb = in.instantiate("Holder", {in.instantiate("B", {Value::ofI64(0)})});
-    EXPECT_NE(st.ofValue(ha), st.ofValue(hb));
-    EXPECT_NE(st.ofValue(ha)->key(), st.ofValue(hb)->key());
+    EXPECT_NE(shapeOf(st, p, ha), shapeOf(st, p, hb));
+    EXPECT_NE(shapeOf(st, p, ha)->key(), shapeOf(st, p, hb)->key());
 }
 
 // ----------------------------------------------------------- specialization
@@ -285,6 +293,102 @@ TEST(JitApi, NoCopyBackByDefault) {
     code.enableCopyBack(true);
     code.invoke();
     EXPECT_FLOAT_EQ(99.0f, arr.asArr()->data[0].asF32());
+}
+
+// ------------------------------------------------- sharing across the boundary
+
+namespace {
+
+/// Twin: `a` and `b` are float[4] fields; run() { this.a[0] = 1.0f;
+/// return this.b[0]; } returns 1 exactly when they hold one array.
+Program twinProgram() {
+    ProgramBuilder pb;
+    auto& t = pb.cls("Twin");
+    t.field("a", Type::array(Type::f32())).field("b", Type::array(Type::f32()));
+    t.method("run", Type::f32())
+        .body(blk(aset(selff("a"), ci(0), cf(1.0f)), ret(aget(selff("b"), ci(0)))));
+    return pb.build();
+}
+
+Value twin(Interp& in, bool shared) {
+    Value t = in.instantiate("Twin", {});
+    const Value a = in.newArray(Type::f32(), 4);
+    t.asObj()->fields["a"] = a;
+    t.asObj()->fields["b"] = shared ? a : in.newArray(Type::f32(), 4);
+    return t;
+}
+
+int64_t marshalledBytes() {
+    return trace::Metrics::instance().counter("jit.marshal.bytes").value();
+}
+
+} // namespace
+
+// Two fields holding one array stay one array in the translated code: one
+// arrs[] slot, marshalled, copied back and freed once.
+TEST(JitApi, SharedReceiverArraysStayOneArray) {
+    Program p = twinProgram();
+    Interp in(p);
+    EXPECT_EQ(1.0f, in.call(twin(in, true), "run", {}).asF32());
+    const Value shared = twin(in, true);
+    JitCode code = WootinJ::jit(p, shared, "run", {});
+    ASSERT_NE(ExecMode::Interpreter, code.execMode());
+    EXPECT_EQ(std::string::npos, code.generatedC().find("arrs[1]")) << code.generatedC();
+    const int64_t bytes0 = marshalledBytes();
+    EXPECT_EQ(1.0f, code.invoke().asF32());
+    EXPECT_EQ(16, marshalledBytes() - bytes0);  // one float[4], once
+    code.enableCopyBack(true);
+    EXPECT_EQ(1.0f, code.invoke().asF32());
+    EXPECT_EQ(16 + 32, marshalledBytes() - bytes0);  // in and back, once each
+    EXPECT_EQ(1.0f, shared.asObj()->fields["b"].asArr()->data[0].asF32());
+
+    EXPECT_EQ(0.0f, WootinJ::jit(p, twin(in, false), "run", {}).invoke().asF32());
+}
+
+// The interpreter fallback copies the receiver with the same identity rule.
+TEST(JitApi, SharedReceiverArraysStayOneArrayInTheFallback) {
+    test::ScopedEnv cc("WJ_CC", "/nonexistent/wj-no-such-cc");
+    Program p = twinProgram();
+    Interp in(p);
+    const Value shared = twin(in, true);
+    JitCode code = WootinJ::jit(p, shared, "run", {});
+    ASSERT_EQ(ExecMode::Interpreter, code.execMode());
+    EXPECT_EQ(1.0f, code.invoke().asF32());
+    EXPECT_EQ(0.0f, shared.asObj()->fields["a"].asArr()->data[0].asF32()) << "copied back";
+    EXPECT_EQ(0.0f, WootinJ::jit(p, twin(in, false), "run", {}).invoke().asF32());
+}
+
+// An object argument's arrays cross the boundary like the receiver's.
+TEST(JitApi, ObjectArgumentArraysCrossTheBoundary) {
+    ProgramBuilder pb;
+    auto& box = pb.cls("Box").finalClass();
+    box.field("data", Type::array(Type::f32())).field("s", Type::f32());
+    // run(Box b, float[] x) = b.data[1] * b.s + x[0] + x[2]
+    pb.cls("T")
+        .method("run", Type::f32())
+        .param("b", Type::cls("Box"))
+        .param("x", Type::array(Type::f32()))
+        .body(blk(ret(add(add(mul(aget(getf(lv("b"), "data"), ci(1)), getf(lv("b"), "s")),
+                              aget(lv("x"), ci(0))),
+                          aget(lv("x"), ci(2))))));
+    Program p = pb.build();
+    Interp in(p);
+    auto args = [&](float base) {
+        Value b = in.instantiate("Box", {});
+        Value data = in.newArray(Type::f32(), 3);
+        Value x = in.newArray(Type::f32(), 3);
+        for (size_t i = 0; i < 3; ++i) {
+            data.asArr()->data[i] = Value::ofF32(base + static_cast<float>(i));
+            x.asArr()->data[i] = Value::ofF32(2.0f * base - static_cast<float>(i));
+        }
+        b.asObj()->fields["data"] = data;
+        b.asObj()->fields["s"] = Value::ofF32(0.5f);
+        return std::vector<Value>{b, x};
+    };
+    const Value obj = in.instantiate("T", {});
+    JitCode code = WootinJ::jit(p, obj, "run", args(1.0f));
+    EXPECT_EQ(in.call(obj, "run", args(1.0f)).asF32(), code.invoke().asF32());
+    EXPECT_EQ(in.call(obj, "run", args(4.0f)).asF32(), code.invokeWith(args(4.0f)).asF32());
 }
 
 TEST(JitApi, Set4MpiValidation) {

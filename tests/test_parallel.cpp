@@ -739,7 +739,8 @@ void expectParallelMatchesInterp(const Program& p) {
 analysis::Result analyzeFused(const Program& p) {
     Interp in(p);
     Value obj = in.instantiate("T", {});
-    return analysis::analyzeEntryFused(p, obj, "run", {Value::ofI32(kProbeN)}, false);
+    const GraphSnapshot snap(p, obj, {Value::ofI32(kProbeN)});
+    return analysis::analyzeEntryFused(snap, "run", false);
 }
 
 } // namespace
@@ -753,7 +754,7 @@ TEST(LoopFusion, CgRunsThreeDispatchesPerIterationBitwise) {
     Interp in(p);
     Value solver = cg::makeCpuSolver(in);
     const std::vector<Value> args{Value::ofI32(n), Value::ofI32(seed), Value::ofI32(iters)};
-    auto res = analysis::analyzeEntryFused(p, solver, "run", args, false);
+    auto res = analysis::analyzeEntryFused(GraphSnapshot(p, solver, args), "run", false);
     EXPECT_EQ(3, res.fusedLoops);
     EXPECT_TRUE(fusionHas(
         res, "fused: CGSolver.run: for (i) [Laplacian1D.apply] + for (i) [LocalDot.dot] -- "
@@ -865,7 +866,8 @@ TEST(LoopFusion, SimdKeepsAMemberThatVectorizesAlone) {
     Program p = dotProgram();
     Interp in(p);
     Value obj = in.instantiate("T", {});
-    auto res = analysis::analyzeEntryFused(p, obj, "run", {Value::ofI32(kProbeN)}, true);
+    const GraphSnapshot snap(p, obj, {Value::ofI32(kProbeN)});
+    auto res = analysis::analyzeEntryFused(snap, "run", true);
     EXPECT_EQ(0, res.fusedLoops);
     EXPECT_TRUE(fusionHas(res, "not fused: T.run: for (i) + for (i) -- under WJ_SIMD=1 the fused "
                                "loop would run scalar"));

@@ -192,14 +192,15 @@ TEST(VectorProver, ReductionExactnessSplitsByOperatorAndType) {
 
 TEST(VectorProver, WrapFormsProveWithPeelWidths) {
     // (x - 2 + n) % n and (x + 3) % n: x + c on [2, n - 3).
-    auto res = analyzeRun(oneMethodProgram(blk(
+    const Program p = oneMethodProgram(blk(
         decl("a", Type::array(Type::f32()), newArr(Type::f32(), lv("n"))),
         decl("b", Type::array(Type::f32()), newArr(Type::f32(), lv("n"))),
         forRange("x", ci(0), lv("n"),
                  blk(aset(lv("b"), lv("x"),
                           add(aget(lv("a"), rem(add(sub(lv("x"), ci(2)), lv("n")), lv("n"))),
                               aget(lv("a"), rem(add(lv("x"), ci(3)), lv("n"))))))),
-        ret(cast(Type::f64(), aget(lv("b"), ci(0)))))));
+        ret(cast(Type::f64(), aget(lv("b"), ci(0))))));
+    auto res = analyzeRun(p);
     EXPECT_TRUE(vectorReportHas(res, "T.run: for (x): vectorizable"));
     EXPECT_TRUE(vectorReportHas(res, "periodic wraps as x + c on [2, n - 3) (peel 2 head + 3 tail)"));
     const analysis::LoopVector* lv = loopVectorOf(res, "x");
@@ -211,7 +212,8 @@ TEST(VectorProver, WrapFormsProveWithPeelWidths) {
 }
 
 TEST(VectorProver, WrapModulusMustBeTheLoopBound) {
-    auto res = analyzeRun(wrapProgram(rem(add(lv("x"), ci(1)), lv("m"))));
+    const Program p = wrapProgram(rem(add(lv("x"), ci(1)), lv("m")));
+    auto res = analyzeRun(p);
     EXPECT_TRUE(vectorReportHas(res, "the modulus differs from the loop bound 'n'"));
     const analysis::LoopVector* lv = loopVectorOf(res, "x");
     ASSERT_NE(nullptr, lv);
@@ -219,7 +221,8 @@ TEST(VectorProver, WrapModulusMustBeTheLoopBound) {
 }
 
 TEST(VectorProver, WrapLoopMustStartAtZero) {
-    auto res = analyzeRun(wrapProgram(rem(add(lv("x"), ci(1)), lv("n")), ci(1)));
+    const Program p = wrapProgram(rem(add(lv("x"), ci(1)), lv("n")), ci(1));
+    auto res = analyzeRun(p);
     EXPECT_TRUE(vectorReportHas(res, "the loop does not start at 0"));
     const analysis::LoopVector* lv = loopVectorOf(res, "x");
     ASSERT_NE(nullptr, lv);
@@ -237,9 +240,10 @@ TEST(VectorProver, WrapLoopMustStepByOne) {
 }
 
 TEST(VectorProver, WrapModulusWrittenInTheBodyIsKept) {
-    auto res = analyzeRun(wrapProgram(rem(add(lv("x"), ci(1)), lv("k")), ci(0),
-                                      blk(decl("k", Type::i32(), lv("n")),
-                                          assign("k", lv("n")))));
+    const Program p = wrapProgram(rem(add(lv("x"), ci(1)), lv("k")), ci(0),
+                                  blk(decl("k", Type::i32(), lv("n")),
+                                      assign("k", lv("n"))));
+    auto res = analyzeRun(p);
     EXPECT_TRUE(vectorReportHas(res, "the modulus is not loop-invariant"));
     const analysis::LoopVector* lv = loopVectorOf(res, "x");
     ASSERT_NE(nullptr, lv);
@@ -273,7 +277,8 @@ TEST(VectorProver, WrapWithUnknownBoundFoldsOverflowIntoTheGuard) {
             "x", ci(0), lv("n"),
             blk(aset(lv("b"), lv("x"),
                      aget(lv("a"), rem(add(sub(lv("x"), ci(1)), lv("n")), lv("n"))))))));
-    auto res = analysis::lintProgram(pb.build());
+    const Program p = pb.build();  // the verdicts point into its loops
+    auto res = analysis::lintProgram(p);
     EXPECT_TRUE(vectorReportHas(
         res, "periodic wraps as x + c on [1, n) (peel 1 head + 0 tail; runtime guard n <= "
              "1073741819)"));

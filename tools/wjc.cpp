@@ -261,7 +261,8 @@ int runMain(int argc, char** argv) {
     if (cmd == "build") {
         if (outDir.empty()) return usage();
         requireCodingRules(prog);
-        Translation tr = translate(prog, receiver, method, args, TranslateOptions::fromEnv());
+        Translation tr =
+            translate(GraphSnapshot(prog, receiver, args), method, TranslateOptions::fromEnv());
         const std::string tag =
             std::filesystem::path(path).stem().string() + "." + method;
         service::BundleInfo info = service::writeBundle(outDir, tr, tag);
