@@ -389,13 +389,13 @@ double pingPongNs(minimpi::TransportKind kind, size_t bytes, int msgs, int reps)
     return ns[ns.size() / 2];
 }
 
-/// Latency (small messages) and bandwidth (large messages, including the
-/// proc transport's Unix-socket path above ring half-capacity) of the two
+/// Latency (small messages) and bandwidth (large messages, which stream
+/// through the proc transport's ring in pieces) of the two
 /// address-space strategies, persisted as jsonRow()s. The gap IS the
 /// price of real process isolation — crash-real fault tolerance is not
 /// free, and this row pair quantifies it per message size.
 void runTransportSweep(bool smoke) {
-    const size_t sizes[] = {64, 4096, 65536, 262144};  // 256 kB rides the socket path
+    const size_t sizes[] = {64, 4096, 65536, 262144};  // 256 kB outgrows one ring pass
     const int reps = smoke ? 3 : 7;
     std::printf("\n-- transport sweep: 2-rank ping-pong, threads vs proc --\n");
     std::printf("%12s %16s %16s %10s\n", "bytes", "threads/rt", "proc/rt", "ratio");

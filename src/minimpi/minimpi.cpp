@@ -242,7 +242,6 @@ void Comm::bcast(void* buf, size_t bytes, int root) {
         throw ExecError(format("bcast: invalid root %d at rank %d", root, rank_));
     }
     treeBcast(buf, bytes, root, kTagBcast);
-    world_->transport_->barrier(rank_);  // keep successive collectives from overtaking
 }
 
 void Comm::allreduceF64(double* buf, int n, bool isMax) {
@@ -269,7 +268,6 @@ void Comm::allreduceF64(double* buf, int n, bool isMax) {
         sendSys(t, rank_, buf, bytes, 0, kTagReduceUp);
     }
     treeBcast(buf, bytes, 0, kTagReduceDown);
-    world_->transport_->barrier(rank_);
 }
 
 void Comm::allreduceSumF64(double* buf, int n) { allreduceF64(buf, n, false); }

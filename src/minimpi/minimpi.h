@@ -8,9 +8,9 @@
 //     point-to-point messages travel through tag-matched mailboxes with
 //     zero-copy/pooled payloads — the in-process fast path;
 //   * proc (WJ_TRANSPORT=proc, or `wjrun`): ranks are forked child
-//     processes communicating over shared-memory SPSC rings with a
-//     Unix-socket fallback for large payloads — real address-space
-//     isolation, real process death.
+//     processes communicating over shared-memory SPSC rings, one per
+//     ordered rank pair, through which a message of any size streams —
+//     real address-space isolation, real process death.
 //
 // Semantics implemented (the subset the paper's libraries use), identical
 // across transports:
@@ -65,7 +65,7 @@ public:
 
     /// Zero-copy send: the caller's buffer is moved into the mailbox with
     /// no payload copy (its size is the message size). The proc transport
-    /// still copies once through the ring/socket — that is its nature.
+    /// still copies once through the ring — that is its nature.
     void send(std::vector<uint8_t>&& data, int dest, int tag);
 
     /// Blocking receive of exactly `bytes` bytes from `src` (or kAnySource)

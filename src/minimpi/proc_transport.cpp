@@ -4,14 +4,16 @@
 // a matrix of single-producer/single-consumer byte rings in anonymous
 // MAP_SHARED memory — one ring per ordered (src, dest) pair, condvar-free
 // (acquire/release atomics + bounded spin with backoff on both ends).
-// Payloads too large for a ring travel over per-rank Unix-domain stream
-// sockets instead; a per-child drainer thread multiplexes both sources
-// into a local tag-matched mailbox so recv semantics (FIFO per source,
-// ANY_SOURCE, timeouts) are identical to the threads transport.
+// Each ring is a byte stream: a frame of any length streams through it in
+// pieces as the receiver frees room, so every message from a source takes
+// the same path and FIFO per source holds by construction. A per-child
+// drainer thread reassembles frames into a local tag-matched mailbox so
+// recv semantics (FIFO per source, ANY_SOURCE, timeouts) are identical to
+// the threads transport.
 //
 // The control plane is a socketpair per child to the parent: READY before
-// the world starts (every child has bound its listener first, so large
-// sends never race the listener), DONE or an error report at the end. The
+// the world starts (no rank body runs until every fork has succeeded),
+// DONE or an error report at the end. The
 // parent supervises: it reaps children with waitpid — a rank that dies by
 // a real signal (SIGKILL from a WJ_FAULT kill rule, an external `kill`, a
 // crash) aborts the world with an error naming the child's pid and signal
@@ -46,8 +48,6 @@
 #endif
 #include <sys/mman.h>
 #include <sys/socket.h>
-#include <sys/stat.h>
-#include <sys/un.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -76,6 +76,22 @@ constexpr uint8_t kCtlUsageError = 'U';
 // Grace period between the abort flag rising and the parent SIGKILLing
 // children that have not exited on their own.
 constexpr auto kAbortGrace = std::chrono::seconds(5);
+
+// How long either end of a ring keeps yielding after its last progress
+// before it falls back to 100 µs sleeps: long enough to span a ping-pong
+// turnaround and the drainer's copy of a full 256 KiB ring. Measured in
+// time, not in loop turns, so the window does not shrink when a turn
+// gets cheaper.
+constexpr auto kSpinWindow = std::chrono::microseconds(200);
+
+/// One idle turn of a ring end whose last progress was at `since`.
+void backOff(std::chrono::steady_clock::time_point since) {
+    if (std::chrono::steady_clock::now() - since < kSpinWindow) {
+        std::this_thread::yield();
+    } else {
+        std::this_thread::sleep_for(std::chrono::microseconds(100));
+    }
+}
 
 std::string srcName(int src) {
     return src == kAnySource ? std::string("ANY") : std::to_string(src);
@@ -126,6 +142,7 @@ struct FrameHeader {
 };
 
 void ringCopyIn(uint8_t* data, size_t cap, uint64_t at, const void* src, size_t n) {
+    if (n == 0) return;  // an empty payload may have no buffer at all
     const size_t off = static_cast<size_t>(at % cap);
     const size_t first = std::min(n, cap - off);
     std::memcpy(data + off, src, first);
@@ -133,6 +150,7 @@ void ringCopyIn(uint8_t* data, size_t cap, uint64_t at, const void* src, size_t 
 }
 
 void ringCopyOut(const uint8_t* data, size_t cap, uint64_t at, void* dst, size_t n) {
+    if (n == 0) return;
     const size_t off = static_cast<size_t>(at % cap);
     const size_t first = std::min(n, cap - off);
     std::memcpy(dst, data + off, first);
@@ -201,6 +219,14 @@ private:
         std::vector<uint8_t> buf;  // control-stream reassembly
     };
 
+    /// A frame whose header the drainer has read but whose payload is
+    /// still streaming in.
+    struct PartialFrame {
+        bool open = false;
+        size_t got = 0;  // payload bytes received so far
+        Message msg;
+    };
+
     // ---- setup / teardown ---------------------------------------------
     void setupRun();
     void releaseRun();
@@ -218,10 +244,8 @@ private:
     [[noreturn]] void childMain(int rank, const std::function<void(int)>& body);
     void deliverLocal(Message msg);
     void ringSend(int dest, const Message& msg);
-    void socketSend(int dest, const Message& msg);
     void drainLoop();
     bool drainRings();
-    bool drainSockets();
     void publishAbortLocally();
     [[noreturn]] void childAbortExit(const std::string& why);
 
@@ -249,7 +273,6 @@ private:
     size_t ringStride_ = 0;  // sizeof(RingHdr) + ringBytes_
     void* shm_ = nullptr;
     size_t shmLen_ = 0;
-    std::string runDir_;
     std::string tracePath_;  // parent's trace destination at run start
 
     // Parent-side per-run state.
@@ -260,10 +283,7 @@ private:
     // Child-side state (fresh copy-on-write after every fork).
     int childRank_ = -1;
     int ctlFd_ = -1;
-    int listenFd_ = -1;
-    std::vector<int> sendFd_;
-    std::vector<int> connFds_;
-    std::vector<std::vector<uint8_t>> connBufs_;
+    std::vector<PartialFrame> partial_;  // per source: the frame being drained
     std::mutex mbM_;
     std::condition_variable mbCv_;
     std::deque<Message> mb_;
@@ -303,12 +323,6 @@ void ProcTransport::setupRun() {
     ringBase_ = base + cellsEnd;
     for (int s = 0; s < size_; ++s)
         for (int d = 0; d < size_; ++d) new (ring(s, d)) RingHdr();
-
-    char dir[] = "/tmp/wjproc.XXXXXX";
-    if (!::mkdtemp(dir)) {
-        throw ExecError(format("proc transport: mkdtemp failed: %s", std::strerror(errno)));
-    }
-    runDir_ = dir;
 }
 
 void ProcTransport::releaseRun() {
@@ -322,13 +336,6 @@ void ProcTransport::releaseRun() {
         hdr_ = nullptr;
         cells_ = nullptr;
         ringBase_ = nullptr;
-    }
-    if (!runDir_.empty()) {
-        for (int r = 0; r < size_; ++r) {
-            ::unlink((runDir_ + "/r" + std::to_string(r) + ".sock").c_str());
-        }
-        ::rmdir(runDir_.c_str());
-        runDir_.clear();
     }
 }
 
@@ -475,7 +482,7 @@ void ProcTransport::supervise(int watchdogMs) {
             }
         }
 
-        // 3. Start the world once every child bound its listener.
+        // 3. Start the world once every fork has succeeded.
         if (!goSent) {
             bool allReady = true;
             for (const ChildState& c : children_) allReady = allReady && c.ready;
@@ -668,8 +675,8 @@ void ProcTransport::childMain(int rank, const std::function<void(int)>& body) {
     __fpurge(stdout);
 #endif
 
-    // Writes to peers that died mid-stream must surface as EPIPE, not kill
-    // the whole child silently.
+    // A control-socket write after the parent went away must surface as
+    // EPIPE, not kill the child silently.
     ::signal(SIGPIPE, SIG_IGN);
 
     // WJ_FAULT kill rules deliver a REAL SIGKILL in a process rank — the
@@ -681,38 +688,17 @@ void ProcTransport::childMain(int rank, const std::function<void(int)>& body) {
         trace::Tracer::instance().enable(tracePath_ + ".rank" + std::to_string(rank));
     }
 
-    sendFd_.assign(static_cast<size_t>(size_), -1);
-    connFds_.clear();
-    connBufs_.clear();
+    // The rank's metrics sidecar counts only what the rank did, not the
+    // parent's counts inherited through fork.
+    trace::Metrics::instance().reset();
+
+    partial_.assign(static_cast<size_t>(size_), PartialFrame{});
     mb_.clear();
     localAbort_ = false;
     drainStop_.store(false);
 
-    // Bind + listen BEFORE reporting ready: once the parent raises `go`,
-    // any peer may connect for a large send.
-    const std::string sockPath = runDir_ + "/r" + std::to_string(rank) + ".sock";
-    listenFd_ = ::socket(AF_UNIX, SOCK_STREAM, 0);
-    sockaddr_un addr{};
-    addr.sun_family = AF_UNIX;
-    std::snprintf(addr.sun_path, sizeof addr.sun_path, "%s", sockPath.c_str());
-    bool bound = listenFd_ >= 0 &&
-                 ::bind(listenFd_, reinterpret_cast<sockaddr*>(&addr), sizeof addr) == 0 &&
-                 ::listen(listenFd_, size_) == 0;
-    if (bound) ::fcntl(listenFd_, F_SETFL, O_NONBLOCK);
-
-    int exitCode = 0;
-    if (!bound) {
-        const std::string text = format("rank %d: proc transport could not bind %s: %s", rank,
-                                        sockPath.c_str(), std::strerror(errno));
-        hdr_->aborted.store(1, std::memory_order_release);
-        const uint32_t len = static_cast<uint32_t>(text.size());
-        uint8_t op = kCtlExecError;
-        writeAll(ctlFd_, &op, 1);
-        writeAll(ctlFd_, &len, sizeof len);
-        writeAll(ctlFd_, text.data(), len);
-        ::_exit(1);
-    }
-
+    // Report ready and wait for `go`: no rank body starts until every
+    // fork has succeeded.
     uint8_t ready = kCtlReady;
     writeAll(ctlFd_, &ready, 1);
     while (!hdr_->go.load(std::memory_order_acquire)) {
@@ -722,6 +708,7 @@ void ProcTransport::childMain(int rank, const std::function<void(int)>& body) {
 
     drainer_ = std::thread([this] { drainLoop(); });
 
+    int exitCode = 0;
     std::string errText;
     uint8_t errOp = kCtlExecError;
     try {
@@ -776,6 +763,9 @@ void ProcTransport::childAbortExit(const std::string& why) {
     throw ExecError(why);
 }
 
+/// Streams one frame into the (me -> dest) ring: the header goes in whole,
+/// then the payload in as many pieces as the receiver's drainer frees room
+/// for, so a frame of any length fits a ring of any size.
 void ProcTransport::ringSend(int dest, const Message& msg) {
     RingHdr* r = ring(childRank_, dest);
     uint8_t* data = ringData(r);
@@ -784,16 +774,31 @@ void ProcTransport::ringSend(int dest, const Message& msg) {
     fh.src = msg.src;
     fh.tag = msg.tag;
     fh.channel = msg.channel;
-    const size_t need = sizeof fh + msg.data.size();
-    int spins = 0;
+    bool headerSent = false;
+    size_t sent = 0;  // payload bytes already in the ring
+    auto lastProgress = std::chrono::steady_clock::now();
     for (;;) {
         const uint64_t head = r->head.load(std::memory_order_relaxed);
         const uint64_t tail = r->tail.load(std::memory_order_acquire);
-        if (ringBytes_ - static_cast<size_t>(head - tail) >= need) {
-            ringCopyIn(data, ringBytes_, head, &fh, sizeof fh);
-            ringCopyIn(data, ringBytes_, head + sizeof fh, msg.data.data(), msg.data.size());
-            r->head.store(head + need, std::memory_order_release);
-            return;
+        size_t room = ringBytes_ - static_cast<size_t>(head - tail);
+        uint64_t at = head;
+        if (!headerSent && room >= sizeof fh) {
+            ringCopyIn(data, ringBytes_, at, &fh, sizeof fh);
+            at += sizeof fh;
+            room -= sizeof fh;
+            headerSent = true;
+        }
+        if (headerSent) {
+            const size_t n = std::min(room, msg.data.size() - sent);
+            ringCopyIn(data, ringBytes_, at, msg.data.data() + sent, n);
+            at += n;
+            sent += n;
+        }
+        if (at != head) {
+            r->head.store(at, std::memory_order_release);
+            if (sent == msg.data.size()) return;
+            lastProgress = std::chrono::steady_clock::now();
+            continue;
         }
         // Ring full: the receiver's drainer frees space continuously unless
         // it is gone. A finished rank stops draining — drop quietly, the
@@ -804,50 +809,7 @@ void ProcTransport::ringSend(int dest, const Message& msg) {
                 childRank_, dest));
         }
         if (cells_[dest].state.load(std::memory_order_acquire) == kRankDone) return;
-        if (++spins < 256) {
-            std::this_thread::yield();
-        } else {
-            std::this_thread::sleep_for(std::chrono::microseconds(100));
-        }
-    }
-}
-
-void ProcTransport::socketSend(int dest, const Message& msg) {
-    int& fd = sendFd_[static_cast<size_t>(dest)];
-    if (fd < 0) {
-        const std::string path = runDir_ + "/r" + std::to_string(dest) + ".sock";
-        for (int attempt = 0;; ++attempt) {
-            fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-            sockaddr_un addr{};
-            addr.sun_family = AF_UNIX;
-            std::snprintf(addr.sun_path, sizeof addr.sun_path, "%s", path.c_str());
-            if (fd >= 0 && ::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr) == 0) {
-                break;
-            }
-            if (fd >= 0) ::close(fd);
-            fd = -1;
-            if (cells_[dest].state.load(std::memory_order_acquire) == kRankDone) return;
-            if (hdr_->aborted.load() || attempt > 500) {
-                childAbortExit(format("rank %d: proc transport could not connect to rank %d "
-                                      "(%s), transport=proc",
-                                      childRank_, dest, std::strerror(errno)));
-            }
-            std::this_thread::sleep_for(std::chrono::milliseconds(2));
-        }
-    }
-    FrameHeader fh;
-    fh.len = static_cast<uint32_t>(msg.data.size());
-    fh.src = msg.src;
-    fh.tag = msg.tag;
-    fh.channel = msg.channel;
-    if (!writeAll(fd, &fh, sizeof fh) ||
-        !writeAll(fd, msg.data.data(), msg.data.size())) {
-        ::close(fd);
-        fd = -1;
-        if (cells_[dest].state.load(std::memory_order_acquire) == kRankDone) return;
-        childAbortExit(format(
-            "rank %d: proc transport lost the socket to rank %d (%s; peer %s)", childRank_,
-            dest, std::strerror(errno), peerDescription(dest).c_str()));
+        backOff(lastProgress);
     }
 }
 
@@ -884,87 +846,45 @@ void ProcTransport::post(int dest, Message msg) {
         deliverLocal(std::move(msg));
         return;
     }
-    const size_t need = sizeof(FrameHeader) + msg.data.size();
-    const int copies = duplicate ? 2 : 1;
-    for (int i = 0; i < copies; ++i) {
-        if (need <= ringBytes_ / 2) {
-            ringSend(dest, msg);
-        } else {
-            socketSend(dest, msg);
-        }
-    }
+    if (duplicate) ringSend(dest, msg);
+    ringSend(dest, msg);
 }
 
+/// Moves every byte the rings hold into the per-source partial frames and
+/// delivers each frame once all of its payload has arrived.
 bool ProcTransport::drainRings() {
     bool got = false;
     for (int s = 0; s < size_; ++s) {
         if (s == childRank_) continue;
         RingHdr* r = ring(s, childRank_);
         const uint8_t* data = ringData(r);
+        PartialFrame& pf = partial_[static_cast<size_t>(s)];
         for (;;) {
             const uint64_t head = r->head.load(std::memory_order_acquire);
             uint64_t tail = r->tail.load(std::memory_order_relaxed);
             if (tail == head) break;
-            FrameHeader fh;
-            ringCopyOut(data, ringBytes_, tail, &fh, sizeof fh);
-            Message msg;
-            msg.src = fh.src;
-            msg.tag = fh.tag;
-            msg.channel = fh.channel;
-            msg.data.resize(fh.len);
-            ringCopyOut(data, ringBytes_, tail + sizeof fh, msg.data.data(), fh.len);
-            r->tail.store(tail + sizeof fh + fh.len, std::memory_order_release);
-            deliverLocal(std::move(msg));
-            got = true;
-        }
-    }
-    return got;
-}
-
-bool ProcTransport::drainSockets() {
-    bool got = false;
-    // Accept pending large-payload connections.
-    for (;;) {
-        const int fd = ::accept(listenFd_, nullptr, nullptr);
-        if (fd < 0) break;
-        ::fcntl(fd, F_SETFL, O_NONBLOCK);
-        connFds_.push_back(fd);
-        connBufs_.emplace_back();
-    }
-    for (size_t i = 0; i < connFds_.size(); ++i) {
-        if (connFds_[i] < 0) continue;
-        std::vector<uint8_t>& buf = connBufs_[i];
-        for (;;) {
-            uint8_t tmp[1 << 16];
-            const ssize_t n = ::read(connFds_[i], tmp, sizeof tmp);
-            if (n > 0) {
-                buf.insert(buf.end(), tmp, tmp + n);
-                continue;
+            if (!pf.open) {  // a sender publishes a header whole
+                FrameHeader fh;
+                ringCopyOut(data, ringBytes_, tail, &fh, sizeof fh);
+                tail += sizeof fh;
+                pf.open = true;
+                pf.got = 0;
+                pf.msg.src = fh.src;
+                pf.msg.tag = fh.tag;
+                pf.msg.channel = fh.channel;
+                pf.msg.data.resize(fh.len);
             }
-            if (n == 0) {
-                ::close(connFds_[i]);
-                connFds_[i] = -1;
-                break;
-            }
-            if (errno == EINTR) continue;
-            break;  // EAGAIN
-        }
-        size_t at = 0;
-        while (buf.size() - at >= sizeof(FrameHeader)) {
-            FrameHeader fh;
-            std::memcpy(&fh, buf.data() + at, sizeof fh);
-            if (buf.size() - at < sizeof fh + fh.len) break;
-            Message msg;
-            msg.src = fh.src;
-            msg.tag = fh.tag;
-            msg.channel = fh.channel;
-            msg.data.assign(buf.begin() + static_cast<ptrdiff_t>(at + sizeof fh),
-                            buf.begin() + static_cast<ptrdiff_t>(at + sizeof fh + fh.len));
-            at += sizeof fh + fh.len;
-            deliverLocal(std::move(msg));
+            const size_t n =
+                std::min(pf.msg.data.size() - pf.got, static_cast<size_t>(head - tail));
+            ringCopyOut(data, ringBytes_, tail, pf.msg.data.data() + pf.got, n);
+            pf.got += n;
+            r->tail.store(tail + n, std::memory_order_release);
             got = true;
+            if (pf.got < pf.msg.data.size()) break;  // the rest is still streaming
+            pf.open = false;
+            deliverLocal(std::move(pf.msg));
+            pf.msg = Message();
         }
-        if (at > 0) buf.erase(buf.begin(), buf.begin() + static_cast<ptrdiff_t>(at));
     }
     return got;
 }
@@ -989,18 +909,15 @@ void ProcTransport::publishAbortLocally() {
 }
 
 void ProcTransport::drainLoop() {
-    int idle = 0;
+    auto lastFrame = std::chrono::steady_clock::now();
     for (;;) {
-        bool got = drainRings();
-        got = drainSockets() || got;
+        const bool got = drainRings();
         if (hdr_->aborted.load(std::memory_order_acquire)) publishAbortLocally();
         if (drainStop_.load(std::memory_order_acquire)) return;
         if (got) {
-            idle = 0;
-        } else if (++idle < 64) {
-            std::this_thread::yield();
+            lastFrame = std::chrono::steady_clock::now();
         } else {
-            std::this_thread::sleep_for(std::chrono::microseconds(100));
+            backOff(lastFrame);
         }
     }
 }

@@ -18,12 +18,11 @@
 //   * ProcTransport (proc_transport.cpp) — ranks are forked child
 //     processes. Point-to-point bytes travel through single-producer/
 //     single-consumer byte rings in anonymous MAP_SHARED memory (one ring
-//     per ordered (src,dest) pair, condvar-free, spin-with-backoff);
-//     payloads too large for a ring fall back to Unix-domain stream
-//     sockets. A parent supervisor reaps children with waitpid, so a rank
-//     that dies by real SIGKILL is reported with its pid and signal, and
-//     the same two-sample stall watchdog runs against shared-memory wait
-//     states.
+//     per ordered (src,dest) pair, condvar-free, spin-with-backoff); a
+//     payload of any size streams through its pair's ring. A parent
+//     supervisor reaps children with waitpid, so a rank that dies by real
+//     SIGKILL is reported with its pid and signal, and the same two-sample
+//     stall watchdog runs against shared-memory wait states.
 //
 // The semantic layer (Comm: tag matching, FIFO per source, collectives
 // layered on point-to-point, fault hooks) lives above this interface in
@@ -63,8 +62,8 @@ int configuredRanks(int fallback);
 ///                 no allocation, and the buffer returns to the pool at
 ///                 recv), and
 ///   zero-copy   = the caller's vector moved straight into the mailbox.
-/// The process transport always crosses address spaces (ring or socket
-/// copy), so it reports every message as copied.
+/// The process transport always crosses address spaces (a ring copy), so
+/// it reports every message as copied.
 struct CommStats {
     int64_t messages = 0;
     int64_t bytes = 0;

@@ -814,6 +814,32 @@ TEST_P(ProcReplay, DuplicateDeliversTwiceIdentically) {
             require(a == 7 && b == 7, "both copies carry the payload");
         }
     });
+    // A frame larger than a whole proc ring, then a small one on the same
+    // tag: the rule doubles both, and the copies arrive whole and in order.
+    FaultPlan::instance().configure("dup:src=0,dest=1,tag=9,count=2");
+    const size_t kBytes = 300000;
+    w.run([&](Comm& c) {
+        if (c.rank() == 0) {
+            std::vector<uint8_t> big(kBytes);
+            for (size_t i = 0; i < kBytes; ++i) big[i] = static_cast<uint8_t>(i % 253);
+            c.send(big.data(), big.size(), 1, 9);
+            const int v = 8;
+            c.send(&v, sizeof v, 1, 9);
+        } else {
+            for (int copy = 0; copy < 2; ++copy) {
+                std::vector<uint8_t> big(kBytes);
+                c.recv(big.data(), big.size(), 0, 9);  // throws on a 4-byte frame
+                for (size_t i = 0; i < kBytes; ++i) {
+                    require(big[i] == static_cast<uint8_t>(i % 253), "large copy intact");
+                }
+            }
+            for (int copy = 0; copy < 2; ++copy) {
+                int v = 0;
+                c.recv(&v, sizeof v, 0, 9);
+                require(v == 8, "small copies follow the large ones");
+            }
+        }
+    });
 }
 
 INSTANTIATE_TEST_SUITE_P(ProcReplayThreads, ProcReplay,
@@ -825,19 +851,29 @@ INSTANTIATE_TEST_SUITE_P(ProcReplayProc, ProcReplay,
 
 TEST(ProcReplayCross, CorruptedPayloadBitsMatchAcrossTransports) {
     // The corrupt rule's seeded RNG must flip the same byte the same way
-    // regardless of the address-space strategy; the corrupted value leaves
-    // the proc world through the shared-memory result slot.
-    auto corruptedValue = [](minimpi::TransportKind kind) {
+    // regardless of the address-space strategy, in a 4-byte payload and in
+    // one larger than a whole proc ring. The flipped byte's position and
+    // value leave the proc world through the shared-memory result slot.
+    auto corruptedByte = [](minimpi::TransportKind kind, size_t bytes) {
         FaultPlan::instance().configure("seed=11;corrupt:src=0,dest=1,tag=4");
         minimpi::World w(2, kind);
-        w.run([](Comm& c) {
+        w.run([&](Comm& c) {
+            std::vector<uint8_t> buf(bytes);  // all zero bits: any corruption is visible
             if (c.rank() == 0) {
-                const int v = 0;  // all zero bits: any corruption is visible
-                c.send(&v, sizeof v, 1, 4);
+                c.send(buf.data(), buf.size(), 1, 4);
             } else {
-                int got = 0;
-                c.recv(&got, sizeof got, 0, 4);
-                c.publishResult(2, got);
+                c.recv(buf.data(), buf.size(), 0, 4);
+                int64_t flipped = 0;
+                int nonzero = 0;
+                for (size_t i = 0; i < bytes; ++i) {
+                    if (buf[i] == 0) continue;
+                    ++nonzero;
+                    flipped = static_cast<int64_t>(i) * 256 + buf[i];
+                }
+                if (nonzero != 1) {
+                    throw ExecError("in-rank check failed: the rule flips exactly one byte");
+                }
+                c.publishResult(2, flipped);
             }
         });
         int kind_ = 0;
@@ -846,10 +882,13 @@ TEST(ProcReplayCross, CorruptedPayloadBitsMatchAcrossTransports) {
         FaultPlan::instance().disarm();
         return bits;
     };
-    const int64_t threads = corruptedValue(minimpi::TransportKind::Threads);
-    const int64_t proc = corruptedValue(minimpi::TransportKind::Proc);
-    EXPECT_NE(0, threads) << "corruption must alter the payload";
-    EXPECT_EQ(threads, proc) << "same seed, same corruption, either transport";
+    for (const size_t bytes : {sizeof(int), size_t{300000}}) {
+        const int64_t threads = corruptedByte(minimpi::TransportKind::Threads, bytes);
+        const int64_t proc = corruptedByte(minimpi::TransportKind::Proc, bytes);
+        EXPECT_NE(0, threads) << "corruption must alter the payload (" << bytes << " B)";
+        EXPECT_EQ(threads, proc) << "same seed, same corruption, either transport (" << bytes
+                                 << " B)";
+    }
 }
 
 TEST_F(FaultTest, DisarmedStoreIsInert) {

@@ -2,15 +2,23 @@
 // and failure injection (world abort).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstring>
+#include <filesystem>
+#include <fstream>
 #include <numeric>
+#include <sstream>
 #include <thread>
 #include <vector>
 
+#include <unistd.h>
+
 #include "minimpi/minimpi.h"
 #include "support/diagnostics.h"
+#include "trace/metrics.h"
+#include "trace/trace.h"
 
 using namespace wj;
 using namespace wj::minimpi;
@@ -524,6 +532,30 @@ namespace {
 void require(bool cond, const std::string& what) {
     if (!cond) throw ExecError("in-rank check failed: " + what);
 }
+
+/// `n` bytes of a pattern that differs per `seed`, so a frame delivered
+/// out of order or spliced from two frames is caught by its content.
+std::vector<uint8_t> pattern(size_t n, int seed) {
+    std::vector<uint8_t> out(n);
+    for (size_t i = 0; i < n; ++i) out[i] = static_cast<uint8_t>((i * 7 + seed * 31) % 251);
+    return out;
+}
+
+void requirePattern(const std::vector<uint8_t>& got, int seed, const std::string& what) {
+    const std::vector<uint8_t> want = pattern(got.size(), seed);
+    const auto diff = std::mismatch(got.begin(), got.end(), want.begin());
+    require(diff.first == got.end(),
+            what + ": byte " + std::to_string(diff.first - got.begin()) + " of " +
+                std::to_string(got.size()) + " differs");
+}
+
+/// Receives exactly `bytes` bytes (recv throws on any other size) and
+/// checks them against pattern(bytes, seed).
+void recvPattern(Comm& c, size_t bytes, int src, int tag, int seed, const std::string& what) {
+    std::vector<uint8_t> buf(bytes);
+    c.recv(buf.data(), buf.size(), src, tag);
+    requirePattern(buf, seed, what);
+}
 } // namespace
 
 class XportSemantics : public ::testing::TestWithParam<TransportKind> {};
@@ -558,6 +590,20 @@ TEST_P(XportSemantics, FifoPerSourceAndTag) {
             }
         }
     });
+    // Small and large frames on one tag: a 4-byte message must never
+    // overtake the 300 kB or 1 MiB frame sent before it.
+    const std::vector<size_t> sizes = {4, 300000, 4, size_t{1} << 20, 4};
+    w.run([&](Comm& c) {
+        for (size_t k = 0; k < sizes.size(); ++k) {
+            const int seed = static_cast<int>(k);
+            if (c.rank() == 0) {
+                const std::vector<uint8_t> buf = pattern(sizes[k], seed);
+                c.send(buf.data(), buf.size(), 1, 5);
+            } else {
+                recvPattern(c, sizes[k], 0, 5, seed, "frame " + std::to_string(k));
+            }
+        }
+    });
 }
 
 TEST_P(XportSemantics, AnySourceMatchesAllSenders) {
@@ -577,6 +623,23 @@ TEST_P(XportSemantics, AnySourceMatchesAllSenders) {
             require(sum == 300, "both senders seen");
         }
     });
+    // Large frames from two senders at once: each arrives whole.
+    const size_t kBytes = size_t{1} << 20;
+    w.run([&](Comm& c) {
+        if (c.rank() != 0) {
+            const std::vector<uint8_t> buf = pattern(kBytes, c.rank());
+            c.send(buf.data(), buf.size(), 0, 6);
+        } else {
+            bool seen[3] = {false, false, false};
+            for (int i = 0; i < 2; ++i) {
+                std::vector<uint8_t> buf(kBytes);
+                const int src = c.recv(buf.data(), buf.size(), kAnySource, 6);
+                requirePattern(buf, src, "large frame from rank " + std::to_string(src));
+                seen[src] = true;
+            }
+            require(seen[1] && seen[2], "both large senders seen");
+        }
+    });
 }
 
 TEST_P(XportSemantics, SendRecvRingExchange) {
@@ -591,6 +654,25 @@ TEST_P(XportSemantics, SendRecvRingExchange) {
         c.sendrecv(&mine, sizeof mine, down, &fromUp, sizeof fromUp, up, 2);
         require(fromDown == static_cast<float>(down), "halo from below");
         require(fromUp == static_cast<float>(up), "halo from above");
+    });
+    // 24 ranks shrink the proc rings to 64 KiB; a 300 kB token still goes
+    // all the way around, checked at every hop.
+    const int Q = 24;
+    const size_t kBytes = 300000;
+    World big(Q, GetParam());
+    big.run([&](Comm& c) {
+        const int next = (c.rank() + 1) % Q;
+        const int prev = (c.rank() + Q - 1) % Q;
+        if (c.rank() == 0) {
+            const std::vector<uint8_t> token = pattern(kBytes, 0);
+            c.send(token.data(), token.size(), next, 3);
+            recvPattern(c, kBytes, prev, 3, 0, "token back at rank 0");
+        } else {
+            std::vector<uint8_t> token(kBytes);
+            c.recv(token.data(), token.size(), prev, 3);
+            requirePattern(token, 0, "token at rank " + std::to_string(c.rank()));
+            c.send(std::move(token), next, 3);
+        }
     });
 }
 
@@ -632,6 +714,25 @@ TEST_P(XportSemantics, RepeatedCollectives) {
                     "allreduce round " + std::to_string(i));
         }
     });
+    // Back-to-back collectives with no barrier between them, sizes
+    // crossing 128 KiB. Each root in turn broadcasts 200 kB and then 8 B:
+    // a root sends both without receiving in between, so only FIFO per
+    // (src, tag) keeps the small frame from overtaking the large one.
+    w.run([](Comm& c) {
+        for (int i = 0; i < 12; ++i) {
+            const int root = (i / 2) % 3;
+            const size_t bytes = i % 2 ? 8 : 200000;
+            std::vector<uint8_t> buf =
+                c.rank() == root ? pattern(bytes, i) : std::vector<uint8_t>(bytes);
+            c.bcast(buf.data(), buf.size(), root);
+            requirePattern(buf, i, "bcast round " + std::to_string(i));
+        }
+        for (int i = 0; i < 6; ++i) {
+            std::vector<double> v(i % 2 ? 1 : 20000, c.rank() + i);
+            c.allreduceSumF64(v.data(), static_cast<int>(v.size()));
+            for (double x : v) require(x == 3.0 + 3.0 * i, "allreduce round " + std::to_string(i));
+        }
+    });
 }
 
 TEST_P(XportSemantics, WorldReusableAcrossRuns) {
@@ -647,26 +748,23 @@ TEST_P(XportSemantics, WorldReusableAcrossRuns) {
 }
 
 TEST_P(XportSemantics, LargePayloadCrossesTransport) {
-    // 300 kB: above the threads pooled threshold AND above the proc ring
-    // half-capacity, so this exercises the pool path and the Unix-socket
-    // large-message path respectively.
-    const size_t kBytes = 300000;
+    // 300 kB: above the threads pooled threshold, and more than a proc
+    // ring holds in one pass. 1 MiB: four whole 256 KiB rings, sent in
+    // both directions at once, so both ranks' drainers stream while their
+    // senders wait for room.
     World w(2, GetParam());
-    w.run([&](Comm& c) {
-        if (c.rank() == 0) {
-            std::vector<uint8_t> buf(kBytes);
-            for (size_t i = 0; i < kBytes; ++i) buf[i] = static_cast<uint8_t>(i * 7 % 251);
-            c.send(buf.data(), buf.size(), 1, 2);
-        } else {
-            std::vector<uint8_t> buf(kBytes, 0);
-            c.recv(buf.data(), buf.size(), 0, 2);
-            for (size_t i = 0; i < kBytes; ++i) {
-                require(buf[i] == static_cast<uint8_t>(i * 7 % 251),
-                        "large payload byte " + std::to_string(i));
-            }
-        }
-    });
-    EXPECT_EQ(static_cast<int64_t>(kBytes), w.bytesSent());
+    int64_t expectBytes = 0;
+    for (const size_t kBytes : {size_t{300000}, size_t{1} << 20}) {
+        w.run([&](Comm& c) {
+            const int peer = 1 - c.rank();
+            const std::vector<uint8_t> out = pattern(kBytes, c.rank());
+            std::vector<uint8_t> in(kBytes);
+            c.sendrecv(out.data(), out.size(), peer, in.data(), in.size(), peer, 2);
+            requirePattern(in, peer, "payload from rank " + std::to_string(peer));
+        });
+        expectBytes += 2 * static_cast<int64_t>(kBytes);
+    }
+    EXPECT_EQ(expectBytes, w.bytesSent());
 }
 
 TEST_P(XportSemantics, SizeMismatchThrowsWithTransportContext) {
@@ -791,6 +889,37 @@ TEST(ProcXportCross, StatsMatchAcrossTransports) {
     proc.run(traffic);
     EXPECT_EQ(threads.messagesSent(), proc.messagesSent());
     EXPECT_EQ(threads.bytesSent(), proc.bytesSent());
+}
+
+// A forked rank's metrics sidecar counts what that rank did, not the
+// parent's counts it inherited through fork.
+TEST(ProcXportCross, RankSidecarsCountOnlyTheirRank) {
+    const std::string path = (std::filesystem::temp_directory_path() /
+                              ("wjsidecar-" + std::to_string(::getpid()) + ".json"))
+                                 .string();
+    trace::Counter& bumps = trace::Metrics::instance().counter("test.sidecar.bumps");
+    bumps.reset();
+    bumps.add(7);
+    trace::Tracer::instance().enable(path);
+    World w(2, TransportKind::Proc);
+    w.run([](Comm&) { trace::Metrics::instance().counter("test.sidecar.bumps").inc(); });
+    trace::Tracer::instance().enable("");  // disarm the at-exit flush
+    trace::Tracer::instance().disable();
+    EXPECT_EQ(7, bumps.value()) << "the parent keeps its own count";
+    for (int r = 0; r < 2; ++r) {
+        const std::string sidecar = path + ".rank" + std::to_string(r) + ".metrics.json";
+        std::ifstream f(sidecar);
+        ASSERT_TRUE(f) << sidecar;
+        std::stringstream text;
+        text << f.rdbuf();
+        const std::string key = "\"test.sidecar.bumps\": ";
+        const size_t at = text.str().find(key);
+        ASSERT_NE(std::string::npos, at) << sidecar << ":\n" << text.str();
+        EXPECT_EQ(1, std::stoll(text.str().substr(at + key.size()))) << sidecar;
+        std::filesystem::remove(sidecar);
+    }
+    std::filesystem::remove(path);
+    std::filesystem::remove(path + ".metrics.json");
 }
 
 TEST(MiniMpi, WatchdogSparesProgressingWorlds) {
