@@ -123,6 +123,7 @@ inline const std::vector<GoldenCase>& goldenCases() {
         {"matmul_cpu_parallel.c.golden", matmulCpu, {{"WJ_PARALLEL", "1"}}},
         {"cg_dot_parallel.c.golden", dot, {{"WJ_PARALLEL", "1"}}},
         {"cg_solver_parallel.c.golden", cgSolver, {{"WJ_PARALLEL", "1"}}},
+        {"cg_solver_parallel_simd.c.golden", cgSolver, {{"WJ_PARALLEL", "1"}, {"WJ_SIMD", "1"}}},
         {"diffusion3d_cpu_simd.c.golden", diffusionCpu, {{"WJ_SIMD", "1"}}},
         {"diffusion3d_mpi_simd.c.golden", diffusionMpi, {{"WJ_SIMD", "1"}}},
         {"matmul_cpu_simd.c.golden", matmulCpu, {{"WJ_SIMD", "1"}}},

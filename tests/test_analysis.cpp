@@ -292,6 +292,14 @@ Program haloProgram() {
             aset(lv("h"), ci(12), cf(1.0f)),
             exprS(intr(Intrinsic::MpiWait, lv("req"))),
             ret(aget(lv("h"), ci(12)))));
+    c.method("twice", Type::f32()).body(
+        // Two receives into [0, 8) and [4, 12) of one buffer at once.
+        blk(decl("h", Type::array(Type::f32()), newArr(Type::f32(), ci(16))),
+            decl("r1", Type::i32(), intr(Intrinsic::MpiIrecvF32, lv("h"), ci(0), ci(8), ci(0), ci(7))),
+            decl("r2", Type::i32(), intr(Intrinsic::MpiIrecvF32, lv("h"), ci(4), ci(8), ci(0), ci(8))),
+            exprS(intr(Intrinsic::MpiWait, lv("r1"))),
+            exprS(intr(Intrinsic::MpiWait, lv("r2"))),
+            ret(aget(lv("h"), ci(0)))));
     return pb.build();
 }
 
@@ -306,7 +314,13 @@ TEST(RaceCheck, FlagsWriteOverlappingInflightReceive) {
         if (v.rule == "halo-race" && v.where.find("Halo.race") != std::string::npos)
             inRace = true;
     EXPECT_TRUE(inRace);
-    // Only the `race` method is flagged; `clean` and `disjoint` are not.
+    bool twice = false;
+    for (const auto& v : r.errors)
+        if (v.where == "Halo.twice" &&
+            v.detail == "two nonblocking receives into overlapping region [4, 11] of the same buffer")
+            twice = true;
+    EXPECT_TRUE(twice);
+    // `clean` and `disjoint` are not flagged.
     for (const auto& v : r.errors) {
         EXPECT_EQ(v.where.find("Halo.clean"), std::string::npos) << v.str();
         EXPECT_EQ(v.where.find("Halo.disjoint"), std::string::npos) << v.str();

@@ -94,6 +94,16 @@ TEST_F(CodegenGolden, CgSolverParallelFused) {
     checkGolden("cg_solver_parallel.c.golden", translateCg().cSource);
 }
 
+// CG under WJ_PARALLEL=1 WJ_SIMD=1 pins the chunk loops that also carry a
+// vector verdict: each parallel-for chunk function runs its range under
+// `#pragma omp simd` with restrict-hoisted element pointers. The reduce
+// chunk stays a scalar loop: its f64 sum is inexact under reassociation.
+TEST_F(CodegenGolden, CgSolverParallelSimd) {
+    setenv("WJ_PARALLEL", "1", 1);
+    setenv("WJ_SIMD", "1", 1);
+    checkGolden("cg_solver_parallel_simd.c.golden", translateCg().cSource);
+}
+
 // The WJ_SIMD=1 variants pin the vectorized emission: `#pragma omp simd`
 // on every proveVectors-cleared loop, restrict-qualified element-pointer
 // hoists, wjrt_ranges_disjoint guards with the scalar else-branch, and —

@@ -11,6 +11,7 @@
 #include <chrono>
 #include <cstdlib>
 #include <cstring>
+#include <functional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -513,6 +514,94 @@ TEST(ParallelProverBound, ArrayReadInsideAnIntrinsicArgumentIsRefused) {
     auto res = analyzeRun(p);
     EXPECT_TRUE(reportHas(res, "T.run: for (i): serial"));
     EXPECT_TRUE(reportHas(res, "bound is not a pure expression"));
+}
+
+namespace {
+
+/// T.run(n) around `body`, plus what the refusal table reaches for: a field
+/// `x`; `w(a, k)`, which stores into its array parameter; `g(a)`, which
+/// only reads it; `comm()`, which joins a barrier; `alloc()`, which
+/// allocates; and a class C whose constructor branches.
+Program refusalProgram(Block body) {
+    ProgramBuilder pb;
+    auto& t = pb.cls("T");
+    t.field("x", Type::i32());
+    t.method("run", Type::f64()).param("n", Type::i32()).body(std::move(body));
+    t.method("w", Type::i32())
+        .param("a", Type::array(Type::f32()))
+        .param("k", Type::i32())
+        .body(blk(aset(lv("a"), ci(0), cast(Type::f32(), lv("k"))), ret(lv("k"))));
+    t.method("g", Type::f32())
+        .param("a", Type::array(Type::f32()))
+        .body(blk(ret(aget(lv("a"), ci(0)))));
+    t.method("comm", Type::i32()).body(blk(exprS(intr(Intrinsic::MpiBarrier)), ret(ci(0))));
+    t.method("alloc", Type::i32()).body(blk(ret(alen(newArr(Type::f32(), ci(2))))));
+    auto& c = pb.cls("C");
+    c.field("v", Type::i32());
+    c.ctor().param("k", Type::i32()).body(blk(
+        ifs(lt(lv("k"), ci(0)), blk(setSelf("v", ci(0))), blk(setSelf("v", lv("k"))))));
+    return pb.build();
+}
+
+/// `float[] a = new float[n]; for (i < n) { body } return 0.0;`
+Program refusalLoop(Block body) {
+    return refusalProgram(blk(decl("a", Type::array(Type::f32()), newArr(Type::f32(), lv("n"))),
+                              forRange("i", ci(0), lv("n"), std::move(body)), ret(cd(0.0))));
+}
+
+} // namespace
+
+TEST(ParallelProver, RefusalNamesTheFirstIllegalConstruct) {
+    const std::vector<std::pair<std::string, std::function<Program()>>> cases = {
+        {"allocates an array inside the loop",
+         [] {
+             return refusalLoop(blk(decl("t", Type::array(Type::f32()),
+                                         newArr(Type::f32(), ci(4)))));
+         }},
+        // The length calls a state-writing method; the allocation is still
+        // what the refusal names.
+        {"allocates an array inside the loop",
+         [] {
+             return refusalLoop(
+                 blk(decl("t", Type::array(Type::f32()),
+                          newArr(Type::f32(), call(self(), "w", lv("a"), lv("i"))))));
+         }},
+        // The argument allocates, the callee writes state: the operands are
+        // judged before the call itself.
+        {"allocates an array inside the loop",
+         [] {
+             return refusalLoop(
+                 blk(exprS(call(self(), "w", lv("a"), alen(newArr(Type::f32(), lv("i")))))));
+         }},
+        {"constructs 'C', whose constructor is not provably iteration-private",
+         [] { return refusalLoop(blk(decl("c", Type::cls("C"), newObj("C", lv("i"))))); }},
+        {"calls 'g' with an array parameter",
+         [] { return refusalLoop(blk(decl("t", Type::f32(), call(self(), "g", lv("a"))))); }},
+        {"calls 'comm', which communicates or checkpoints",
+         [] { return refusalLoop(blk(decl("t", Type::i32(), call(self(), "comm")))); }},
+        {"calls 'alloc', which has device/alloc/IO effects",
+         [] { return refusalLoop(blk(decl("t", Type::i32(), call(self(), "alloc")))); }},
+        {"stores to an object field", [] { return refusalLoop(blk(setSelf("x", lv("i")))); }},
+        {"returns from inside the loop",
+         [] { return refusalLoop(blk(ifs(gt(lv("i"), ci(50)), blk(ret(cd(1.0)))))); }},
+        {"bound depends on values computed in the body",
+         [] {
+             return refusalProgram(blk(decl("m", Type::i32(), lv("n")),
+                                       forRange("i", ci(0), lv("m"),
+                                                blk(assign("m", sub(lv("m"), ci(1))))),
+                                       ret(cd(0.0))));
+         }},
+        {"body rebinds the loop variable",
+         [] {
+             return refusalLoop(blk(forRange("i", ci(0), ci(2),
+                                             blk(aset(lv("a"), lv("i"), cf(1.0f))))));
+         }},
+    };
+    for (const auto& [why, make] : cases) {
+        const Program p = make();
+        const auto res = analyzeRun(p);
+        EXPECT_TRUE(reportHas(res, "T.run: for (i): serial -- " + why)) << why;
+    }
 }
 
 // --------------------------------------------- reduction codegen + runtime

@@ -5,7 +5,8 @@
 #
 #   * codegen goldens, tests/golden/*.c.golden (test_codegen_golden): the
 #     scalar, WJ_BOUNDS, WJ_PARALLEL (including the fused CG solver),
-#     WJ_SIMD (including the peeled MPI sweep) and WJ_SOA variants;
+#     WJ_SIMD (including the peeled MPI sweep), WJ_PARALLEL with WJ_SIMD
+#     (the CG solver's simd chunk loops) and WJ_SOA variants;
 #   * lint goldens, tests/golden/lint/ (tools/lint_examples.sh): the full
 #     `wjc lint` and `wjc lint --soa` output of every examples/*.wj;
 #   * facts goldens, tests/golden/facts/ (test_facts, FactsGolden.*): the
