@@ -41,6 +41,7 @@
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <string>
 #include <thread>
 #include <vector>
@@ -325,7 +326,15 @@ int main(int argc, char** argv) {
                     "multi-tenant compile daemon under closed-loop client load",
                     "in-process daemon, real sockets; real wall time");
 
-    const std::string scratch = makeScratchDir("wjd_bench");
+    // Removed on every return from main, a contract failure included.
+    struct ScratchDir {
+        std::string path;
+        ~ScratchDir() {
+            std::error_code ec;
+            std::filesystem::remove_all(path, ec);
+        }
+    } scratchDir{makeScratchDir("wjd_bench")};
+    const std::string& scratch = scratchDir.path;
     // A private compile cache isolates the miss/hit accounting from the
     // developer's warm cache and from parallel ctest jobs.
     setenv("WJ_CACHE_DIR", (scratch + "/cache").c_str(), 1);

@@ -35,11 +35,17 @@ std::string strItv(const Itv& v) {
     return "[" + strBound(v.lo) + ", " + strBound(v.hi) + "]";
 }
 
+/// Walk visitor collecting every local name read, in source order.
+struct LocalReads {
+    std::vector<std::string>& out;
+    void pre(const Expr& x) {
+        if (x.kind == ExprKind::Local) out.push_back(as<LocalExpr>(x).name);
+    }
+};
+
 /// Collects every local name read by an expression tree.
 void collectReads(const Expr& e, std::vector<std::string>& out) {
-    visitExpr(e, [&](const Expr& x) {
-        if (x.kind == ExprKind::Local) out.push_back(as<LocalExpr>(x).name);
-    });
+    walkExpr(e, LocalReads{out});
 }
 
 /// Local names a CFG node reads (in its expressions, before its own defs).
@@ -51,39 +57,9 @@ std::vector<std::string> nodeReads(const CfgNode& nd) {
     case CfgNode::Kind::Branch: collectReads(*nd.cond, out); break;
     case CfgNode::Kind::ForInit: collectReads(*nd.forS->init, out); break;
     case CfgNode::Kind::ForStep: collectReads(*nd.forS->step, out); break;
-    case CfgNode::Kind::Stmt:
-        switch (nd.stmt->kind) {
-        case StmtKind::Decl: {
-            const auto& n = as<DeclStmt>(*nd.stmt);
-            if (n.init) collectReads(*n.init, out);
-            break;
-        }
-        case StmtKind::AssignLocal: collectReads(*as<AssignLocalStmt>(*nd.stmt).value, out); break;
-        case StmtKind::FieldSet: {
-            const auto& n = as<FieldSetStmt>(*nd.stmt);
-            collectReads(*n.obj, out);
-            collectReads(*n.value, out);
-            break;
-        }
-        case StmtKind::ArraySet: {
-            const auto& n = as<ArraySetStmt>(*nd.stmt);
-            collectReads(*n.arr, out);
-            collectReads(*n.idx, out);
-            collectReads(*n.value, out);
-            break;
-        }
-        case StmtKind::Return: {
-            const auto& n = as<ReturnStmt>(*nd.stmt);
-            if (n.value) collectReads(*n.value, out);
-            break;
-        }
-        case StmtKind::ExprStmt: collectReads(*as<ExprStmt>(*nd.stmt).e, out); break;
-        case StmtKind::SuperCtor:
-            for (const auto& a : as<SuperCtorStmt>(*nd.stmt).args) collectReads(*a, out);
-            break;
-        default: break;
-        }
-        break;
+    // A statement node is never If/While/For (the CFG splits those), so
+    // the walk reaches its expressions only.
+    case CfgNode::Kind::Stmt: walkStmt(*nd.stmt, LocalReads{out}); break;
     }
     return out;
 }
@@ -187,10 +163,8 @@ struct LiveDomain {
 
 } // namespace
 
-std::vector<Violation> checkDefiniteAssignment(const Program& prog, const ClassDecl& cls,
-                                               const Method& m,
+std::vector<Violation> checkDefiniteAssignment(const ClassDecl& cls, const Method& m,
                                                std::vector<Violation>* warnings) {
-    (void)prog;
     return checkDefiniteAssignment(Cfg::build(m), cls, m, warnings);
 }
 
@@ -519,6 +493,10 @@ private:
     AVal evalStaticCall(Env& env, const StaticCallExpr& n);
     AVal evalIntrinsic(Env& env, const IntrinsicExpr& n);
     AVal evalBinary(const BinaryExpr& n, const AVal& l, const AVal& r);
+    /// The methods a Call or StaticCall may reach: through the receiver's
+    /// abstract objects when it has them, through every override of the
+    /// static type otherwise. Sets `recv` to the evaluated receiver.
+    std::vector<const Method*> callTargets(Env& env, const Expr& call, AVal& recv);
 
     void recordAccess(const void* site, const AVal& arr, const AVal& idx, bool reachable);
 
@@ -556,6 +534,13 @@ private:
     void raceStmt(Env& env, const Stmt& st, std::vector<Pending>& p);
     void raceExpr(Env& env, const Expr& e, std::vector<Pending>& p);
     void raceNode(Env& env, const Expr& e, std::vector<Pending>& p);
+    /// Walk visitor: raceNode on every expression node, after its operands.
+    struct RaceNodes {
+        Engine& eng;
+        Env& env;
+        std::vector<Pending>& p;
+        void post(const Expr& x) { eng.raceNode(env, x, p); }
+    };
     void checkWrite(const std::vector<Pending>& p, const std::set<int>& roots, const Itv& region,
                     const void* wsite, const std::string& what);
 
@@ -740,7 +725,7 @@ const MethodFacts* Engine::noteDefiniteAssignment(const ClassDecl& owner, const 
         out_.errors.insert(out_.errors.end(), mf->daErrors.begin(), mf->daErrors.end());
         out_.warnings.insert(out_.warnings.end(), mf->daWarnings.begin(), mf->daWarnings.end());
     } else {
-        auto errs = checkDefiniteAssignment(prog_, owner, m, &out_.warnings);
+        auto errs = checkDefiniteAssignment(owner, m, &out_.warnings);
         out_.errors.insert(out_.errors.end(), errs.begin(), errs.end());
     }
     return mf;
@@ -1516,7 +1501,7 @@ void Engine::raceStmt(Env& env, const Stmt& st, std::vector<Pending>& p) {
             if (!dup) pT.push_back(q);
         }
         p = std::move(pT);
-        break;
+        return;
     }
     case StmtKind::While:
     case StmtKind::For: {
@@ -1571,37 +1556,19 @@ void Engine::raceStmt(Env& env, const Stmt& st, std::vector<Pending>& p) {
         Env joined = preEnv;
         joinEnv(joined, env);
         env = std::move(joined);
-        break;
+        return;
     }
-    case StmtKind::Decl: {
-        const auto& n = as<DeclStmt>(st);
-        if (n.init) raceExpr(env, *n.init, p);
-        break;
+    case StmtKind::SuperCtor: return;  // constructors only; the walk runs on methods
+    default: break;
     }
-    case StmtKind::AssignLocal: raceExpr(env, *as<AssignLocalStmt>(st).value, p); break;
-    case StmtKind::FieldSet: {
-        const auto& n = as<FieldSetStmt>(st);
-        raceExpr(env, *n.obj, p);
-        raceExpr(env, *n.value, p);
-        break;
-    }
-    case StmtKind::ArraySet: {
+    // A simple statement: the race effect of each expression node, in
+    // source order, then the store's own write.
+    walkStmt(st, RaceNodes{*this, env, p});
+    if (st.kind == StmtKind::ArraySet) {
         const auto& n = as<ArraySetStmt>(st);
-        raceExpr(env, *n.arr, p);
-        raceExpr(env, *n.idx, p);
-        raceExpr(env, *n.value, p);
         const AVal a = evalExpr(env, *n.arr);
         const AVal i = evalExpr(env, *n.idx);
         checkWrite(p, a.roots, i.num, &st, "array store");
-        break;
-    }
-    case StmtKind::Return: {
-        const auto& n = as<ReturnStmt>(st);
-        if (n.value) raceExpr(env, *n.value, p);
-        break;
-    }
-    case StmtKind::ExprStmt: raceExpr(env, *as<ExprStmt>(st).e, p); break;
-    default: break;
     }
     // Keep the abstract environment in sync for Decl/Assign (strong update).
     if (st.kind == StmtKind::Decl || st.kind == StmtKind::AssignLocal) {
@@ -1610,13 +1577,30 @@ void Engine::raceStmt(Env& env, const Stmt& st, std::vector<Pending>& p) {
 }
 
 void Engine::raceExpr(Env& env, const Expr& e, std::vector<Pending>& p) {
-    struct Post {
-        Engine& eng;
-        Env& env;
-        std::vector<Pending>& p;
-        void post(const Expr& x) { eng.raceNode(env, x, p); }
-    };
-    walkExpr(e, Post{*this, env, p});
+    walkExpr(e, RaceNodes{*this, env, p});
+}
+
+std::vector<const Method*> Engine::callTargets(Env& env, const Expr& call, AVal& recv) {
+    std::vector<const Method*> targets;
+    if (call.kind == ExprKind::StaticCall) {
+        const auto& n = as<StaticCallExpr>(call);
+        const ClassDecl* owner = prog_.methodOwner(n.cls, n.method);
+        if (const Method* m = owner ? owner->ownMethod(n.method) : nullptr) targets.push_back(m);
+        return targets;
+    }
+    const auto& n = as<CallExpr>(call);
+    recv = evalExpr(env, *n.recv);
+    if (!recv.objs.empty()) {
+        for (const AbsObjPtr& o : recv.objs) {
+            if (const Method* m = prog_.resolveMethod(o->cls->name, n.method)) targets.push_back(m);
+        }
+    } else if (recv.type.isClass()) {
+        for (const auto& [owner, m] : resolveVirtual(prog_, recv.type.className(), n.method)) {
+            (void)owner;
+            targets.push_back(m);
+        }
+    }
+    return targets;
 }
 
 /// The race effect of one expression node, after its operands. Reads of an
@@ -1701,35 +1685,10 @@ void Engine::raceNode(Env& env, const Expr& e, std::vector<Pending>& p) {
     }
     case ExprKind::Call:
     case ExprKind::StaticCall: {
-        const CallExpr* vc = e.kind == ExprKind::Call ? &as<CallExpr>(e) : nullptr;
-        const StaticCallExpr* sc = vc ? nullptr : &as<StaticCallExpr>(e);
+        const bool virt = e.kind == ExprKind::Call;
+        const auto& argExprs = virt ? as<CallExpr>(e).args : as<StaticCallExpr>(e).args;
         AVal recv;
-        if (vc) recv = evalExpr(env, *vc->recv);
-        const auto& argExprs = vc ? vc->args : sc->args;
-
-        std::vector<const Method*> targets;
-        if (vc) {
-            if (!recv.objs.empty()) {
-                for (const AbsObjPtr& o : recv.objs) {
-                    if (const Method* m = prog_.resolveMethod(o->cls->name, vc->method)) {
-                        targets.push_back(m);
-                    }
-                }
-            } else if (recv.type.isClass()) {
-                for (const auto& [owner, m] :
-                     resolveVirtual(prog_, recv.type.className(), vc->method)) {
-                    (void)owner;
-                    targets.push_back(m);
-                }
-            }
-        } else {
-            const ClassDecl* owner = prog_.methodOwner(sc->cls, sc->method);
-            if (const Method* m = owner ? owner->ownMethod(sc->method) : nullptr) {
-                targets.push_back(m);
-            }
-        }
-
-        for (const Method* m : targets) {
+        for (const Method* m : callTargets(env, e, recv)) {
             const Effects& eff = effectsOf(*m);
             for (int j : eff.writesParams) {
                 if (j < 0 || static_cast<size_t>(j) >= argExprs.size()) continue;
@@ -1753,7 +1712,7 @@ void Engine::raceNode(Env& env, const Expr& e, std::vector<Pending>& p) {
             }
             if (!eff.writesFields.empty()) {
                 std::set<int> roots;
-                bool known = vc && !recv.objs.empty();
+                bool known = virt && !recv.objs.empty();
                 if (known) {
                     for (const std::string& key : eff.writesFields) {
                         const std::string fname = key.substr(key.find('.') + 1);
@@ -1864,22 +1823,19 @@ struct RedUpdate {
     BinOp cmp = BinOp::Lt;  ///< Min/Max only
 };
 
-/// Number of `Local(name)` reads in an expression tree.
-int countLocalReads(const Expr& e, const std::string& name) {
+/// Number of `Local(name)` reads in an expression tree or in a block,
+/// nested control flow included (the proveLoop read audit).
+template <typename Node>
+int countLocalReads(const Node& n, const std::string& name) {
     int c = 0;
-    visitExpr(e, [&](const Expr& x) {
+    auto count = [&](const Expr& x) {
         c += x.kind == ExprKind::Local && as<LocalExpr>(x).name == name;
-    });
-    return c;
-}
-
-/// Reads of `name` across every expression of a block, including nested
-/// control flow (the proveLoop read audit).
-int countLocalReadsBlock(const Block& b, const std::string& name) {
-    int c = 0;
-    visitBlock(b, [&](const Expr& x) {
-        c += x.kind == ExprKind::Local && as<LocalExpr>(x).name == name;
-    });
+    };
+    if constexpr (std::is_same_v<Node, Block>) {
+        visitBlock(n, count);
+    } else {
+        visitExpr(n, count);
+    }
     return c;
 }
 
@@ -2397,19 +2353,6 @@ ParVerdict Engine::proveLoop(const std::string& label, const ForStmt& fs, const 
         soaNeeded.insert(cls);
         return true;
     };
-    auto soaJoin = [&]() {
-        std::string s;
-        bool first = true;
-        for (const std::string& c : soaNeeded) {
-            if (!first) s += ", ";
-            s += "'" + c + "[]'";
-            first = false;
-        }
-        return s;
-    };
-    auto soaList = [&]() {
-        return std::vector<std::string>(soaNeeded.begin(), soaNeeded.end());
-    };
 
     // A local name is loop-invariant when the body neither declares nor
     // assigns it; index expressions over only such names (plus the loop var
@@ -2658,94 +2601,58 @@ ParVerdict Engine::proveLoop(const std::string& label, const ForStmt& fs, const 
         }
     };
 
-    auto fillPAcc = [&](Env& env, PAcc& a, bool isWrite, const std::string& name,
-                        const Expr& idx) {
+    // Records the element access `arr[idx]`. False (with `why` set) when
+    // the array is neither a local nor, in SIMD mode, a stable path.
+    auto access = [&](Env& env, const Expr& arr, const Expr& idx, bool isWrite) -> bool {
+        if (!classElemOk(env, arr, isWrite)) return false;
+        PAcc a;
+        if (arr.kind == ExprKind::Local) {
+            a.name = as<LocalExpr>(arr).name;
+            auto vit = env.vars.find(a.name);
+            if (vit != env.vars.end()) a.roots = vit->second.roots;
+        } else {
+            if (vectorOnly) a.name = stablePath(arr);
+            if (a.name.empty()) {
+                why = isWrite ? "stores to an array through a non-local expression"
+                              : "reads an array through a non-local expression";
+                return false;
+            }
+            a.roots = evalExpr(env, arr).roots;  // alias facts come from the abstract heap
+        }
         a.isWrite = isWrite;
-        a.name = name;
         const LinForm lf = linOf(env, idx);
         a.k = lf.k;
         a.w = lf.w;
         a.foot = Itv::of(lf.k).mul(V).add(lf.w);
         a.idxKey = idxKeyOf(idx);
         a.idxStable = idxIsStable(idx);
-    };
-
-    auto recordPAcc = [&](Env& env, bool isWrite, const std::string& name, const Expr& idx) {
-        PAcc a;
-        auto vit = env.vars.find(name);
-        if (vit != env.vars.end()) a.roots = vit->second.roots;
-        fillPAcc(env, a, isWrite, name, idx);
         accs.push_back(std::move(a));
+        return true;
     };
 
-    auto recordPathPAcc = [&](Env& env, bool isWrite, const std::string& path,
-                              const Expr& arr, const Expr& idx) {
-        PAcc a;
-        a.roots = evalExpr(env, arr).roots;  // alias facts come from the abstract heap
-        fillPAcc(env, a, isWrite, path, idx);
-        accs.push_back(std::move(a));
-    };
-
-    // Legality + access collection over one expression tree. Returns false
-    // (with `why` set) on the first construct that cannot run off the
-    // rank's main thread or whose memory behaviour cannot be bounded.
-    std::function<bool(Env&, const Expr&)> checkExpr = [&](Env& env, const Expr& e) -> bool {
+    // Legality + access collection at one expression node, after its
+    // operands. Returns false (with `why` set) on a construct that cannot
+    // run off the rank's main thread or whose memory behaviour cannot be
+    // bounded.
+    auto legalNode = [&](Env& env, const Expr& e) -> bool {
         switch (e.kind) {
-        case ExprKind::Const:
-        case ExprKind::Local:
-        case ExprKind::This:
-        case ExprKind::StaticGet: return true;
-        case ExprKind::FieldGet: return checkExpr(env, *as<FieldGetExpr>(e).obj);
-        case ExprKind::ArrayLen: return checkExpr(env, *as<ArrayLenExpr>(e).arr);
-        case ExprKind::Unary: return checkExpr(env, *as<UnaryExpr>(e).e);
-        case ExprKind::Binary: {
-            const auto& n = as<BinaryExpr>(e);
-            if (!checkExpr(env, *n.l) || !checkExpr(env, *n.r)) return false;
-            if (vectorOnly && n.op == BinOp::Rem) noteWrap(env, n);
+        case ExprKind::Binary:
+            if (vectorOnly && as<BinaryExpr>(e).op == BinOp::Rem) noteWrap(env, as<BinaryExpr>(e));
             return true;
-        }
-        case ExprKind::Cond: {
-            const auto& n = as<CondExpr>(e);
-            return checkExpr(env, *n.c) && checkExpr(env, *n.t) && checkExpr(env, *n.f);
-        }
-        case ExprKind::Cast: return checkExpr(env, *as<CastExpr>(e).e);
         case ExprKind::ArrayGet: {
             const auto& n = as<ArrayGetExpr>(e);
-            if (!checkExpr(env, *n.arr) || !checkExpr(env, *n.idx)) return false;
-            if (!classElemOk(env, *n.arr, /*isWrite=*/false)) return false;
-            if (n.arr->kind == ExprKind::Local) {
-                recordPAcc(env, false, as<LocalExpr>(*n.arr).name, *n.idx);
-                return true;
-            }
-            if (vectorOnly) {
-                const std::string path = stablePath(*n.arr);
-                if (!path.empty()) {
-                    recordPathPAcc(env, false, path, *n.arr, *n.idx);
-                    return true;
-                }
-            }
-            why = "reads an array through a non-local expression";
-            return false;
+            return access(env, *n.arr, *n.idx, /*isWrite=*/false);
         }
         case ExprKind::New: {
             const auto& n = as<NewExpr>(e);
-            for (const auto& a : n.args) {
-                if (!checkExpr(env, *a)) return false;
-            }
             if (!ctorAllowsParallel(prog_.cls(n.cls))) {
                 why = "constructs '" + n.cls + "', whose constructor is not provably iteration-private";
                 return false;
             }
             return true;
         }
-        case ExprKind::NewArray:
-            why = "allocates an array inside the loop";
-            return false;
         case ExprKind::IntrinsicCall: {
             const auto& n = as<IntrinsicExpr>(e);
-            for (const auto& a : n.args) {
-                if (!checkExpr(env, *a)) return false;
-            }
             switch (n.op) {
             case Intrinsic::MathExpF64:
                 // sqrt/fabs are correctly rounded in SIMD too; exp is a libm
@@ -2769,42 +2676,13 @@ ParVerdict Engine::proveLoop(const std::string& label, const ForStmt& fs, const 
         }
         case ExprKind::Call:
         case ExprKind::StaticCall: {
-            const CallExpr* vc = e.kind == ExprKind::Call ? &as<CallExpr>(e) : nullptr;
-            const StaticCallExpr* sc = vc ? nullptr : &as<StaticCallExpr>(e);
             AVal recv;
-            if (vc) {
-                if (!checkExpr(env, *vc->recv)) return false;
-                recv = evalExpr(env, *vc->recv);
-            }
-            const auto& argExprs = vc ? vc->args : sc->args;
-            for (const auto& a : argExprs) {
-                if (!checkExpr(env, *a)) return false;
-            }
-
-            std::vector<const Method*> targets;
-            if (vc) {
-                if (!recv.objs.empty()) {
-                    for (const AbsObjPtr& o : recv.objs) {
-                        if (const Method* t = prog_.resolveMethod(o->cls->name, vc->method)) {
-                            targets.push_back(t);
-                        }
-                    }
-                } else if (recv.type.isClass()) {
-                    for (const auto& [owner, t] :
-                         resolveVirtual(prog_, recv.type.className(), vc->method)) {
-                        (void)owner;
-                        targets.push_back(t);
-                    }
-                }
-            } else {
-                const ClassDecl* owner = prog_.methodOwner(sc->cls, sc->method);
-                if (const Method* t = owner ? owner->ownMethod(sc->method) : nullptr) {
-                    targets.push_back(t);
-                }
-            }
-            const std::string callee = vc ? vc->method : sc->method;
+            const std::vector<const Method*> targets = callTargets(env, e, recv);
             if (targets.empty()) {
-                why = "calls '" + callee + "', which could not be resolved";
+                why = "calls '" +
+                      (e.kind == ExprKind::Call ? as<CallExpr>(e).method
+                                                : as<StaticCallExpr>(e).method) +
+                      "', which could not be resolved";
                 return false;
             }
             for (const Method* t : targets) {
@@ -2846,129 +2724,98 @@ ParVerdict Engine::proveLoop(const std::string& label, const ForStmt& fs, const 
             }
             return true;
         }
+        default: return true;
         }
-        return true;
+    };
+
+    // Walks one expression or simple statement post-order through
+    // legalNode and stops at the first illegal node. An allocation is
+    // refused before its length is walked.
+    struct Legality {
+        decltype(legalNode)& check;
+        Env& env;
+        std::string& why;
+        bool ok = true;
+        bool pre(const Expr& x) {
+            if (ok && x.kind == ExprKind::NewArray) {
+                why = "allocates an array inside the loop";
+                ok = false;
+            }
+            return ok;
+        }
+        void post(const Expr& x) { ok = ok && check(env, x); }
+    };
+
+    // Statements refused before their expressions are walked; "" for the
+    // ones the walk judges. A sanctioned reduction update needs only its
+    // rhs walked: the accumulator is audited after the walk (type + read
+    // count).
+    auto stmtRefusal = [&](const Stmt& st) -> std::string {
+        if (st.kind == StmtKind::FieldSet) return "stores to an object field";
+        if (st.kind == StmtKind::Return) return "returns from inside the loop";
+        if (st.kind == StmtKind::SuperCtor) return "unsupported statement";
+        if (st.kind != StmtKind::AssignLocal) return "";
+        const std::string& name = as<AssignLocalStmt>(st).name;
+        if (ix.defined.count(name) || redUpd.count(&st)) return "";
+        return "updates '" + name +
+               "' declared outside the loop (loop-carried scalar dependence): `" +
+               stmtOneLine(st) +
+               "` is not a recognized reduction (acc = acc op f(i) over +, *, min, max)";
     };
 
     bool legal = true;
     for (int node : cfg.rpo()) {
         const CfgNode& nd = cfg.nodes[static_cast<size_t>(node)];
-        int mapped = -1;
-        const ForStmt* innerInit = nullptr;
-        const ForStmt* innerStep = nullptr;
-        const Expr* branchCond = nullptr;
-        const Stmt* bodyStmt = nullptr;
+        auto mine = [&](const auto& nodeOf, const auto* key) {
+            auto it = nodeOf.find(key);
+            return it != nodeOf.end() && it->second == node;
+        };
+        const Expr* e = nullptr;  // a condition, or an inner loop's init or step
+        const Stmt* st = nullptr;
         switch (nd.kind) {
-        case CfgNode::Kind::Stmt: {
-            auto it = stmtNode.find(nd.stmt);
-            if (it != stmtNode.end() && it->second == node) bodyStmt = nd.stmt, mapped = node;
+        case CfgNode::Kind::Stmt:
+            if (mine(stmtNode, nd.stmt)) st = nd.stmt;
             break;
-        }
-        case CfgNode::Kind::Branch: {
-            auto it = condNode.find(nd.cond);
-            if (it != condNode.end() && it->second == node) branchCond = nd.cond, mapped = node;
+        case CfgNode::Kind::Branch:
+            if (mine(condNode, nd.cond)) e = nd.cond;
             break;
-        }
-        case CfgNode::Kind::ForInit: {
-            auto it = forInitNode.find(nd.forS);
-            if (it != forInitNode.end() && it->second == node) innerInit = nd.forS, mapped = node;
+        case CfgNode::Kind::ForInit:
+            if (mine(forInitNode, nd.forS)) e = nd.forS->init.get();
             break;
-        }
-        case CfgNode::Kind::ForStep: {
-            auto it = forStepNode.find(nd.forS);
-            if (it != forStepNode.end() && it->second == node) innerStep = nd.forS, mapped = node;
+        case CfgNode::Kind::ForStep:
+            if (mine(forStepNode, nd.forS)) e = nd.forS->step.get();
             break;
-        }
         default: break;
         }
-        if (mapped < 0) continue;
+        if (!e && !st) continue;
         if (!states[static_cast<size_t>(node)].reach) continue;  // dead body code
         // Evaluation only reads the environment, so the fixed-point state
         // serves directly.
         Env& env = states[static_cast<size_t>(node)];
 
-        if (branchCond) {
-            legal = checkExpr(env, *branchCond);
-        } else if (innerInit) {
-            legal = checkExpr(env, *innerInit->init);
-        } else if (innerStep) {
-            legal = checkExpr(env, *innerStep->step);
+        Legality v{legalNode, env, why};
+        if (e) {
+            walkExpr(*e, v);
+        } else if (why = stmtRefusal(*st); !why.empty()) {
+            v.ok = false;
         } else {
-            const Stmt& st = *bodyStmt;
-            switch (st.kind) {
-            case StmtKind::Decl: {
-                const auto& n = as<DeclStmt>(st);
-                legal = !n.init || checkExpr(env, *n.init);
+            walkStmt(*st, v);
+            if (v.ok && st->kind == StmtKind::Decl) {
                 // Single-assignment integral locals carry a linear form so
                 // hoisted index bases (`base = z*plane + y*nx`) stay affine.
-                if (legal && n.init && n.type.isIntegral() && !ix.kills.count(n.name)) {
+                const auto& n = as<DeclStmt>(*st);
+                if (n.init && n.type.isIntegral() && !ix.kills.count(n.name)) {
                     lfMap[n.name] = linOf(env, *n.init);
                 }
-                break;
-            }
-            case StmtKind::AssignLocal: {
-                const auto& n = as<AssignLocalStmt>(st);
-                if (!ix.defined.count(n.name)) {
-                    if (redUpd.count(&st)) {
-                        // Sanctioned reduction update: only the rhs needs
-                        // the legality walk here; the accumulator itself is
-                        // audited after the walk (type + read count).
-                        legal = checkExpr(env, *n.value);
-                        break;
-                    }
-                    why = "updates '" + n.name +
-                          "' declared outside the loop (loop-carried scalar dependence): `" +
-                          stmtOneLine(st) +
-                          "` is not a recognized reduction (acc = acc op f(i) over +, *, "
-                          "min, max)";
-                    legal = false;
-                    break;
-                }
-                legal = checkExpr(env, *n.value);
-                break;
-            }
-            case StmtKind::ArraySet: {
-                const auto& n = as<ArraySetStmt>(st);
-                legal = checkExpr(env, *n.arr) && checkExpr(env, *n.idx) &&
-                        checkExpr(env, *n.value);
-                if (!legal) break;
-                if (!classElemOk(env, *n.arr, /*isWrite=*/true)) {
-                    legal = false;
-                    break;
-                }
-                if (n.arr->kind == ExprKind::Local) {
-                    recordPAcc(env, true, as<LocalExpr>(*n.arr).name, *n.idx);
-                    break;
-                }
-                if (vectorOnly) {
-                    const std::string path = stablePath(*n.arr);
-                    if (!path.empty()) {
-                        recordPathPAcc(env, true, path, *n.arr, *n.idx);
-                        break;
-                    }
-                }
-                why = "stores to an array through a non-local expression";
-                legal = false;
-                break;
-            }
-            case StmtKind::FieldSet:
-                why = "stores to an object field";
-                legal = false;
-                break;
-            case StmtKind::Return:
-                why = "returns from inside the loop";
-                legal = false;
-                break;
-            case StmtKind::ExprStmt: legal = checkExpr(env, *as<ExprStmt>(st).e); break;
-            default:
-                why = "unsupported statement";
-                legal = false;
-                break;
+            } else if (v.ok && st->kind == StmtKind::ArraySet) {
+                const auto& n = as<ArraySetStmt>(*st);
+                v.ok = access(env, *n.arr, *n.idx, /*isWrite=*/true);
             }
         }
+        legal = v.ok;
         if (!legal) break;
     }
-    if (!legal) return refuse(why.empty() ? "body has unsupported constructs" : why);
+    if (!legal) return refuse(why);
 
     // A tiny outer trip count cannot amortize a parallel dispatch over
     // nested loops; refuse it (after legality, so real defects keep their
@@ -3014,7 +2861,7 @@ ParVerdict Engine::proveLoop(const std::string& label, const ForStmt& fs, const 
                     .overlapPairs = std::move(pairs),
                     .reductions = std::move(vreds),
                     .exactReductions = exact,
-                    .soaClasses = soaList(),
+                    .soaClasses = {soaNeeded.begin(), soaNeeded.end()},
                     .wraps = wraps,
                     .peelLo = peelLo,
                     .peelHi = peelHi,
@@ -3034,7 +2881,7 @@ ParVerdict Engine::proveLoop(const std::string& label, const ForStmt& fs, const 
         for (const auto& kv : redUpd) {
             if (kv.second.var == u.var) ++sanctioned;
         }
-        if (countLocalReadsBlock(fs.body, u.var) != sanctioned) {
+        if (countLocalReads(fs.body, u.var) != sanctioned) {
             return refuse("'" + u.var +
                           "' is read outside its reduction update (loop-carried scalar "
                           "dependence)");
@@ -3108,18 +2955,31 @@ ParVerdict Engine::proveLoop(const std::string& label, const ForStmt& fs, const 
         }
     }
 
+    if (!reds.empty() && !guards.empty()) {
+        return refuse("reduction over '" + reds[0].var +
+                      "' would also need alias guards -- unsupported combination");
+    }
+    // `f(x)` of each x, joined into a reason's list.
+    auto list = [](const auto& xs, auto f) {
+        std::string s;
+        for (const auto& x : xs) s += (s.empty() ? "" : ", ") + f(x);
+        return s;
+    };
+    // A SIMD verdict over class-element arrays leans on their SoA layout.
+    const std::string soaClasses =
+        list(soaNeeded, [](const std::string& c) { return "'" + c + "[]'"; });
+    if (vectorOnly && !soaNeeded.empty() && !soaOn_) {
+        return refuse("element accesses through " + soaClasses +
+                      " are struct-strided under AoS -- vectorizable under --soa (WJ_SOA=1)");
+    }
+    const std::string soaNote =
+        soaNeeded.empty() ? "" : "; unit-stride via the SoA layout of " + soaClasses;
+
     if (!reds.empty()) {
-        if (!guards.empty()) {
-            return refuse("reduction over '" + reds[0].var +
-                          "' would also need alias guards -- unsupported combination");
-        }
-        std::string desc = "reduction over ";
-        bool first = true;
-        for (const Reduction& r : reds) {
-            if (!first) desc += ", ";
-            desc += "'" + r.var + "' (" + redOpName(r.op) + ", " + primName(r.prim) + ")";
-            first = false;
-        }
+        std::string desc = "reduction over " + list(reds, [](const Reduction& r) {
+                               return "'" + r.var + "' (" + redOpName(r.op) + ", " +
+                                      primName(r.prim) + ")";
+                           });
         if (vectorOnly) {
             // min/max select one operand bit-for-bit, and i64 +/* wrap mod
             // 2^64 — both exact under any reassociation, so the lanes may
@@ -3135,15 +2995,7 @@ ParVerdict Engine::proveLoop(const std::string& label, const ForStmt& fs, const 
             desc += exact ? " -- exact under reassociation (simd reduction clause)"
                           : " -- f32/f64 reassociation is inexact; accumulator stays "
                             "chunk-serial";
-            if (!soaNeeded.empty()) {
-                if (!soaOn_) {
-                    return refuse("element accesses through " + soaJoin() +
-                                  " are struct-strided under AoS -- vectorizable under --soa "
-                                  "(WJ_SOA=1)");
-                }
-                desc += "; unit-stride via the SoA layout of " + soaJoin();
-            }
-            proven(VecVerdict::Vectorizable, std::move(desc), {}, std::move(reds), exact);
+            proven(VecVerdict::Vectorizable, desc + soaNote, {}, std::move(reds), exact);
             return ParVerdict::Parallel;
         }
         if (lint_) {
@@ -3160,49 +3012,31 @@ ParVerdict Engine::proveLoop(const std::string& label, const ForStmt& fs, const 
 
     if (!guards.empty()) {
         std::vector<std::pair<std::string, std::string>> pairs(guards.begin(), guards.end());
+        using Pair = std::pair<std::string, std::string>;
         if (vectorOnly) {
-            std::string desc = "lanes are independent provided the data ranges of ";
-            bool first = true;
-            for (const auto& [a, b] : guards) {
-                if (!first) desc += ", ";
-                desc += "'" + a + "'/'" + b + "'";
-                first = false;
-            }
-            desc += " are disjoint (runtime overlap guard)";
-            if (!soaNeeded.empty()) {
-                if (!soaOn_) {
-                    return refuse("element accesses through " + soaJoin() +
-                                  " are struct-strided under AoS -- vectorizable under --soa "
-                                  "(WJ_SOA=1)");
-                }
-                desc += "; unit-stride via the SoA layout of " + soaJoin();
-            }
-            proven(VecVerdict::CondVectorizable, std::move(desc), std::move(pairs));
+            proven(VecVerdict::CondVectorizable,
+                   "lanes are independent provided the data ranges of " +
+                       list(guards, [](const Pair& g) {
+                           return "'" + g.first + "'/'" + g.second + "'";
+                       }) +
+                       " are disjoint (runtime overlap guard)" + soaNote,
+                   std::move(pairs));
             return ParVerdict::CondParallel;
         }
-        std::string desc = "iterations are independent provided ";
-        bool first = true;
-        for (const auto& [a, b] : guards) {
-            if (!first) desc += ", ";
-            desc += "'" + a + "' != '" + b + "'";
-            first = false;
-        }
-        desc += " (runtime pointer guard)";
-        noteLoop(&fs, label, ParVerdict::CondParallel, std::move(desc), std::move(pairs));
+        noteLoop(&fs, label, ParVerdict::CondParallel,
+                 "iterations are independent provided " +
+                     list(guards, [](const Pair& g) {
+                         return "'" + g.first + "' != '" + g.second + "'";
+                     }) +
+                     " (runtime pointer guard)",
+                 std::move(pairs));
         return ParVerdict::CondParallel;
     }
     if (vectorOnly) {
-        if (!soaNeeded.empty()) {
-            if (!soaOn_) {
-                return refuse("element accesses through " + soaJoin() +
-                              " are struct-strided under AoS -- vectorizable under --soa "
-                              "(WJ_SOA=1)");
-            }
-            proven(VecVerdict::Vectorizable, "unit-stride accesses via the SoA layout of " +
-                                                 soaJoin() + "; no cross-lane dependence");
-            return ParVerdict::Parallel;
-        }
-        proven(VecVerdict::Vectorizable, "unit-stride accesses; no cross-lane dependence");
+        proven(VecVerdict::Vectorizable,
+               soaNeeded.empty() ? "unit-stride accesses; no cross-lane dependence"
+                                 : "unit-stride accesses via the SoA layout of " + soaClasses +
+                                       "; no cross-lane dependence");
         return ParVerdict::Parallel;
     }
     noteLoop(&fs, label, ParVerdict::Parallel, "no loop-carried dependence", {});

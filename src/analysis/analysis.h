@@ -191,8 +191,7 @@ struct Result {
 /// Definite assignment (+ dead-store warnings appended to `warnings` when
 /// non-null) for one method body. Cheap enough for the interpreter to run
 /// memoized on first invoke of each method.
-std::vector<Violation> checkDefiniteAssignment(const Program& prog, const ClassDecl& cls,
-                                               const Method& m,
+std::vector<Violation> checkDefiniteAssignment(const ClassDecl& cls, const Method& m,
                                                std::vector<Violation>* warnings = nullptr);
 
 /// Whole-program lint: every pass over every concrete method, with unknown

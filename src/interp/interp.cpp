@@ -125,7 +125,7 @@ Value Interp::callStatic(const std::string& cls, const std::string& method,
 
 void Interp::verifyAssigned(const ClassDecl& implCls, const Method& m) {
     if (!daChecked_.insert(&m).second) return;
-    auto errs = analysis::checkDefiniteAssignment(prog_, implCls, m);
+    auto errs = analysis::checkDefiniteAssignment(implCls, m);
     if (!errs.empty()) throw AnalysisError(std::move(errs));
 }
 

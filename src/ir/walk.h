@@ -205,6 +205,12 @@ void walkExpr(const Expr& e, V&& v) {
     IrWalk<std::remove_reference_t<V>>(v).expr(e);
 }
 
+/// Walks the statement `s` (its expressions, then its blocks) with visitor `v`.
+template <typename V>
+void walkStmt(const Stmt& s, V&& v) {
+    IrWalk<std::remove_reference_t<V>>(v).stmt(s);
+}
+
 /// Walks `b` with visitor `v`, keeping `scope` (if any) to WJ's rules.
 template <typename V>
 void walkBlock(const Block& b, V&& v, TypeScope* scope = nullptr) {

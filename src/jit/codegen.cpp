@@ -235,6 +235,20 @@ private:
     /// name order), minus `skip`.
     std::vector<std::pair<std::string, const Shape*>> captures(
         const Env& env, const ForStmt& n, const std::set<std::string>& skip) const;
+    /// One loop body outlined into a chunk function (genParallelFor,
+    /// genParallelReduce): the capture struct's type, the chunk function,
+    /// the capture struct's variable at the dispatch site, and the captures.
+    struct Outline {
+        std::string ctx, fn, cap;
+        std::vector<std::pair<std::string, const Shape*>> caps;
+    };
+    /// The bound of `n` when it can be outlined: the proven shape over a
+    /// scalar variable, with an effect-free init and bound. Null otherwise.
+    const Expr* outlinedBound(const ForStmt& n);
+    void outline(Env& env, const ForStmt& n, const Outline& o, std::string head,
+                 const std::string& params, const std::vector<std::string>& pre,
+                 const analysis::LoopVector* lv, const std::vector<std::string>& post);
+    std::string fillCaptures(Env& env, const ForStmt& n, const Expr& boundE, const Outline& o);
 
     // ---- statics
     std::string staticRef(const std::string& cls, const std::string& field);
@@ -676,6 +690,17 @@ void arrayBasesBlock(const Block& b, std::vector<const Expr*>& out) {
         });
 }
 
+/// The bound of the proven loop shape `for (v = init; v < bound; v = v +
+/// 1)`, or null for any other condition. The step is the prover's to check.
+const Expr* ltBound(const ForStmt& n) {
+    const auto* c = n.cond->kind == ExprKind::Binary ? &as<BinaryExpr>(*n.cond) : nullptr;
+    if (!c || c->op != BinOp::Lt || c->l->kind != ExprKind::Local ||
+        as<LocalExpr>(*c->l).name != n.var) {
+        return nullptr;
+    }
+    return c->r.get();
+}
+
 /// Identifier-shaped C text — the only thing the restrict hoist and the
 /// range guard may mention (locals and unpacked captures always are).
 bool isIdentText(const std::string& s) {
@@ -705,6 +730,90 @@ std::vector<std::pair<std::string, const Shape*>> CodeGen::captures(
     return caps;
 }
 
+const Expr* CodeGen::outlinedBound(const ForStmt& n) {
+    const Expr* bound = ltBound(n);
+    if (shapes_.ofType(n.varType)->isObject() || !bound || hasEffects(*n.init) ||
+        hasEffects(*bound)) {
+        return nullptr;
+    }
+    return bound;
+}
+
+// The one outlining format of both parallel loop kinds. `head` (a comment,
+// and any record the chunk function writes) and the capture struct `o.ctx`
+// go to the struct section. The chunk function `static void o.fn(int64_t
+// wj_lo, int64_t wj_hi, void* wj_ctx<params>)` unpacks the captures under
+// their original names, emits `pre`, runs the body for [wj_lo, wj_hi) and
+// emits `post`. The body is the same per-iteration code as the serial
+// loop's, so any thread count produces bit-identical results. Under a
+// vector verdict `lv` the chunk loop runs through `#pragma omp simd`:
+// threads across chunks, lanes within one. A range guard is re-checked
+// inside the chunk function, with the scalar chunk loop as its else-branch.
+void CodeGen::outline(Env& env, const ForStmt& n, const Outline& o, std::string head,
+                      const std::string& params, const std::vector<std::string>& pre,
+                      const analysis::LoopVector* lv, const std::vector<std::string>& post) {
+    head += "typedef struct " + o.ctx + " {\n";
+    if (o.caps.empty()) head += "  int32_t wj_empty;\n";
+    for (const auto& [txt, sh] : o.caps) head += "  " + cTypeParam(sh) + " " + txt + ";\n";
+    head += "} " + o.ctx + ";\n";
+    structs_ += head;
+    const std::string sig =
+        "static void " + o.fn + "(int64_t wj_lo, int64_t wj_hi, void* wj_ctx" + params + ")";
+    protos_ += sig + ";\n";
+
+    Emitter bem;
+    bem.line(o.ctx + "* wj_c = (" + o.ctx + "*)wj_ctx;");
+    for (const auto& [txt, sh] : o.caps) {
+        bem.line(cTypeParam(sh) + " " + txt + " = wj_c->" + txt + ";");
+    }
+    for (const std::string& l : pre) bem.line(l);
+    Env benv = env;
+    benv.em = &bem;
+    const Shape* vs = shapes_.ofType(n.varType);
+    const std::string vct = cTypeVal(vs);
+    benv.vars[n.var] = {"v_" + n.var, vs, true};
+    auto chunkLoop = [&](bool simd) {
+        std::vector<std::string> keys;
+        if (simd) {
+            keys = hoistSimdPtrs(benv, n);
+            bem.line("#pragma omp simd" + simdRedClause(benv, *lv));
+        }
+        bem.open("for (" + vct + " v_" + n.var + " = (" + vct + ")wj_lo; v_" + n.var + " < (" +
+                 vct + ")wj_hi; ++v_" + n.var + ") {");
+        genStmts(benv, n.body);
+        bem.close();
+        dropSimdPtrs(keys);
+    };
+    const std::string guard = lv ? simdGuard(benv, *lv) : "";
+    if (guard.empty()) {
+        chunkLoop(lv != nullptr);
+    } else {
+        bem.open("if (" + guard + ") {");
+        chunkLoop(true);
+        bem.mid("} else {");
+        bem.line("wjrt_simd_fallback();");
+        chunkLoop(false);
+        bem.close();
+    }
+    if (lv) ++out_.vectorLoops;
+    for (const std::string& l : post) bem.line(l);
+    fns_ += sig + " {\n" + bem.text() + "}\n\n";
+}
+
+// At the dispatch site: evaluates init and bound, declares `o.cap` and fills
+// it from the enclosing frame. Returns the dispatch call's leading arguments.
+std::string CodeGen::fillCaptures(Env& env, const ForStmt& n, const Expr& boundE,
+                                  const Outline& o) {
+    const CVal init = genExpr(env, *n.init);
+    const CVal bound = genExpr(env, boundE);
+    env.em->line(o.ctx + " " + o.cap + ";");
+    for (const auto& [txt, sh] : o.caps) {
+        (void)sh;
+        env.em->line(o.cap + "." + txt + " = " + txt + ";");
+    }
+    return "(int64_t)(" + init.text + "), (int64_t)(" + bound.text + "), " + o.fn + ", &" + o.cap;
+}
+
 // Outlines a proven loop body into `static void wj_pfbN(lo, hi, ctx)` and
 // replaces the loop with a wjrt_parallel_for dispatch over [init, bound).
 // Every in-scope local the body names (and `self`, when used) is packed by
@@ -714,18 +823,11 @@ std::vector<std::pair<std::string, const Shape*>> CodeGen::captures(
 // so aliased calls (e.g. multiplyAcc(c, c, c)) keep exact serial semantics.
 void CodeGen::genParallelFor(Env& env, const ForStmt& n, const analysis::LoopParallel& lp) {
     Emitter& em = *env.em;
-    const Shape* vs = shapes_.ofType(n.varType);
-
-    // Re-derive the bound from the proven shape `for (v = init; v < bound;
-    // v = v + 1)`; anything unexpected falls back to the serial loop.
-    const auto* condB = n.cond->kind == ExprKind::Binary ? &as<BinaryExpr>(*n.cond) : nullptr;
-    if (vs->isObject() || !condB || condB->op != BinOp::Lt ||
-        condB->l->kind != ExprKind::Local || as<LocalExpr>(*condB->l).name != n.var ||
-        hasEffects(*n.init) || hasEffects(*condB->r)) {
+    const Expr* boundE = outlinedBound(n);
+    if (!boundE) {
         genSerialFor(env, n);
         return;
     }
-    const Expr& boundE = *condB->r;
 
     // CondParallel: build the pointer-distinctness guard from the verdict's
     // local-name pairs; a name out of scope means the proof context does not
@@ -743,102 +845,23 @@ void CodeGen::genParallelFor(Env& env, const ForStmt& n, const analysis::LoopPar
     }
 
     const int id = pfCount_++;
-    const std::string sname = format("wj_pfc%d", id);
-    const std::string fnName = format("wj_pfb%d", id);
-
-    // ---- capture struct: the receiver and the in-scope locals the body
-    // reads.
-    const auto caps = captures(env, n, {});
-    std::string def = "/* parallel-for captures (loop over " + n.var + ") */\n";
-    def += "typedef struct " + sname + " {\n";
-    if (caps.empty()) def += "  int32_t wj_empty;\n";
-    for (const auto& [txt, sh] : caps) {
-        def += "  " + (sh->isObject() ? structFor(sh) + "*" : cTypeVal(sh)) + " " + txt + ";\n";
-    }
-    def += "} " + sname + ";\n";
-    structs_ += def;
-
-    protos_ += "static void " + fnName + "(int64_t wj_lo, int64_t wj_hi, void* wj_ctx);\n";
-
-    // ---- chunk function: unpack captures under their original names and
-    // run the body for [wj_lo, wj_hi). Identical per-iteration code to the
-    // serial loop, so any thread count produces bit-identical results.
-    Emitter bem;
-    bem.line(sname + "* wj_c = (" + sname + "*)wj_ctx;");
-    for (const auto& [txt, sh] : caps) {
-        bem.line((sh->isObject() ? structFor(sh) + "*" : cTypeVal(sh)) + " " + txt + " = wj_c->" +
-                 txt + ";");
-    }
-    const std::string vct = cTypeVal(vs);
-    {
-        Env benv = env;
-        benv.em = &bem;
-        // Under WJ_SIMD a loop that also carries a vector verdict runs its
-        // chunk iterations through `#pragma omp simd` — threads across
-        // chunks, lanes within one. The range guard re-checks inside the
-        // chunk function; the scalar chunk loop is the else-branch.
-        // Parallel loops carry no accumulators, and a chunk range is not the
-        // peeled iteration space a wrap lowering needs.
-        const analysis::LoopVector* lv = simdVerdict(benv, n);
-        if (lv && (!lv->reductions.empty() || !lv->wraps.empty())) lv = nullptr;
-        benv.vars[n.var] = {"v_" + n.var, vs, true};
-        auto emitChunkLoop = [&](bool simd) {
-            std::vector<std::string> keys;
-            if (simd) {
-                keys = hoistSimdPtrs(benv, n);
-                bem.line("#pragma omp simd");
-            }
-            bem.open("for (" + vct + " v_" + n.var + " = (" + vct + ")wj_lo; v_" + n.var +
-                     " < (" + vct + ")wj_hi; ++v_" + n.var + ") {");
-            genStmts(benv, n.body);
-            bem.close();
-            dropSimdPtrs(keys);
-        };
-        if (!lv) {
-            emitChunkLoop(false);
-        } else {
-            const std::string g = simdGuard(benv, *lv);
-            if (g.empty()) {
-                emitChunkLoop(true);
-            } else {
-                bem.open("if (" + g + ") {");
-                emitChunkLoop(true);
-                bem.mid("} else {");
-                bem.line("wjrt_simd_fallback();");
-                emitChunkLoop(false);
-                bem.close();
-            }
-            ++out_.vectorLoops;
-        }
-    }
-    fns_ += "static void " + fnName + "(int64_t wj_lo, int64_t wj_hi, void* wj_ctx) {\n" +
-            bem.text() + "}\n\n";
+    const Outline o{format("wj_pfc%d", id), format("wj_pfb%d", id), format("wj_cap%d", id),
+                    captures(env, n, {})};
+    // Parallel loops carry no accumulators, and a chunk range is not the
+    // peeled iteration space a wrap lowering needs.
+    const analysis::LoopVector* lv = simdVerdict(env, n);
+    if (lv && (!lv->reductions.empty() || !lv->wraps.empty())) lv = nullptr;
+    outline(env, n, o, "/* parallel-for captures (loop over " + n.var + ") */\n", "", {}, lv, {});
 
     // ---- dispatch site
-    auto emitDispatch = [&]() {
-        CVal init = genExpr(env, *n.init);
-        CVal bound = genExpr(env, boundE);
-        const std::string cap = format("wj_cap%d", id);
-        em.line(sname + " " + cap + ";");
-        for (const auto& [txt, sh] : caps) {
-            (void)sh;
-            em.line(cap + "." + txt + " = " + txt + ";");
-        }
-        em.line("wjrt_parallel_for((int64_t)(" + init.text + "), (int64_t)(" + bound.text +
-                "), " + fnName + ", &" + cap + ");");
-    };
-    if (guard.empty()) {
-        em.open("{");
-        emitDispatch();
-        em.close();
-    } else {
-        em.open("if (" + guard + ") {");
-        emitDispatch();
+    em.open(guard.empty() ? "{" : "if (" + guard + ") {");
+    em.line("wjrt_parallel_for(" + fillCaptures(env, n, *boundE, o) + ");");
+    if (!guard.empty()) {
         em.mid("} else {");
         em.line("wjrt_guard_fallback();");
         genSerialFor(env, n);
-        em.close();
     }
+    em.close();
     ++out_.parallelLoops;
 }
 
@@ -852,17 +875,11 @@ void CodeGen::genParallelFor(Env& env, const ForStmt& n, const analysis::LoopPar
 // the full determinism contract.
 void CodeGen::genParallelReduce(Env& env, const ForStmt& n, const analysis::LoopParallel& lp) {
     Emitter& em = *env.em;
-    const Shape* vs = shapes_.ofType(n.varType);
-
-    // Re-derive the proven shape, exactly as genParallelFor does.
-    const auto* condB = n.cond->kind == ExprKind::Binary ? &as<BinaryExpr>(*n.cond) : nullptr;
-    if (vs->isObject() || !condB || condB->op != BinOp::Lt ||
-        condB->l->kind != ExprKind::Local || as<LocalExpr>(*condB->l).name != n.var ||
-        hasEffects(*n.init) || hasEffects(*condB->r) || lp.reductions.empty()) {
+    const Expr* boundE = outlinedBound(n);
+    if (!boundE || lp.reductions.empty()) {
         genSerialFor(env, n);
         return;
     }
-    const Expr& boundE = *condB->r;
 
     // Every accumulator must be a live scalar local here; a missing or
     // non-scalar name means the proof context does not match this emission
@@ -898,96 +915,48 @@ void CodeGen::genParallelReduce(Env& env, const ForStmt& n, const analysis::Loop
     };
 
     const int id = pfCount_++;
-    const std::string sname = format("wj_rcc%d", id);  // capture struct
-    const std::string pname = format("wj_rp%d", id);   // partials record
-    const std::string fnName = format("wj_rb%d", id);
+    const std::string pname = format("wj_rp%d", id);  // partials record
 
-    // ---- capture struct: the locals the body reads minus the accumulators
+    // ---- captures: the locals the body reads minus the accumulators
     // (chunks fold from the identity; the caller's running value enters only
-    // in the ordered combine below), plus the receiver when used.
+    // in the ordered combine below), plus the receiver when used. The chunk
+    // seeds the accumulators with the identity, runs the body verbatim and
+    // stores its partials.
     std::set<std::string> accNames;
     for (const auto& r : lp.reductions) accNames.insert(r.var);
-    const auto caps = captures(env, n, accNames);
-    std::string def = "/* parallel-reduce partials + captures (loop over " + n.var + ") */\n";
-    def += "typedef struct " + pname + " {\n";
-    for (const auto& r : lp.reductions) {
-        def += "  " + std::string(primCName(r.prim)) + " m_" + r.var + ";\n";
-    }
-    def += "} " + pname + ";\n";
-    def += "typedef struct " + sname + " {\n";
-    if (caps.empty()) def += "  int32_t wj_empty;\n";
-    for (const auto& [txt, sh] : caps) {
-        def += "  " + (sh->isObject() ? structFor(sh) + "*" : cTypeVal(sh)) + " " + txt + ";\n";
-    }
-    def += "} " + sname + ";\n";
-    structs_ += def;
-
-    protos_ += "static void " + fnName +
-               "(int64_t wj_lo, int64_t wj_hi, void* wj_ctx, void* wj_part);\n";
-
-    // ---- chunk function: unpack captures, seed the accumulators with the
-    // identity, run the body verbatim for [wj_lo, wj_hi), store partials.
-    Emitter bem;
-    bem.line(sname + "* wj_c = (" + sname + "*)wj_ctx;");
-    for (const auto& [txt, sh] : caps) {
-        bem.line((sh->isObject() ? structFor(sh) + "*" : cTypeVal(sh)) + " " + txt + " = wj_c->" +
-                 txt + ";");
-    }
+    const Outline o{format("wj_rcc%d", id), format("wj_rb%d", id), format("wj_rcap%d", id),
+                    captures(env, n, accNames)};
+    std::string head = "/* parallel-reduce partials + captures (loop over " + n.var + ") */\n";
+    head += "typedef struct " + pname + " {\n";
+    std::vector<std::string> seeds, stores;
     for (size_t ri = 0; ri < lp.reductions.size(); ++ri) {
-        bem.line(cTypeVal(accs[ri]->shape) + " " + accs[ri]->text + " = " +
-                 identity(lp.reductions[ri]) + ";");
+        const std::string& var = lp.reductions[ri].var;
+        head += "  " + std::string(primCName(lp.reductions[ri].prim)) + " m_" + var + ";\n";
+        seeds.push_back(cTypeVal(accs[ri]->shape) + " " + accs[ri]->text + " = " +
+                        identity(lp.reductions[ri]) + ";");
+        stores.push_back("((" + pname + "*)wj_part)->m_" + var + " = " + accs[ri]->text + ";");
     }
-    const std::string vct = cTypeVal(vs);
-    {
-        Env benv = env;
-        benv.em = &bem;
-        // Exact-operator reductions (min/max any prim, i64 +/*) additionally
-        // take a simd reduction clause inside the chunk: lane reassociation
-        // cannot change their value, so the chunk partials — and therefore
-        // the ordered combine — stay bitwise-stable. f32/f64 +/* never get a
-        // vector verdict here (exactReductions gate in simdVerdict), keeping
-        // the chunk fold serial and the documented determinism contract.
-        // Reduce loops prove guard-free; wrap lowering needs the whole range.
-        const analysis::LoopVector* lv = simdVerdict(benv, n);
-        if (lv && (!lv->overlapPairs.empty() || !lv->wraps.empty())) lv = nullptr;
-        benv.vars[n.var] = {"v_" + n.var, vs, true};
-        std::vector<std::string> keys;
-        if (lv) {
-            keys = hoistSimdPtrs(benv, n);
-            bem.line("#pragma omp simd" + simdRedClause(benv, *lv));
-            ++out_.vectorLoops;
-        }
-        bem.open("for (" + vct + " v_" + n.var + " = (" + vct + ")wj_lo; v_" + n.var + " < (" +
-                 vct + ")wj_hi; ++v_" + n.var + ") {");
-        genStmts(benv, n.body);
-        bem.close();
-        dropSimdPtrs(keys);
-    }
-    for (size_t ri = 0; ri < lp.reductions.size(); ++ri) {
-        bem.line("((" + pname + "*)wj_part)->m_" + lp.reductions[ri].var + " = " +
-                 accs[ri]->text + ";");
-    }
-    fns_ += "static void " + fnName +
-            "(int64_t wj_lo, int64_t wj_hi, void* wj_ctx, void* wj_part) {\n" + bem.text() +
-            "}\n\n";
+    head += "} " + pname + ";\n";
+    // Exact-operator reductions (min/max any prim, i64 +/*) additionally
+    // take a simd reduction clause inside the chunk: lane reassociation
+    // cannot change their value, so the chunk partials — and therefore
+    // the ordered combine — stay bitwise-stable. f32/f64 +/* never get a
+    // vector verdict here (exactReductions gate in simdVerdict), keeping
+    // the chunk fold serial and the documented determinism contract.
+    // Reduce loops prove guard-free; wrap lowering needs the whole range.
+    const analysis::LoopVector* lv = simdVerdict(env, n);
+    if (lv && (!lv->overlapPairs.empty() || !lv->wraps.empty())) lv = nullptr;
+    outline(env, n, o, head, ", void* wj_part", seeds, lv, stores);
 
     // ---- dispatch site + ordered combine
     em.open("{");
-    CVal init = genExpr(env, *n.init);
-    CVal bound = genExpr(env, boundE);
-    const std::string cap = format("wj_rcap%d", id);
-    em.line(sname + " " + cap + ";");
-    for (const auto& [txt, sh] : caps) {
-        (void)sh;
-        em.line(cap + "." + txt + " = " + txt + ";");
-    }
+    const std::string args = fillCaptures(env, n, *boundE, o);
     const std::string parts = format("wj_parts%d", id);
     const std::string k = format("wj_k%d", id);
     const std::string c = format("wj_i%d", id);
     em.line(pname + " " + parts + "[WJRT_REDUCE_MAX_CHUNKS];");
-    em.line("int32_t " + k + " = wjrt_parallel_reduce((int64_t)(" + init.text + "), (int64_t)(" +
-            bound.text + "), " + fnName + ", &" + cap + ", " + parts + ", (int64_t)sizeof(" +
-            pname + "));");
+    em.line("int32_t " + k + " = wjrt_parallel_reduce(" + args + ", " + parts +
+            ", (int64_t)sizeof(" + pname + "));");
     em.open("for (int32_t " + c + " = 0; " + c + " < " + k + "; ++" + c + ") {");
     for (size_t ri = 0; ri < lp.reductions.size(); ++ri) {
         const analysis::Reduction& r = lp.reductions[ri];
@@ -1158,18 +1127,17 @@ void CodeGen::genSimdFor(Env& env, const ForStmt& n, const analysis::LoopVector&
     const Shape* vs = shapes_.ofType(n.varType);
     if (vs->isObject()) xerr("object-typed loop variables are not supported");
 
-    // Re-derive the proven shape `for (v = init; v < bound; v = v + 1)`:
-    // OpenMP's canonical loop form demands a bare `v < bound; ++v` header
-    // (the serial loop's parenthesized cond/step text is rejected under the
-    // pragma). Anything unexpected falls back to the serial loop.
-    const auto* condB = n.cond->kind == ExprKind::Binary ? &as<BinaryExpr>(*n.cond) : nullptr;
-    if (!condB || condB->op != BinOp::Lt || condB->l->kind != ExprKind::Local ||
-        as<LocalExpr>(*condB->l).name != n.var) {
+    // Re-derive the proven shape: OpenMP's canonical loop form demands a
+    // bare `v < bound; ++v` header (the serial loop's parenthesized
+    // cond/step text is rejected under the pragma). Anything unexpected
+    // falls back to the serial loop.
+    const Expr* boundE = ltBound(n);
+    if (!boundE) {
         genSerialFor(env, n);
         return;
     }
     if (!lv.wraps.empty()) {
-        genPeeledSimdFor(env, n, lv, *condB->r);
+        genPeeledSimdFor(env, n, lv, *boundE);
         return;
     }
 
@@ -1179,7 +1147,7 @@ void CodeGen::genSimdFor(Env& env, const ForStmt& n, const analysis::LoopVector&
         auto saved = env.vars;
         CVal init = genExpr(env, *n.init);
         env.vars[n.var] = {"v_" + n.var, vs, true};
-        CVal bound = genExpr(env, *condB->r);
+        CVal bound = genExpr(env, *boundE);
         // Hoists and header operands are materialized BEFORE the pragma so
         // no emitted line separates it from its for-statement.
         const std::vector<std::string> keys = hoistSimdPtrs(env, n);

@@ -68,7 +68,7 @@ TEST(DefiniteAssignment, RejectsBranchOnlyStore) {
             ret(lv("sum"))));
     Program p = pb.build();
     const ClassDecl& c = p.require("C");
-    auto errs = analysis::checkDefiniteAssignment(p, c, *c.ownMethod("f"));
+    auto errs = analysis::checkDefiniteAssignment(c, *c.ownMethod("f"));
     ASSERT_EQ(errs.size(), 1u);
     EXPECT_EQ(errs[0].rule, "uninit");
     EXPECT_NE(errs[0].detail.find("sum"), std::string::npos);
@@ -83,7 +83,7 @@ TEST(DefiniteAssignment, AcceptsStoreOnBothBranches) {
             ret(lv("sum"))));
     Program p = pb.build();
     const ClassDecl& c = p.require("C");
-    EXPECT_TRUE(analysis::checkDefiniteAssignment(p, c, *c.ownMethod("f")).empty());
+    EXPECT_TRUE(analysis::checkDefiniteAssignment(c, *c.ownMethod("f")).empty());
 }
 
 TEST(DefiniteAssignment, LoopBodyStoreDoesNotDominateExit) {
@@ -95,7 +95,7 @@ TEST(DefiniteAssignment, LoopBodyStoreDoesNotDominateExit) {
             ret(lv("last"))));
     Program p = pb.build();
     const ClassDecl& c = p.require("C");
-    auto errs = analysis::checkDefiniteAssignment(p, c, *c.ownMethod("f"));
+    auto errs = analysis::checkDefiniteAssignment(c, *c.ownMethod("f"));
     ASSERT_EQ(errs.size(), 1u);
     EXPECT_EQ(errs[0].rule, "uninit");
 }
@@ -123,7 +123,7 @@ TEST(DefiniteAssignment, BackwardLivenessWarnsOnDeadStore) {
     Program p = pb.build();
     const ClassDecl& c = p.require("C");
     std::vector<Violation> warnings;
-    auto errs = analysis::checkDefiniteAssignment(p, c, *c.ownMethod("f"), &warnings);
+    auto errs = analysis::checkDefiniteAssignment(c, *c.ownMethod("f"), &warnings);
     EXPECT_TRUE(errs.empty());
     ASSERT_EQ(warnings.size(), 1u);
     EXPECT_EQ(warnings[0].rule, "dead-store");

@@ -418,6 +418,14 @@ TEST(Walker, PreAndPostOrderOnNestedExpression) {
     walkExpr(*e, v);
     EXPECT_EQ(v.pres, "+ * a b neg - c 1 ");
     EXPECT_EQ(v.posts, "a b * c 1 - neg + ");
+
+    // One statement: its array, index and value, in source order.
+    const StmtPtr s = aset(lv("a"), add(lv("i"), ci(1)), lv("v"));
+    v.pres.clear();
+    v.posts.clear();
+    walkStmt(*s, v);
+    EXPECT_EQ(v.pres, "a + i 1 v ");
+    EXPECT_EQ(v.posts, "a i 1 + v ");
 }
 
 TEST(Walker, PreReturningFalseSkipsChildren) {
