@@ -1558,7 +1558,7 @@ void Engine::raceStmt(Env& env, const Stmt& st, std::vector<Pending>& p) {
         env = std::move(joined);
         return;
     }
-    case StmtKind::SuperCtor: return;  // constructors only; the walk runs on methods
+    case StmtKind::SuperCtor: return;  // constructor-only (typecheck): not a race site
     default: break;
     }
     // A simple statement: the race effect of each expression node, in
