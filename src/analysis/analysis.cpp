@@ -2695,6 +2695,10 @@ ParVerdict Engine::proveLoop(const std::string& label, const ForStmt& fs, const 
                     why = "calls '" + t->name + "', which may write shared state";
                     return false;
                 }
+                if (!eff.storesFields.empty()) {
+                    why = "calls '" + t->name + "', which stores to an object field";
+                    return false;
+                }
                 if (eff.usesComm() || eff.ckpt) {
                     why = "calls '" + t->name + "', which communicates or checkpoints";
                     return false;

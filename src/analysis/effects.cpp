@@ -89,6 +89,13 @@ public:
             return;
         }
         case StmtKind::ArraySet: write(classify(*as<ArraySetStmt>(st).arr)); return;
+        case StmtKind::FieldSet: {
+            const auto& n = as<FieldSetStmt>(st);
+            Type ot = typeOf(*s_, *n.obj);
+            eff_.storesFields.insert(ot.isClass() ? fieldKeyOf(prog_, ot.className(), n.field)
+                                                  : n.field);
+            return;
+        }
         default: return;
         }
     }
@@ -149,6 +156,7 @@ private:
         }
         eff_.readsFields.insert(ce.readsFields.begin(), ce.readsFields.end());
         eff_.writesFields.insert(ce.writesFields.begin(), ce.writesFields.end());
+        eff_.storesFields.insert(ce.storesFields.begin(), ce.storesFields.end());
         // A callee touching its receiver's fields touches arrays reachable
         // from whatever the caller passed as the receiver.
         if (recv) {
@@ -222,6 +230,7 @@ bool Effects::merge(const Effects& o) {
     writesParams.insert(o.writesParams.begin(), o.writesParams.end());
     readsFields.insert(o.readsFields.begin(), o.readsFields.end());
     writesFields.insert(o.writesFields.begin(), o.writesFields.end());
+    storesFields.insert(o.storesFields.begin(), o.storesFields.end());
     writesUnknown |= o.writesUnknown;
     sends |= o.sends;
     receives |= o.receives;
@@ -245,6 +254,11 @@ std::string Effects::str() const {
     for (const auto& f : writesFields) out += f + ",";
     if (writesUnknown) out += "?";
     out += "}";
+    if (!storesFields.empty()) {
+        out += " stores{";
+        for (const auto& f : storesFields) out += f + ",";
+        out += "}";
+    }
     if (usesComm()) {
         out += " comm{";
         if (sends) out += "send,";

@@ -27,6 +27,10 @@ struct Effects {
     /// Class-qualified array fields ("Cls.field", keyed by the declaring
     /// class) that may be read / written, through any receiver.
     std::set<std::string> readsFields, writesFields;
+    /// Class-qualified fields ("Cls.field") the method re-binds through
+    /// any receiver (`o.f = v`, scalar or array-typed), outside a
+    /// constructor.
+    std::set<std::string> storesFields;
     /// Writes through an alias the classifier could not root (callee
     /// results, array-of-array elements, ...): treat as "may write
     /// anything".
@@ -53,7 +57,7 @@ struct Effects {
     bool operator==(const Effects& o) const {
         return readsParams == o.readsParams && writesParams == o.writesParams &&
                readsFields == o.readsFields && writesFields == o.writesFields &&
-               writesUnknown == o.writesUnknown && sends == o.sends &&
+               storesFields == o.storesFields && writesUnknown == o.writesUnknown && sends == o.sends &&
                receives == o.receives && postsIrecv == o.postsIrecv && waits == o.waits &&
                collectives == o.collectives && ckpt == o.ckpt && gpu == o.gpu &&
                allocates == o.allocates && frees == o.frees && prints == o.prints;

@@ -44,7 +44,7 @@
 
 namespace wj::fault {
 
-/// What World::post should do with a message after injection.
+/// What Comm::post should do with a message after injection.
 enum class MsgFate { Deliver, Drop, Duplicate };
 
 class FaultPlan {
@@ -83,7 +83,7 @@ public:
     /// when a kill rule fires for this rank's n-th operation.
     void onCommOp(int rank);
 
-    /// Called by World::post before enqueueing. May corrupt `payload` in
+    /// Called by Comm::post before delivery. May corrupt `payload` in
     /// place, sleep (delay), and returns the message's fate.
     MsgFate onMessage(int src, int dest, int tag, std::vector<uint8_t>& payload);
 

@@ -238,8 +238,6 @@ ExprPtr tidxY() { return intrV(Intrinsic::CudaThreadIdxY, {}); }
 ExprPtr bidxX() { return intrV(Intrinsic::CudaBlockIdxX, {}); }
 ExprPtr bidxY() { return intrV(Intrinsic::CudaBlockIdxY, {}); }
 ExprPtr bdimX() { return intrV(Intrinsic::CudaBlockDimX, {}); }
-ExprPtr bdimY() { return intrV(Intrinsic::CudaBlockDimY, {}); }
-ExprPtr gdimX() { return intrV(Intrinsic::CudaGridDimX, {}); }
 
 ExprPtr dim3of(ExprPtr x) { return newObj(Program::dim3Class(), std::move(x), ci(1), ci(1)); }
 ExprPtr dim3of(ExprPtr x, ExprPtr y) {

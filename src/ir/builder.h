@@ -169,8 +169,6 @@ ExprPtr tidxY();
 ExprPtr bidxX();
 ExprPtr bidxY();
 ExprPtr bdimX();
-ExprPtr bdimY();
-ExprPtr gdimX();
 /// new dim3(x, 1, 1)
 ExprPtr dim3of(ExprPtr x);
 ExprPtr dim3of(ExprPtr x, ExprPtr y);

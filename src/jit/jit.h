@@ -139,8 +139,8 @@ public:
         return translation_->soaClasses;
     }
 
-    /// MiniMPI traffic of the most recent multi-rank invoke(): total plus
-    /// the pooled / zero-copy split (all zeros before the first MPI run).
+    /// MiniMPI traffic of the most recent multi-rank invoke(): messages and
+    /// payload bytes posted (all zeros before the first MPI run).
     minimpi::CommStats commStats() const noexcept { return commStats_; }
 
     /// Snapshot of the process-wide metrics registry (src/trace/metrics.h):

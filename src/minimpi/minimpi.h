@@ -4,16 +4,17 @@
 // has no interconnect, so WootinC provides a functional MPI implementation
 // with two transports behind one Transport interface (transport.h):
 //
-//   * threads (default): ranks are OS threads inside one process,
-//     point-to-point messages travel through tag-matched mailboxes with
-//     zero-copy/pooled payloads — the in-process fast path;
+//   * threads (default): ranks are OS threads inside one process, and a
+//     sender moves its message into the receiver's tag-matched mailbox —
+//     the in-process fast path;
 //   * proc (WJ_TRANSPORT=proc, or `wjrun`): ranks are forked child
 //     processes communicating over shared-memory SPSC rings, one per
-//     ordered rank pair, through which a message of any size streams —
-//     real address-space isolation, real process death.
+//     ordered rank pair, through which a message of any size streams into
+//     the receiver's mailbox — real address-space isolation, real process
+//     death.
 //
-// Semantics implemented (the subset the paper's libraries use), identical
-// across transports:
+// Semantics implemented (the subset the paper's libraries use), written
+// once in Comm and Mailbox for both transports:
 //   * send is buffered and never blocks indefinitely on a live world;
 //   * recv blocks until a message matching (src, tag) arrives; messages from
 //     the same source are delivered in send order; ANY_SOURCE is supported;
@@ -28,7 +29,7 @@
 //   * every Comm operation consults the process FaultPlan, so a seeded
 //     WJ_FAULT spec can kill a rank at its Nth operation (a throw on the
 //     threads transport, a real SIGKILL on the proc transport) or drop /
-//     duplicate / corrupt / delay a message in post();
+//     duplicate / corrupt / delay a message on Comm's one send path;
 //   * each run() is monitored by a watchdog: when every live rank has been
 //     blocked in recv/barrier with no global progress for a configurable
 //     quantum (WJ_WATCHDOG_MS or setWatchdogMillis, default 30 s, 0
@@ -58,15 +59,9 @@ public:
     int rank() const noexcept { return rank_; }
     int size() const noexcept;
 
-    /// Buffered send of `bytes` bytes to `dest` with `tag`. On the threads
-    /// transport, payloads of kPooledThreshold bytes or more travel in
-    /// recycled pool buffers.
+    /// Buffered send of `bytes` bytes to `dest` with `tag`: the payload is
+    /// copied once, into the message.
     void send(const void* buf, size_t bytes, int dest, int tag);
-
-    /// Zero-copy send: the caller's buffer is moved into the mailbox with
-    /// no payload copy (its size is the message size). The proc transport
-    /// still copies once through the ring — that is its nature.
-    void send(std::vector<uint8_t>&& data, int dest, int tag);
 
     /// Blocking receive of exactly `bytes` bytes from `src` (or kAnySource)
     /// with matching `tag`. Throws ExecError on size mismatch or abort.
@@ -80,11 +75,6 @@ public:
 
     /// Combined exchange: buffered send to `dest`, then receive from `src`.
     int sendrecv(const void* sbuf, size_t sbytes, int dest,
-                 void* rbuf, size_t rbytes, int src, int tag);
-
-    /// Combined exchange posting the send as a move (zero-copy) when the
-    /// caller hands over an rvalue buffer.
-    int sendrecv(std::vector<uint8_t>&& sbuf, int dest,
                  void* rbuf, size_t rbytes, int src, int tag);
 
     /// Collective barrier over all ranks.
@@ -110,6 +100,16 @@ public:
     void publishResult(int kind, int64_t bits);
 
 private:
+    /// The one send path, for user sends and collective internals alike:
+    /// checks `dest`, counts the message, applies the fault plan's fate
+    /// (a duplicate is copied before the original moves on), then hands
+    /// the message to the transport.
+    void post(const void* buf, size_t bytes, int dest, int tag, int channel);
+
+    /// The one receive path: takes the matching message from this rank's
+    /// mailbox, checks its size and copies it out. Returns the source.
+    int take(void* buf, size_t bytes, int src, int tag, int channel, int timeoutMs);
+
     void allreduceF64(double* buf, int n, bool isMax);
 
     /// Binomial-tree fan-out of `bytes` from `root` on the system channel;
@@ -166,22 +166,17 @@ public:
 
     /// Total messages/bytes posted since construction (instrumentation for
     /// tests and the perf model's communication-volume accounting). Counted
-    /// at post() time, so collective-internal traffic (bcast / allreduce
-    /// fan-out) is included alongside user point-to-point sends.
+    /// on Comm's one send path, so collective-internal traffic (bcast /
+    /// allreduce fan-out) is included alongside user point-to-point sends.
     int64_t messagesSent() const noexcept { return transport_->stats().messages; }
     int64_t bytesSent() const noexcept { return transport_->stats().bytes; }
 
-    /// Full traffic snapshot including the pooled / zero-copy split.
+    /// Both totals in one snapshot.
     CommStats stats() const noexcept { return transport_->stats(); }
 
     /// Reads and clears the result published by Comm::publishResult during
     /// the last run(); false when no rank published one.
     bool takeResult(int* kind, int64_t* bits) { return transport_->takeResult(kind, bits); }
-
-    /// Messages at or above this size ride in recycled pool buffers on the
-    /// threads transport; the buffer returns to the pool when the receiver
-    /// drains it.
-    static constexpr size_t kPooledThreshold = 256;
 
 private:
     friend class Comm;

@@ -7,9 +7,9 @@
 // Each ring is a byte stream: a frame of any length streams through it in
 // pieces as the receiver frees room, so every message from a source takes
 // the same path and FIFO per source holds by construction. A per-child
-// drainer thread reassembles frames into a local tag-matched mailbox so
-// recv semantics (FIFO per source, ANY_SOURCE, timeouts) are identical to
-// the threads transport.
+// drainer thread reassembles frames into the child's Mailbox, the same
+// tag-matched mailbox a threads rank has, so recv semantics (FIFO per
+// source, ANY_SOURCE, timeouts) are the threads transport's.
 //
 // The control plane is a socketpair per child to the parent: READY before
 // the world starts (no rank body runs until every fork has succeeded),
@@ -24,19 +24,17 @@
 // source, collective shapes and reduction order are byte-identical to the
 // threads transport. The barrier is the only structural difference — a
 // dissemination barrier built on system-channel messages (a condvar can't
-// cross address spaces) — and its messages are exempt from fault-plan
-// message rules so WJ_FAULT drop/dup/corrupt/delay counting replays
-// identically on both transports.
+// cross address spaces). It hands its messages to deliver() directly, past
+// Comm's send path, so they are neither counted nor seen by fault-plan
+// message rules, and stats() and WJ_FAULT drop/dup/corrupt/delay counting
+// replay identically on both transports.
 #include <algorithm>
 #include <atomic>
 #include <cerrno>
 #include <chrono>
-#include <condition_variable>
 #include <csignal>
 #include <cstdio>
 #include <cstring>
-#include <deque>
-#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -93,21 +91,7 @@ void backOff(std::chrono::steady_clock::time_point since) {
     }
 }
 
-std::string srcName(int src) {
-    return src == kAnySource ? std::string("ANY") : std::to_string(src);
-}
-
 size_t alignUp(size_t v, size_t a) { return (v + a - 1) & ~(a - 1); }
-
-/// Per-rank shared cell: watchdog-visible wait state + identity.
-struct alignas(64) RankCell {
-    std::atomic<int32_t> state{kRankRunning};
-    std::atomic<int32_t> src{0};
-    std::atomic<int32_t> tag{0};
-    std::atomic<int32_t> channel{0};
-    std::atomic<int32_t> depth{0};  // local mailbox depth (for dumps)
-    std::atomic<int32_t> pid{0};
-};
 
 /// Shared control block at the head of the mapping.
 struct SharedHeader {
@@ -117,8 +101,7 @@ struct SharedHeader {
     std::atomic<int32_t> deadRank{-1};
     std::atomic<int32_t> deadPid{0};
     std::atomic<int32_t> deadSig{0};
-    std::atomic<int64_t> messages{0};
-    std::atomic<int64_t> bytes{0};
+    Traffic traffic;
     std::atomic<int32_t> resultKind{0};
     std::atomic<int64_t> resultBits{0};
     std::atomic<uint32_t> resultSet{0};
@@ -181,13 +164,9 @@ public:
     void run(const std::function<void(int)>& body, int watchdogMs) override;
     void finishRun() override;
 
-    void post(int dest, Message msg) override;
-    Message take(int me, int src, int tag, int channel, int timeoutMs) override;
-    void fillPayload(Message* msg, const void* buf, size_t bytes) override {
-        msg->data.assign(static_cast<const uint8_t*>(buf),
-                         static_cast<const uint8_t*>(buf) + bytes);
-    }
-    void recycle(std::vector<uint8_t>&&) override {}
+    Traffic& traffic() override { return hdr_->traffic; }
+    void deliver(int dest, Message&& msg) override;
+    Mailbox& mailbox(int) override { return mb_; }
     void barrier(int me) override;
 
     void publishResult(int kind, int64_t bits) override {
@@ -242,7 +221,6 @@ private:
 
     // ---- child side ----------------------------------------------------
     [[noreturn]] void childMain(int rank, const std::function<void(int)>& body);
-    void deliverLocal(Message msg);
     void ringSend(int dest, const Message& msg);
     void drainLoop();
     bool drainRings();
@@ -252,7 +230,9 @@ private:
     // ---- parent side ---------------------------------------------------
     void supervise(int watchdogMs);
     void parseControl(ChildState& c);
-    std::string procDump() const;
+    std::string procDump() const {
+        return waitDump(cells_, size_, [this](int r) { return rankStatus(r); });
+    }
     std::string deadChildReport() const;
     std::string rankStatus(int r) const;
 
@@ -284,11 +264,7 @@ private:
     int childRank_ = -1;
     int ctlFd_ = -1;
     std::vector<PartialFrame> partial_;  // per source: the frame being drained
-    std::mutex mbM_;
-    std::condition_variable mbCv_;
-    std::deque<Message> mb_;
-    bool localAbort_ = false;
-    std::string abortText_;
+    Mailbox mb_;
     std::atomic<bool> drainStop_{false};
     std::thread drainer_;
 };
@@ -393,10 +369,9 @@ void ProcTransport::run(const std::function<void(int)>& body, int watchdogMs) {
 
     supervise(watchdogMs);
 
-    // Fold this run's shared counters into the since-construction totals
-    // (the proc transport always copies, so no pooled/zero-copy split).
-    total_.messages += hdr_->messages.load(std::memory_order_relaxed);
-    total_.bytes += hdr_->bytes.load(std::memory_order_relaxed);
+    // Fold this run's shared counters into the since-construction totals.
+    total_.messages += hdr_->traffic.messages.load(std::memory_order_relaxed);
+    total_.bytes += hdr_->traffic.bytes.load(std::memory_order_relaxed);
     if (hdr_->resultSet.load(std::memory_order_acquire)) {
         resultSet_ = true;
         resultKind_ = hdr_->resultKind.load(std::memory_order_relaxed);
@@ -415,10 +390,9 @@ void ProcTransport::supervise(int watchdogMs) {
     bool graceArmed = false;
     clock::time_point graceDeadline{};
 
-    // Watchdog sampling state (same two-sample rule as the threads
-    // transport, driven from the supervisor loop).
-    uint64_t lastProgress = ~uint64_t{0};
-    bool stalledOnce = false;
+    // The threads transport's two-sample stall rule, driven from the
+    // supervisor loop.
+    StallWatch watch;
     auto nextSample = clock::now() + std::chrono::milliseconds(
                                          watchdogMs > 0 ? std::max(1, watchdogMs / 2) : 0);
 
@@ -495,28 +469,15 @@ void ProcTransport::supervise(int watchdogMs) {
         // 4. Stall watchdog.
         if (watchdogMs > 0 && goSent && !hdr_->aborted.load() && clock::now() >= nextSample) {
             nextSample = clock::now() + std::chrono::milliseconds(std::max(1, watchdogMs / 2));
-            const uint64_t p = hdr_->progress.load(std::memory_order_relaxed);
-            bool anyBlocked = false, allQuiet = true;
-            for (int r = 0; r < size_; ++r) {
-                if (children_[static_cast<size_t>(r)].reaped) continue;  // dead = quiet
-                const int s = cells_[r].state.load(std::memory_order_acquire);
-                if (s == kRankBlockedRecv || s == kRankBlockedBarrier) anyBlocked = true;
-                else if (s != kRankDone) allQuiet = false;
-            }
-            const bool stalled = anyBlocked && allQuiet && p == lastProgress;
-            if (stalled && stalledOnce) {
+            if (watch.sample(hdr_->progress.load(std::memory_order_relaxed), cells_, size_,
+                             [&](int r) { return children_[static_cast<size_t>(r)].reaped; })) {
                 watchdogFired_.store(true);
                 if (!primaryErr_) {
-                    primaryErr_ = std::make_exception_ptr(ExecError(format(
-                        "MiniMPI watchdog: global stall — no progress for ~%d ms with every "
-                        "live rank blocked (transport=proc); aborting world. Per-rank wait "
-                        "state:%s",
-                        watchdogMs, procDump().c_str())));
+                    primaryErr_ = std::make_exception_ptr(
+                        ExecError(stallReport("proc", watchdogMs, procDump())));
                 }
                 hdr_->aborted.store(1, std::memory_order_release);
             }
-            stalledOnce = stalled;
-            lastProgress = p;
         }
 
         // 5. Abort grace: children observe the flag and exit on their own;
@@ -617,34 +578,6 @@ std::string ProcTransport::rankStatus(int r) const {
     return format("pid %d, running", static_cast<int>(c.pid));
 }
 
-std::string ProcTransport::procDump() const {
-    std::string out;
-    for (int r = 0; r < size_; ++r) {
-        const int32_t depth = cells_[r].depth.load(std::memory_order_relaxed);
-        switch (cells_[r].state.load(std::memory_order_acquire)) {
-        case kRankBlockedRecv:
-            out += format("\n  rank %d: blocked in recv(src=%s, tag=%d, %s channel), "
-                          "mailbox depth %d [%s]",
-                          r, srcName(cells_[r].src.load()).c_str(), cells_[r].tag.load(),
-                          cells_[r].channel.load() == 0 ? "user" : "collective", depth,
-                          rankStatus(r).c_str());
-            break;
-        case kRankBlockedBarrier:
-            out += format("\n  rank %d: blocked in barrier, mailbox depth %d [%s]", r, depth,
-                          rankStatus(r).c_str());
-            break;
-        case kRankDone:
-            out += format("\n  rank %d: finished [%s]", r, rankStatus(r).c_str());
-            break;
-        default:
-            out += format("\n  rank %d: running, mailbox depth %d [%s]", r, depth,
-                          rankStatus(r).c_str());
-            break;
-        }
-    }
-    return out;
-}
-
 std::string ProcTransport::deadChildReport() const {
     const int r = hdr_->deadRank.load();
     const int pid = hdr_->deadPid.load();
@@ -693,8 +626,7 @@ void ProcTransport::childMain(int rank, const std::function<void(int)>& body) {
     trace::Metrics::instance().reset();
 
     partial_.assign(static_cast<size_t>(size_), PartialFrame{});
-    mb_.clear();
-    localAbort_ = false;
+    mb_.reset(this, &cells_[rank], &hdr_->progress);
     drainStop_.store(false);
 
     // Report ready and wait for `go`: no rank body starts until every
@@ -745,16 +677,6 @@ void ProcTransport::childMain(int rank, const std::function<void(int)>& body) {
     // (bench JSON writers, tracer flush to the PARENT's path) and must not
     // run it.
     ::_exit(exitCode);
-}
-
-void ProcTransport::deliverLocal(Message msg) {
-    {
-        std::lock_guard<std::mutex> lock(mbM_);
-        mb_.push_back(std::move(msg));
-    }
-    cells_[childRank_].depth.fetch_add(1, std::memory_order_relaxed);
-    hdr_->progress.fetch_add(1, std::memory_order_relaxed);
-    mbCv_.notify_all();
 }
 
 void ProcTransport::childAbortExit(const std::string& why) {
@@ -813,41 +735,12 @@ void ProcTransport::ringSend(int dest, const Message& msg) {
     }
 }
 
-void ProcTransport::post(int dest, Message msg) {
-    if (dest < 0 || dest >= size_) {
-        throw ExecError(format("MPI send to invalid rank %d (from rank %d, tag %d)", dest,
-                               msg.src, msg.tag));
-    }
-    // Barrier traffic exists only on this transport (the threads barrier is
-    // a condvar), so it is exempt from traffic accounting AND from fault
-    // message rules — otherwise stats() and WJ_FAULT counting could never
-    // replay identically across transports.
-    const bool barrierMsg = msg.channel == 1 && msg.tag >= kTagBarrierBase;
-    if (!barrierMsg) {
-        hdr_->messages.fetch_add(1, std::memory_order_relaxed);
-        hdr_->bytes.fetch_add(static_cast<int64_t>(msg.data.size()),
-                              std::memory_order_relaxed);
-        static auto& userBytes = trace::Metrics::instance().counter("comm.bytes.user");
-        static auto& sysBytes = trace::Metrics::instance().counter("comm.bytes.collective");
-        static auto& msgs = trace::Metrics::instance().counter("comm.messages");
-        (msg.channel == 0 ? userBytes : sysBytes).add(static_cast<int64_t>(msg.data.size()));
-        msgs.inc();
-    }
-    bool duplicate = false;
-    if (!barrierMsg && fault::FaultPlan::active()) {
-        switch (fault::FaultPlan::instance().onMessage(msg.src, dest, msg.tag, msg.data)) {
-        case fault::MsgFate::Drop: return;
-        case fault::MsgFate::Duplicate: duplicate = true; break;
-        case fault::MsgFate::Deliver: break;
-        }
-    }
+void ProcTransport::deliver(int dest, Message&& msg) {
     if (dest == childRank_) {
-        if (duplicate) deliverLocal(msg);
-        deliverLocal(std::move(msg));
-        return;
+        mb_.deliver(std::move(msg));
+    } else {
+        ringSend(dest, msg);
     }
-    if (duplicate) ringSend(dest, msg);
-    ringSend(dest, msg);
 }
 
 /// Moves every byte the rings hold into the per-source partial frames and
@@ -882,7 +775,7 @@ bool ProcTransport::drainRings() {
             got = true;
             if (pf.got < pf.msg.data.size()) break;  // the rest is still streaming
             pf.open = false;
-            deliverLocal(std::move(pf.msg));
+            mb_.deliver(std::move(pf.msg));
             pf.msg = Message();
         }
     }
@@ -899,13 +792,7 @@ void ProcTransport::publishAbortLocally() {
     } else {
         text = "MPI world aborted by another rank";
     }
-    {
-        std::lock_guard<std::mutex> lock(mbM_);
-        if (localAbort_) return;
-        localAbort_ = true;
-        abortText_ = std::move(text);
-    }
-    mbCv_.notify_all();
+    mb_.abort(std::move(text));
 }
 
 void ProcTransport::drainLoop() {
@@ -919,49 +806,6 @@ void ProcTransport::drainLoop() {
         } else {
             backOff(lastFrame);
         }
-    }
-}
-
-Message ProcTransport::take(int me, int src, int tag, int channel, int timeoutMs) {
-    if (src != kAnySource && (src < 0 || src >= size_)) {
-        throw ExecError(format("rank %d: MPI recv from invalid rank %d (tag %d)", me, src, tag));
-    }
-    RankCell& cell = cells_[me];
-    const auto deadline = std::chrono::steady_clock::now() + std::chrono::milliseconds(timeoutMs);
-    bool timedOut = false;
-    std::unique_lock<std::mutex> lock(mbM_);
-    for (;;) {
-        if (localAbort_) {
-            throw ExecError(format("%s (rank %d was in recv src=%s tag=%d, transport=proc)",
-                                   abortText_.c_str(), me, srcName(src).c_str(), tag));
-        }
-        auto it = std::find_if(mb_.begin(), mb_.end(), [&](const Message& m) {
-            return m.channel == channel && m.tag == tag && (src == kAnySource || m.src == src);
-        });
-        if (it != mb_.end()) {
-            Message msg = std::move(*it);
-            mb_.erase(it);
-            cell.depth.fetch_sub(1, std::memory_order_relaxed);
-            hdr_->progress.fetch_add(1, std::memory_order_relaxed);
-            return msg;
-        }
-        if (timedOut) {
-            const std::string peer =
-                src == kAnySource ? std::string() : ", peer " + peerDescription(src);
-            throw ExecError(format(
-                "MPI recv timeout at rank %d after %d ms (src=%s, tag=%d, transport=proc%s)",
-                me, timeoutMs, srcName(src).c_str(), tag, peer.c_str()));
-        }
-        cell.src.store(src, std::memory_order_relaxed);
-        cell.tag.store(tag, std::memory_order_relaxed);
-        cell.channel.store(channel, std::memory_order_relaxed);
-        cell.state.store(kRankBlockedRecv, std::memory_order_release);
-        if (timeoutMs < 0) {
-            mbCv_.wait(lock);
-        } else if (mbCv_.wait_until(lock, deadline) == std::cv_status::timeout) {
-            timedOut = true;  // one more pass over the queue before throwing
-        }
-        cell.state.store(kRankRunning, std::memory_order_release);
     }
 }
 
@@ -981,14 +825,8 @@ void ProcTransport::barrier(int me) {
     for (int dist = 1; dist < size_; dist <<= 1, ++round) {
         const int to = (me + dist) % size_;
         const int from = (me - dist % size_ + size_) % size_;
-        Message msg;
-        msg.src = me;
-        msg.tag = kTagBarrierBase + round;
-        msg.channel = 1;
-        msg.data.assign(&token, &token + 1);
-        post(to, std::move(msg));
-        Message got = take(me, from, kTagBarrierBase + round, 1, -1);
-        (void)got;
+        deliver(to, Message{me, kTagBarrierBase + round, 1, {token}});
+        mb_.take(me, from, kTagBarrierBase + round, 1, -1);
         cells_[me].state.store(kRankBlockedBarrier, std::memory_order_release);
     }
     cells_[me].state.store(kRankRunning, std::memory_order_release);

@@ -1,48 +1,41 @@
 // ThreadTransport: the original in-process MiniMPI path — ranks as OS
-// threads, tag-matched mailboxes under mutex+condvar, zero-copy / pooled
-// payloads, a generation-counted condvar barrier, and the two-sample stall
-// watchdog. This is the fast path; the process transport trades its speed
-// for real address-space isolation.
+// threads, one Mailbox per rank into which a sender moves its message, a
+// generation-counted condvar barrier, and the two-sample stall watchdog.
+// This is the fast path; the process transport trades its speed for real
+// address-space isolation.
 #include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
-#include <cstring>
-#include <deque>
 #include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
 
-#include "fault/fault.h"
 #include "minimpi/minimpi.h"
 #include "minimpi/transport.h"
 #include "support/diagnostics.h"
 #include "support/strings.h"
-#include "trace/metrics.h"
 
 namespace wj::minimpi {
 
 namespace {
 
-std::string srcName(int src) {
-    return src == kAnySource ? std::string("ANY") : std::to_string(src);
-}
-
 class ThreadTransport final : public Transport {
 public:
     explicit ThreadTransport(int size)
         : size_(size), boxes_(static_cast<size_t>(std::max(size, 1))),
-          waits_(static_cast<size_t>(std::max(size, 1))) {}
+          cells_(static_cast<size_t>(std::max(size, 1))) {}
 
     TransportKind kindId() const noexcept override { return TransportKind::Threads; }
 
     void run(const std::function<void(int)>& body, int watchdogMs) override;
 
-    void post(int dest, Message msg) override;
-    Message take(int me, int src, int tag, int channel, int timeoutMs) override;
-    void fillPayload(Message* msg, const void* buf, size_t bytes) override;
-    void recycle(std::vector<uint8_t>&& payload) override { pool_.release(std::move(payload)); }
+    Traffic& traffic() override { return traffic_; }
+    void deliver(int dest, Message&& msg) override {
+        boxes_[static_cast<size_t>(dest)].deliver(std::move(msg));
+    }
+    Mailbox& mailbox(int me) override { return boxes_[static_cast<size_t>(me)]; }
     void barrier(int me) override;
 
     void publishResult(int kind, int64_t bits) override {
@@ -57,57 +50,15 @@ public:
         return true;
     }
 
-    CommStats stats() const override {
-        CommStats s;
-        s.messages = messages_;
-        s.bytes = bytes_;
-        s.pooledMessages = pooledMessages_;
-        s.pooledBytes = pooledBytes_;
-        s.zeroCopyMessages = zeroCopyMessages_;
-        s.zeroCopyBytes = zeroCopyBytes_;
-        return s;
-    }
+    CommStats stats() const override { return {traffic_.messages, traffic_.bytes}; }
     bool watchdogFired() const noexcept override { return watchdogFired_.load(); }
 
 private:
-    /// Size-bucketed freelist of payload vectors. Bounded: at most
-    /// kMaxCachedBytes of capacity is retained; oversize or surplus
-    /// buffers are simply dropped (freed).
-    class BufferPool {
-    public:
-        std::vector<uint8_t> acquire(size_t bytes);
-        void release(std::vector<uint8_t>&& buf);
-
-    private:
-        static constexpr size_t kMaxCachedBytes = 64u << 20;
-        std::mutex m_;
-        std::vector<std::vector<uint8_t>> free_;
-        size_t cachedBytes_ = 0;
-    };
-
-    struct Mailbox {
-        std::mutex m;
-        std::condition_variable cv;
-        std::deque<Message> q;
-    };
-
-    /// Watchdog-visible wait state of one rank thread. All fields are
-    /// atomics because the watchdog samples them from its own thread.
-    struct RankWait {
-        std::atomic<int> state{kRankRunning};
-        std::atomic<int> src{0};
-        std::atomic<int> tag{0};
-        std::atomic<int> channel{0};
-    };
-
     void abort() noexcept;
-
-    /// Per-rank diagnostic dump for the watchdog's abort error.
-    std::string stallReport(int quantumMs);
 
     int size_;
     std::vector<Mailbox> boxes_;
-    std::vector<RankWait> waits_;
+    std::vector<RankCell> cells_;
 
     std::mutex barrierM_;
     std::condition_variable barrierCv_;
@@ -115,172 +66,18 @@ private:
     int64_t barrierGen_ = 0;
 
     std::atomic<bool> watchdogFired_{false};
-    /// Bumped by every post, successful take, and barrier release; the
+    /// Bumped by every delivery, successful take, and barrier release; the
     /// watchdog declares a stall only when this stands still for a quantum
     /// while every live rank is blocked.
     std::atomic<uint64_t> progress_{0};
 
     std::atomic<bool> aborted_{false};
-    std::atomic<int64_t> messages_{0};
-    std::atomic<int64_t> bytes_{0};
-    std::atomic<int64_t> pooledMessages_{0};
-    std::atomic<int64_t> pooledBytes_{0};
-    std::atomic<int64_t> zeroCopyMessages_{0};
-    std::atomic<int64_t> zeroCopyBytes_{0};
+    Traffic traffic_;
 
     std::atomic<int> resultKind_{0};
     std::atomic<int64_t> resultBits_{0};
     std::atomic<bool> resultSet_{false};
-
-    BufferPool pool_;
 };
-
-// ------------------------------------------------------------- buffer pool
-
-std::vector<uint8_t> ThreadTransport::BufferPool::acquire(size_t bytes) {
-    {
-        std::lock_guard<std::mutex> lock(m_);
-        // Smallest cached buffer that fits, searched from the back so the
-        // most recently released (cache-warm) candidates win ties.
-        size_t best = free_.size();
-        for (size_t i = free_.size(); i-- > 0;) {
-            if (free_[i].capacity() < bytes) continue;
-            if (best == free_.size() || free_[i].capacity() < free_[best].capacity()) best = i;
-        }
-        if (best != free_.size()) {
-            std::vector<uint8_t> buf = std::move(free_[best]);
-            free_.erase(free_.begin() + static_cast<ptrdiff_t>(best));
-            cachedBytes_ -= buf.capacity();
-            buf.clear();
-            return buf;
-        }
-    }
-    std::vector<uint8_t> buf;
-    // Round capacity up to the next power of two so repeated traffic at
-    // nearby sizes lands in the same size class.
-    size_t cap = World::kPooledThreshold;
-    while (cap < bytes) cap *= 2;
-    buf.reserve(cap);
-    return buf;
-}
-
-void ThreadTransport::BufferPool::release(std::vector<uint8_t>&& buf) {
-    if (buf.capacity() < World::kPooledThreshold) return;
-    std::lock_guard<std::mutex> lock(m_);
-    if (cachedBytes_ + buf.capacity() > kMaxCachedBytes) return;  // drop: bounded cache
-    cachedBytes_ += buf.capacity();
-    free_.push_back(std::move(buf));
-}
-
-// --------------------------------------------------------------- data plane
-
-/// Fills a Message payload from a raw region: large payloads ride a
-/// recycled pool buffer (no allocation on the steady state), small ones a
-/// plain fresh vector.
-void ThreadTransport::fillPayload(Message* msg, const void* buf, size_t bytes) {
-    if (bytes >= World::kPooledThreshold) {
-        msg->data = pool_.acquire(bytes);
-        msg->data.resize(bytes);
-        std::memcpy(msg->data.data(), buf, bytes);
-        msg->origin = kOriginPooled;
-    } else {
-        msg->data.assign(static_cast<const uint8_t*>(buf),
-                         static_cast<const uint8_t*>(buf) + bytes);
-    }
-}
-
-void ThreadTransport::post(int dest, Message msg) {
-    if (dest < 0 || dest >= size_) {
-        throw ExecError(format("MPI send to invalid rank %d (from rank %d, tag %d)", dest,
-                               msg.src, msg.tag));
-    }
-    // Traffic accounting lives here, not in Comm::send, so collective
-    // internals (bcast/allreduce via sendSys) count toward bytesSent() —
-    // the perf model's communication-volume input — exactly like user
-    // point-to-point traffic.
-    messages_ += 1;
-    bytes_ += static_cast<int64_t>(msg.data.size());
-    {
-        static auto& userBytes = trace::Metrics::instance().counter("comm.bytes.user");
-        static auto& sysBytes = trace::Metrics::instance().counter("comm.bytes.collective");
-        static auto& msgs = trace::Metrics::instance().counter("comm.messages");
-        (msg.channel == 0 ? userBytes : sysBytes).add(static_cast<int64_t>(msg.data.size()));
-        msgs.inc();
-    }
-    if (msg.origin == kOriginPooled) {
-        pooledMessages_ += 1;
-        pooledBytes_ += static_cast<int64_t>(msg.data.size());
-    } else if (msg.origin == kOriginMoved) {
-        zeroCopyMessages_ += 1;
-        zeroCopyBytes_ += static_cast<int64_t>(msg.data.size());
-    }
-    bool duplicate = false;
-    if (fault::FaultPlan::active()) {
-        // The injector models the link: it may corrupt or delay the payload
-        // in flight, deliver it twice, or lose it entirely.
-        switch (fault::FaultPlan::instance().onMessage(msg.src, dest, msg.tag, msg.data)) {
-        case fault::MsgFate::Drop: return;
-        case fault::MsgFate::Duplicate: duplicate = true; break;
-        case fault::MsgFate::Deliver: break;
-        }
-    }
-    Mailbox& box = boxes_[static_cast<size_t>(dest)];
-    {
-        std::lock_guard<std::mutex> lock(box.m);
-        box.q.push_back(msg);
-        if (duplicate) box.q.push_back(std::move(msg));
-    }
-    progress_.fetch_add(1, std::memory_order_relaxed);
-    // Notifying after the unlock is safe: a receiver can only be between
-    // its predicate check and its wait while holding box.m, which the
-    // enqueue above also required — so the message is either seen by the
-    // check or the wakeup arrives after the wait began.
-    box.cv.notify_all();
-}
-
-Message ThreadTransport::take(int me, int src, int tag, int channel, int timeoutMs) {
-    if (src != kAnySource && (src < 0 || src >= size_)) {
-        throw ExecError(format("rank %d: MPI recv from invalid rank %d (tag %d)", me, src, tag));
-    }
-    Mailbox& box = boxes_[static_cast<size_t>(me)];
-    RankWait& w = waits_[static_cast<size_t>(me)];
-    const auto deadline = std::chrono::steady_clock::now() + std::chrono::milliseconds(timeoutMs);
-    bool timedOut = false;
-    std::unique_lock<std::mutex> lock(box.m);
-    for (;;) {
-        if (aborted_.load()) {
-            throw ExecError(format(
-                "MPI world aborted by another rank (rank %d was in recv src=%s tag=%d)", me,
-                srcName(src).c_str(), tag));
-        }
-        auto it = std::find_if(box.q.begin(), box.q.end(), [&](const Message& m) {
-            return m.channel == channel && m.tag == tag && (src == kAnySource || m.src == src);
-        });
-        if (it != box.q.end()) {
-            Message msg = std::move(*it);
-            box.q.erase(it);
-            progress_.fetch_add(1, std::memory_order_relaxed);
-            return msg;
-        }
-        if (timedOut) {
-            throw ExecError(format(
-                "MPI recv timeout at rank %d after %d ms (src=%s, tag=%d, transport=threads)",
-                me, timeoutMs, srcName(src).c_str(), tag));
-        }
-        // Publish what this rank is waiting for, then block: the watchdog
-        // reads these fields to build its per-rank stall dump.
-        w.src.store(src, std::memory_order_relaxed);
-        w.tag.store(tag, std::memory_order_relaxed);
-        w.channel.store(channel, std::memory_order_relaxed);
-        w.state.store(kRankBlockedRecv, std::memory_order_release);
-        if (timeoutMs < 0) {
-            box.cv.wait(lock);
-        } else if (box.cv.wait_until(lock, deadline) == std::cv_status::timeout) {
-            timedOut = true;  // one more pass over the queue before throwing
-        }
-        w.state.store(kRankRunning, std::memory_order_release);
-    }
-}
 
 void ThreadTransport::barrier(int me) {
     std::unique_lock<std::mutex> lock(barrierM_);
@@ -292,7 +89,7 @@ void ThreadTransport::barrier(int me) {
         barrierCv_.notify_all();
         return;
     }
-    RankWait& w = waits_[static_cast<size_t>(me)];
+    RankCell& w = cells_[static_cast<size_t>(me)];
     w.state.store(kRankBlockedBarrier, std::memory_order_release);
     barrierCv_.wait(lock, [&] { return barrierGen_ != gen || aborted_.load(); });
     w.state.store(kRankRunning, std::memory_order_release);
@@ -305,67 +102,30 @@ void ThreadTransport::barrier(int me) {
 void ThreadTransport::abort() noexcept {
     aborted_.store(true);
     progress_.fetch_add(1, std::memory_order_relaxed);
-    // Every notification below is issued while holding the mutex its
-    // waiters wait under. Without the lock, a rank that has just evaluated
-    // its wait predicate (seeing aborted_ == false) but not yet blocked
-    // would miss the wakeup and hang forever — the notifier must serialize
-    // with the check-then-wait step, which only the mutex provides.
-    for (auto& box : boxes_) {
-        std::lock_guard<std::mutex> lock(box.m);
-        box.cv.notify_all();
-    }
+    // Every wake-up below is serialized with its waiters' check-then-wait
+    // step by the mutex they wait under (Mailbox::abort raises its flag
+    // under the box's own). Without the lock, a rank that has just
+    // evaluated its wait predicate (seeing no abort) but not yet blocked
+    // would miss the wakeup and hang forever.
+    for (auto& box : boxes_) box.abort("MPI world aborted by another rank");
     {
         std::lock_guard<std::mutex> lock(barrierM_);
         barrierCv_.notify_all();
     }
 }
 
-std::string ThreadTransport::stallReport(int quantumMs) {
-    std::string out = format(
-        "MiniMPI watchdog: global stall — no progress for ~%d ms with every live rank blocked "
-        "(transport=threads); aborting world. Per-rank wait state:",
-        quantumMs);
-    for (int r = 0; r < size_; ++r) {
-        RankWait& w = waits_[static_cast<size_t>(r)];
-        size_t depth;
-        {
-            std::lock_guard<std::mutex> lock(boxes_[static_cast<size_t>(r)].m);
-            depth = boxes_[static_cast<size_t>(r)].q.size();
-        }
-        switch (w.state.load(std::memory_order_acquire)) {
-        case kRankBlockedRecv:
-            out += format("\n  rank %d: blocked in recv(src=%s, tag=%d, %s channel), "
-                          "mailbox depth %zu",
-                          r, srcName(w.src.load()).c_str(), w.tag.load(),
-                          w.channel.load() == 0 ? "user" : "collective", depth);
-            break;
-        case kRankBlockedBarrier:
-            out += format("\n  rank %d: blocked in barrier, mailbox depth %zu", r, depth);
-            break;
-        case kRankDone:
-            out += format("\n  rank %d: finished", r);
-            break;
-        default:
-            out += format("\n  rank %d: running, mailbox depth %zu", r, depth);
-            break;
-        }
-    }
-    return out;
-}
-
 void ThreadTransport::run(const std::function<void(int)>& body, int watchdogMs) {
     // Reset per-run state FIRST: an aborted previous run leaves undelivered
     // messages in the mailboxes and possibly a partial barrier count; a
     // reused World must not let this run consume the dead run's state.
-    for (auto& box : boxes_) {
-        std::lock_guard<std::mutex> lock(box.m);
-        box.q.clear();
+    for (int r = 0; r < size_; ++r) {
+        boxes_[static_cast<size_t>(r)].reset(this, &cells_[static_cast<size_t>(r)], &progress_);
     }
     {
         std::lock_guard<std::mutex> lock(barrierM_);
         barrierCount_ = 0;
     }
-    for (auto& w : waits_) w.state.store(kRankRunning, std::memory_order_relaxed);
+    for (auto& c : cells_) c.state.store(kRankRunning, std::memory_order_relaxed);
     progress_.store(0, std::memory_order_relaxed);
     watchdogFired_.store(false);
     aborted_.store(false);
@@ -387,7 +147,7 @@ void ThreadTransport::run(const std::function<void(int)>& body, int watchdogMs) 
                 }
                 abort();
             }
-            waits_[static_cast<size_t>(r)].state.store(kRankDone, std::memory_order_release);
+            cells_[static_cast<size_t>(r)].state.store(kRankDone, std::memory_order_release);
         });
     }
 
@@ -403,24 +163,16 @@ void ThreadTransport::run(const std::function<void(int)>& body, int watchdogMs) 
     if (quantum > 0) {
         watchdog = std::thread([&] {
             std::unique_lock<std::mutex> lk(wdM);
-            uint64_t lastProgress = ~uint64_t{0};
-            bool stalledOnce = false;
+            StallWatch watch;
             const auto tick = std::chrono::milliseconds(std::max(1, quantum / 2));
             for (;;) {
                 if (wdCv.wait_for(lk, tick, [&] { return wdStop; })) return;
                 if (aborted_.load()) return;
-                const uint64_t p = progress_.load(std::memory_order_relaxed);
-                bool anyBlocked = false, allQuiet = true;
-                for (int r = 0; r < size_; ++r) {
-                    const int s = waits_[static_cast<size_t>(r)].state.load(
-                        std::memory_order_acquire);
-                    if (s == kRankBlockedRecv || s == kRankBlockedBarrier) anyBlocked = true;
-                    else if (s != kRankDone) allQuiet = false;
-                }
-                const bool stalled = anyBlocked && allQuiet && p == lastProgress;
-                if (stalled && stalledOnce) {
+                if (watch.sample(progress_.load(std::memory_order_relaxed), cells_.data(),
+                                 size_)) {
                     watchdogFired_.store(true);
-                    auto err = std::make_exception_ptr(ExecError(stallReport(quantum)));
+                    auto err = std::make_exception_ptr(ExecError(
+                        stallReport("threads", quantum, waitDump(cells_.data(), size_))));
                     {
                         std::lock_guard<std::mutex> lock(errM);
                         if (!firstErr) firstErr = std::move(err);
@@ -428,8 +180,6 @@ void ThreadTransport::run(const std::function<void(int)>& body, int watchdogMs) 
                     abort();
                     return;
                 }
-                stalledOnce = stalled;
-                lastProgress = p;
             }
         });
     }

@@ -12,28 +12,36 @@
 // This interface splits the strategy from the semantics:
 //
 //   * ThreadTransport (thread_transport.cpp) — the original in-process
-//     path: unbounded mailboxes, condvar blocking, the zero-copy /
-//     buffer-pool payload strategy, a condition-variable barrier, and the
-//     in-thread stall watchdog. The fast path, bit-for-bit as before.
+//     path: one Mailbox per rank, into which a sender moves its message,
+//     a condition-variable barrier, and the in-thread stall watchdog. The
+//     fast path.
 //   * ProcTransport (proc_transport.cpp) — ranks are forked child
 //     processes. Point-to-point bytes travel through single-producer/
 //     single-consumer byte rings in anonymous MAP_SHARED memory (one ring
 //     per ordered (src,dest) pair, condvar-free, spin-with-backoff); a
-//     payload of any size streams through its pair's ring. A parent
-//     supervisor reaps children with waitpid, so a rank that dies by real
-//     SIGKILL is reported with its pid and signal, and the same two-sample
-//     stall watchdog runs against shared-memory wait states.
+//     payload of any size streams through its pair's ring into the
+//     receiving child's one Mailbox. A parent supervisor reaps children
+//     with waitpid, so a rank that dies by real SIGKILL is reported with
+//     its pid and signal, and the same two-sample stall watchdog runs
+//     against shared-memory wait states.
 //
-// The semantic layer (Comm: tag matching, FIFO per source, collectives
-// layered on point-to-point, fault hooks) lives above this interface in
-// minimpi.cpp and is identical for both transports — that is the
-// determinism contract that lets tests compare checksums across
-// transports bitwise.
+// The semantic layer lives above this interface and is written once for
+// both transports: Comm (minimpi.cpp) range-checks, counts and applies the
+// fault plan's fate to every message on its one send path and size-checks
+// every receive; Mailbox does the tag matching (FIFO per source, ANY
+// source), the abort wake-up and the deadline; collectives are layered on
+// point-to-point. That is the determinism contract that lets tests
+// compare checksums across transports bitwise. A transport only moves
+// each message's bytes into the destination rank's mailbox.
 #pragma once
 
+#include <atomic>
+#include <condition_variable>
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -49,41 +57,29 @@ enum class TransportKind { Threads, Proc };
 /// UsageError on any other value.
 TransportKind defaultTransportKind();
 
-/// $WJ_NP when set and positive, else `fallback` — how `wjrun -np N`
-/// communicates the rank count to examples it launches.
-int configuredRanks(int fallback);
-
-/// Traffic accounting snapshot (World::stats()). `bytes` counts every
-/// payload byte posted; the pooled/zeroCopy splits say how those bytes
-/// travelled on the threads transport, so benches can report how much was
-/// actually memcpy'd:
-///   copied      = plain assign into a fresh vector (small messages),
-///   pooled      = one memcpy into a recycled pool buffer (large messages:
-///                 no allocation, and the buffer returns to the pool at
-///                 recv), and
-///   zero-copy   = the caller's vector moved straight into the mailbox.
-/// The process transport always crosses address spaces (a ring copy), so
-/// it reports every message as copied.
+/// Traffic accounting snapshot (World::stats()): every message and
+/// payload byte posted, user point-to-point and collective internals
+/// alike.
 struct CommStats {
     int64_t messages = 0;
     int64_t bytes = 0;
-    int64_t pooledMessages = 0;
-    int64_t pooledBytes = 0;
-    int64_t zeroCopyMessages = 0;
-    int64_t zeroCopyBytes = 0;
-    /// Bytes that crossed the mailbox via at least one send-side memcpy.
-    int64_t copiedBytes() const noexcept { return bytes - zeroCopyBytes; }
 };
 
-/// How a message payload was produced on the send side (threads-transport
-/// zero-copy accounting; the process transport always copies).
-enum Origin : uint8_t { kOriginCopied = 0, kOriginPooled = 1, kOriginMoved = 2 };
+/// Running totals the send path adds to. The proc transport keeps them in
+/// its shared header, so the launching process reads what its children
+/// sent.
+struct Traffic {
+    std::atomic<int64_t> messages{0};
+    std::atomic<int64_t> bytes{0};
+};
 
+/// One message. The payload is filled once at send; the threads transport
+/// moves it into the receiver's mailbox, the proc transport streams it
+/// through a ring.
 struct Message {
     int src = 0;
     int tag = 0;
     int channel = 0;  // 0 = user point-to-point, 1 = collective internals
-    uint8_t origin = kOriginCopied;
     std::vector<uint8_t> data;
 };
 
@@ -93,6 +89,74 @@ inline constexpr int kRankRunning = 0;
 inline constexpr int kRankBlockedRecv = 1;
 inline constexpr int kRankBlockedBarrier = 2;
 inline constexpr int kRankDone = 3;
+
+/// One rank's watchdog-visible wait state and identity. Every field is a
+/// lock-free atomic: the watchdog samples it from another thread, and on
+/// the proc transport from another process (the cells live in shared
+/// memory).
+struct alignas(64) RankCell {
+    std::atomic<int32_t> state{kRankRunning};
+    std::atomic<int32_t> src{0};
+    std::atomic<int32_t> tag{0};
+    std::atomic<int32_t> channel{0};
+    std::atomic<int32_t> depth{0};  // mailbox depth (for dumps)
+    std::atomic<int32_t> pid{0};    // proc transport only
+};
+
+class Transport;
+
+/// One rank's tag-matched mailbox: messages are delivered by any thread
+/// and taken by the owning rank, FIFO per (src, tag, channel).
+class Mailbox {
+public:
+    /// Empties the box and binds what it reports to: `owner` names the
+    /// transport in error texts, `cell` and `progress` feed the watchdog.
+    void reset(const Transport* owner, RankCell* cell, std::atomic<uint64_t>* progress);
+    /// Appends `msg` and wakes the owner.
+    void deliver(Message&& msg);
+    /// Wakes the owner for good: every take from now on throws, naming
+    /// `why`. The first abort's reason wins.
+    void abort(std::string why);
+    /// Removes and returns the oldest message matching (src|ANY, tag,
+    /// channel) for rank `me`, blocking while none is queued. `timeoutMs
+    /// < 0` waits forever, otherwise throws ExecError after the deadline.
+    Message take(int me, int src, int tag, int channel, int timeoutMs);
+
+private:
+    std::mutex m_;
+    std::condition_variable cv_;
+    std::deque<Message> q_;
+    bool aborted_ = false;
+    std::string why_;
+    const Transport* owner_ = nullptr;
+    RankCell* cell_ = nullptr;
+    std::atomic<uint64_t>* progress_ = nullptr;
+};
+
+/// The two-sample stall rule both watchdogs apply: the world has stalled
+/// when, on two consecutive samples, the progress counter stood still
+/// while at least one rank was blocked and every other was blocked or
+/// finished.
+class StallWatch {
+public:
+    /// Takes one sample; true once the world has stalled. Ranks for which
+    /// `gone(r)` holds (dead children) count as finished.
+    bool sample(uint64_t progress, const RankCell* cells, int n,
+                const std::function<bool(int)>& gone = {});
+
+private:
+    uint64_t lastProgress_ = ~uint64_t{0};
+    bool stalledOnce_ = false;
+};
+
+/// The per-rank wait dump that ends the watchdog's and the dead-child
+/// report: one line per rank; `status(r)`, when given, is appended in
+/// brackets.
+std::string waitDump(const RankCell* cells, int n,
+                     const std::function<std::string(int)>& status = {});
+
+/// The watchdog's abort text: the stall header, then waitDump.
+std::string stallReport(const char* transport, int quantumMs, const std::string& dump);
 
 class Transport {
 public:
@@ -111,18 +175,13 @@ public:
     virtual void run(const std::function<void(int)>& body, int watchdogMs) = 0;
 
     // ---- data plane (called from a rank's own thread/process) ----------
-    /// Enqueues `msg` for `dest`. Accounting and fault injection happen
-    /// here so collective-internal traffic is counted like user traffic.
-    virtual void post(int dest, Message msg) = 0;
-    /// Blocks until a message matching (src|ANY, tag, channel) arrives for
-    /// rank `me`; FIFO per (src, tag, channel). `timeoutMs < 0` waits
-    /// forever, otherwise throws ExecError after the deadline.
-    virtual Message take(int me, int src, int tag, int channel, int timeoutMs) = 0;
-    /// Payload setup for raw-region sends (threads: pool buffers at or
-    /// above the pooled threshold; proc: plain copy).
-    virtual void fillPayload(Message* msg, const void* buf, size_t bytes) = 0;
-    /// Returns a drained payload to the transport (threads: buffer pool).
-    virtual void recycle(std::vector<uint8_t>&& payload) = 0;
+    /// The running totals Comm's send path counts every message into.
+    virtual Traffic& traffic() = 0;
+    /// Moves `msg` into rank `dest`'s mailbox. Comm has already checked
+    /// `dest`, counted the message and applied the fault plan's fate.
+    virtual void deliver(int dest, Message&& msg) = 0;
+    /// Rank `me`'s mailbox (on the proc transport, the calling child's).
+    virtual Mailbox& mailbox(int me) = 0;
     /// Collective barrier over all ranks for rank `me`.
     virtual void barrier(int me) = 0;
 

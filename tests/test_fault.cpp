@@ -183,7 +183,23 @@ TEST_F(FaultTest, DuplicateDeliversTwice) {
             EXPECT_EQ(7, b);
         }
     });
-    EXPECT_EQ(1, FaultPlan::instance().stats().duplicates);
+    // A 1 KiB payload: the duplicate is copied before the original moves
+    // into the mailbox, so both copies carry every byte.
+    FaultPlan::instance().configure("dup:src=0,dest=1,tag=9");
+    std::vector<uint8_t> sent(1024);
+    for (size_t i = 0; i < sent.size(); ++i) sent[i] = static_cast<uint8_t>(i % 251 + 1);
+    w.run([&](Comm& c) {
+        if (c.rank() == 0) {
+            c.send(sent.data(), sent.size(), 1, 9);
+        } else {
+            std::vector<uint8_t> a(sent.size()), b(sent.size());
+            c.recv(a.data(), a.size(), 0, 9);
+            c.recv(b.data(), b.size(), 0, 9);
+            EXPECT_EQ(sent, a);
+            EXPECT_EQ(sent, b);
+        }
+    });
+    EXPECT_EQ(2, FaultPlan::instance().stats().duplicates);
 }
 
 TEST_F(FaultTest, CorruptIsDeterministicPerSeed) {
@@ -812,6 +828,22 @@ TEST_P(ProcReplay, DuplicateDeliversTwiceIdentically) {
             c.recv(&a, sizeof a, 0, 9);
             c.recv(&b, sizeof b, 0, 9);  // satisfied by the duplicate
             require(a == 7 && b == 7, "both copies carry the payload");
+        }
+    });
+    // A 1 KiB payload: the duplicate is copied before the original moves
+    // on, so both copies carry every byte.
+    FaultPlan::instance().configure("dup:src=0,dest=1,tag=9");
+    std::vector<uint8_t> sent(1024);
+    for (size_t i = 0; i < sent.size(); ++i) sent[i] = static_cast<uint8_t>(i % 251 + 1);
+    w.run([&](Comm& c) {
+        if (c.rank() == 0) {
+            c.send(sent.data(), sent.size(), 1, 9);
+        } else {
+            for (int copy = 0; copy < 2; ++copy) {
+                std::vector<uint8_t> got(sent.size());
+                c.recv(got.data(), got.size(), 0, 9);
+                require(got == sent, "1 KiB copy intact");
+            }
         }
     });
     // A frame larger than a whole proc ring, then a small one on the same

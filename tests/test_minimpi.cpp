@@ -671,7 +671,7 @@ TEST_P(XportSemantics, SendRecvRingExchange) {
             std::vector<uint8_t> token(kBytes);
             c.recv(token.data(), token.size(), prev, 3);
             requirePattern(token, 0, "token at rank " + std::to_string(c.rank()));
-            c.send(std::move(token), next, 3);
+            c.send(token.data(), token.size(), next, 3);
         }
     });
 }
@@ -748,10 +748,9 @@ TEST_P(XportSemantics, WorldReusableAcrossRuns) {
 }
 
 TEST_P(XportSemantics, LargePayloadCrossesTransport) {
-    // 300 kB: above the threads pooled threshold, and more than a proc
-    // ring holds in one pass. 1 MiB: four whole 256 KiB rings, sent in
-    // both directions at once, so both ranks' drainers stream while their
-    // senders wait for room.
+    // 300 kB: more than a proc ring holds in one pass. 1 MiB: four whole
+    // 256 KiB rings, sent in both directions at once, so both ranks'
+    // drainers stream while their senders wait for room.
     World w(2, GetParam());
     int64_t expectBytes = 0;
     for (const size_t kBytes : {size_t{300000}, size_t{1} << 20}) {
