@@ -1,6 +1,7 @@
 // Google-benchmark microbenchmarks of the per-variant kernels — the raw
 // material behind every figure bench, measured with gbench's methodology
-// as an independent cross-check of the marginal-cost measurements.
+// as an independent cross-check of the marginal-cost measurements — and of
+// what a warm re-jit costs in the module registry and the disk cache.
 //
 // Before the gbench suite runs, main() executes the scalar-vs-simd sweep
 // (each evaluation kernel, the one-rank MPI diffusion runner included,
@@ -25,10 +26,13 @@
 #include "baselines/diffusion_baselines.h"
 #include "baselines/matmul_baselines.h"
 #include "interp/interp.h"
+#include "jit/cache.h"
+#include "jit/compile.h"
 #include "jit/jit.h"
 #include "matmul/matmul_lib.h"
 #include "minimpi/minimpi.h"
 #include "stencil/stencil_lib.h"
+#include "support/crc32.h"
 
 using namespace wj;
 
@@ -179,6 +183,48 @@ void BM_GpuSimDiffusionKernel(benchmark::State& state) {
     state.SetItemsProcessed(state.iterations() * 24 * 24 * 24 * 2);
 }
 BENCHMARK(BM_GpuSimDiffusionKernel);
+
+// A re-jit of a loaded translation unit (the diffusion runner of
+// BM_DiffusionWootinJ) after its JitCode died: the registry serves it.
+void BM_JitRejitAfterRelease(benchmark::State& state) {
+    Program prog = stencil::buildProgram();
+    Interp in(prog);
+    Value runner = stencil::makeCpuRunner(in, kN, kN, kN, kCoeffs, kSeed);
+    WootinJ::jit(prog, runner, "run", {Value::ofI32(2)});
+    for (auto _ : state) {
+        JitCode code = WootinJ::jit(prog, runner, "run", {Value::ofI32(2)});
+        benchmark::DoNotOptimize(code.cacheHit());
+    }
+}
+BENCHMARK(BM_JitRejitAfterRelease);
+
+// The same key when the registry does not have it: the cache entry read and
+// CRC-checked, dlopen, and the dlclose of the previous iteration's module.
+void BM_CacheDiskLookup(benchmark::State& state) {
+    Program prog = stencil::buildProgram();
+    Interp in(prog);
+    Value runner = stencil::makeCpuRunner(in, kN, kN, kN, kCoeffs, kSeed);
+    const uint64_t key =
+        cacheKeyFor(WootinJ::jit(prog, runner, "run", {Value::ofI32(2)}).generatedC());
+    for (auto _ : state) {
+        JitCache::instance().clearLoaded();
+        const CompileResult res = loadCompiled(key);
+        benchmark::DoNotOptimize(res.module.get());
+    }
+}
+BENCHMARK(BM_CacheDiskLookup);
+
+// The integrity check of every disk hit and checkpoint load.
+void BM_Crc32(benchmark::State& state) {
+    std::vector<uint8_t> buf(static_cast<size_t>(state.range(0)));
+    uint32_t x = kSeed;
+    for (auto& b : buf) b = static_cast<uint8_t>((x = x * 1103515245u + 12345u) >> 24);
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(crc32(buf.data(), buf.size()));
+    }
+    state.SetBytesProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_Crc32)->Arg(16384);
 
 // ------------------------------------------------- scalar-vs-simd sweep
 

@@ -21,7 +21,10 @@
 // Two layers:
 //   * an in-process module registry (key -> loaded NativeModule), so
 //     repeated WootinJ::jit() of the same translation unit within one
-//     process reuses the already-dlopen()ed module;
+//     process reuses the already-dlopen()ed module. The registry holds the
+//     16 most recently used modules itself, so a re-jit after the last
+//     JitCode of a key died is still a memory hit, with no disk read, CRC
+//     or dlopen (see findLoaded());
 //   * an on-disk store of .so files under $WJ_CACHE_DIR (default
 //     ~/.cache/wootinc), shared across processes. Entries are published
 //     with write-to-temp + atomic rename, so concurrent processes (ctest
@@ -168,10 +171,17 @@ public:
     uint64_t diskBytes() const;
 
     // ---- in-process module registry -----------------------------------
+    // Every loaded module is findable by key while anyone holds it. The
+    // registry itself holds the 16 most recently used (a fixed constant):
+    // both calls below move the key to the front, and a module pushed out
+    // of those 16 is released once the registry mutex is unlocked, so its
+    // dlclose never runs under the lock. A disabled cache (WJ_CACHE=0)
+    // registers and finds nothing.
     std::shared_ptr<NativeModule> findLoaded(uint64_t key);
     void registerLoaded(uint64_t key, const std::shared_ptr<NativeModule>& mod);
-    /// Drops the registry so the next jit() of a known TU exercises the
-    /// disk layer (tests; bench_tab3's cold rows).
+    /// Drops the registry, held and unheld modules alike, so the next jit()
+    /// of a known TU exercises the disk layer (tests; bench_tab3's cold
+    /// rows; perfbench's cold set-ups).
     void clearLoaded();
 
     // ---- observability ------------------------------------------------

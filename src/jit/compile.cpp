@@ -276,14 +276,17 @@ uint64_t toolchainVersion(const std::string& recipe) {
 }
 
 uint64_t cacheKeyFor(const std::string& cSource) {
-    return JitCache::keyOf(cSource, resolvedCompiler(), resolvedFlags(),
+    return cacheKeyFor(fnv1a64(cSource.data(), cSource.size()));
+}
+
+uint64_t cacheKeyFor(uint64_t sourceHash) {
+    return JitCache::keyOf(sourceHash, resolvedCompiler(), resolvedFlags(),
                            currentToolchainVersion());
 }
 
 /// The build half of compileAndLoad(), for a `key` loadCompiled() just
 /// missed: the cross-process build lock, cc with retries, publish, dlopen.
 CompileResult buildAndLoad(const std::string& cSource, const std::string& tag, uint64_t key,
-                           const std::string& cc, const std::string& flags,
                            double lookupSeconds);
 
 CompileResult compileAndLoad(const std::string& cSource, const std::string& tag) {
@@ -292,12 +295,10 @@ CompileResult compileAndLoad(const std::string& cSource, const std::string& tag)
 
 CompileResult compileAndLoad(const std::string& cSource, const std::string& tag,
                              uint64_t sourceHash) {
-    const std::string cc = resolvedCompiler();
-    const std::string flags = resolvedFlags();
-    const uint64_t key = JitCache::keyOf(sourceHash, cc, flags, currentToolchainVersion());
+    const uint64_t key = cacheKeyFor(sourceHash);
     CompileResult res = loadCompiled(key);
     if (res.module) return res;
-    return buildAndLoad(cSource, tag, key, cc, flags, res.lookupSeconds);
+    return buildAndLoad(cSource, tag, key, res.lookupSeconds);
 }
 
 CompileResult loadCompiled(uint64_t key) {
@@ -349,9 +350,10 @@ CompileResult loadCompiled(uint64_t key) {
 }
 
 CompileResult buildAndLoad(const std::string& cSource, const std::string& tag, uint64_t key,
-                           const std::string& cc, const std::string& flags,
                            double lookupSeconds) {
     JitCache& cache = JitCache::instance();
+    const std::string cc = resolvedCompiler();
+    const std::string flags = resolvedFlags();
     static auto& diskHits = trace::Metrics::instance().counter("jit.cache.hits.disk");
     static auto& misses = trace::Metrics::instance().counter("jit.cache.misses");
     static auto& corrupt = trace::Metrics::instance().counter("jit.cache.corrupt");

@@ -69,8 +69,7 @@ private:
     // The two halves of compileAndLoad() build modules.
     friend CompileResult loadCompiled(uint64_t key);
     friend CompileResult buildAndLoad(const std::string& cSource, const std::string& tag,
-                                      uint64_t key, const std::string& cc,
-                                      const std::string& flags, double lookupSeconds);
+                                      uint64_t key, double lookupSeconds);
     NativeModule() = default;
 
     void* handle_ = nullptr;
@@ -107,8 +106,7 @@ struct CompileResult {
 CompileResult compileAndLoad(const std::string& cSource, const std::string& tag);
 
 /// compileAndLoad() for a source whose fnv1a64 the caller already holds
-/// (Translation::sourceHash): the cache key then folds in only the
-/// compiler, flags and toolchain version, and equals cacheKeyFor().
+/// (Translation::sourceHash): its cache key is cacheKeyFor(sourceHash).
 CompileResult compileAndLoad(const std::string& cSource, const std::string& tag,
                              uint64_t sourceHash);
 
@@ -172,5 +170,10 @@ uint64_t toolchainVersion(const std::string& recipe);
 /// environment — the key wjd's in-flight dedup joins on and `wjc build`
 /// records in bundle manifests (see jit/cache.h for the hash recipe).
 uint64_t cacheKeyFor(const std::string& cSource);
+
+/// cacheKeyFor() of a source whose fnv1a64 the caller already holds
+/// (Translation::sourceHash): folds in only the compiler, flags and
+/// toolchain version, without hashing the C text again.
+uint64_t cacheKeyFor(uint64_t sourceHash);
 
 } // namespace wj

@@ -296,7 +296,7 @@ bool Daemon::Impl::lookup(const std::string& rawBody, Outcome& out, CcJob& miss)
         return true;
     }
 
-    const uint64_t key = cacheKeyFor(tr.cSource);
+    const uint64_t key = cacheKeyFor(tr.sourceHash);
     {
         const int64_t t0 = nowNs();
         trace::Span lookupSpan("wjd", "lookup");

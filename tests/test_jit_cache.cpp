@@ -1,6 +1,7 @@
 // The persistent JIT compile cache (src/jit/cache.h): content-addressed
-// hit/miss behavior, invalidation on flag changes, recovery from corrupted
-// entries, LRU eviction, reuse across MPI worlds, and the decoded
+// hit/miss behavior, the in-process registry's kept modules, invalidation
+// on flag changes, recovery from corrupted entries, LRU eviction, reuse
+// across MPI worlds, the CRC-32 behind the entry check, and the decoded
 // diagnostics of the external-compiler failure path.
 //
 // Every test redirects the store with WJ_CACHE_DIR into a private temp
@@ -14,6 +15,7 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
@@ -22,6 +24,7 @@
 #include <set>
 #include <future>
 #include <thread>
+#include <vector>
 
 #include "interp/interp.h"
 #include "ir/builder.h"
@@ -29,7 +32,11 @@
 #include "jit/compile.h"
 #include "jit/jit.h"
 #include "scoped_env.h"
+#include "support/crc32.h"
 #include "support/diagnostics.h"
+#include "support/strings.h"
+#include "trace/metrics.h"
+#include "trace/trace.h"
 
 namespace fs = std::filesystem;
 using namespace wj;
@@ -128,6 +135,167 @@ TEST_F(JitCacheTest, ColdMissThenWarmHit) {
     EXPECT_GE(s.memoryHits, 1);
     EXPECT_GE(s.diskHits, 1);
     EXPECT_GE(s.stores, 1);
+}
+
+// ---- the registry keeps the most recently used modules ------------------
+
+namespace {
+
+int64_t counter(const char* name) { return trace::Metrics::instance().counter(name).value(); }
+
+/// A raw C translation unit returning `n` from wj_unit().
+std::string unitSource(int n) { return format("int wj_unit(void) { return %d; }\n", n); }
+
+int unitValue(const CompileResult& res) {
+    using Fn = int (*)(void);
+    return reinterpret_cast<Fn>(res.module->symbol("wj_unit"))();
+}
+
+} // namespace
+
+TEST_F(JitCacheTest, RejitAfterReleaseIsAMemoryHit) {
+    Program p = makeProgram();
+    Interp in(p);
+    Value calc = in.instantiate("Calc", {Value::ofF64(3.0)});
+    EXPECT_FALSE(WootinJ::jit(p, calc, "run", {Value::ofI32(2)}).cacheHit());
+
+    // No JitCode of the key is alive: the registry's own reference serves it.
+    const int64_t memory0 = counter("jit.cache.hits.memory");
+    const int64_t disk0 = JitCache::instance().stats().diskHits;
+    trace::Tracer& tracer = trace::Tracer::instance();
+    tracer.enable("");
+    tracer.reset();
+    JitCode warm = WootinJ::jit(p, calc, "run", {Value::ofI32(2)});
+    const std::vector<trace::SpanRec> spans = tracer.snapshot();
+    tracer.disable();
+    tracer.reset();
+
+    EXPECT_TRUE(warm.cacheHit());
+    EXPECT_DOUBLE_EQ(5.0, warm.invoke().asF64());
+    EXPECT_EQ(1, counter("jit.cache.hits.memory") - memory0);
+    EXPECT_EQ(disk0, JitCache::instance().stats().diskHits);
+    for (const trace::SpanRec& sp : spans) {
+        EXPECT_FALSE(std::string(sp.cat) == "jit" && std::string(sp.name) == "dlopen");
+    }
+}
+
+TEST_F(JitCacheTest, RegistryKeepsTheSixteenMostRecentModules) {
+    Program p = makeProgram();
+    Interp in(p);
+    auto jitBias = [&](int bias) {
+        return WootinJ::jit(p, in.instantiate("Calc", {Value::ofF64(bias)}), "run",
+                            {Value::ofI32(1)});
+    };
+    // 17 distinct translation units; each JitCode dies at once.
+    for (int bias = 1; bias <= 17; ++bias) EXPECT_FALSE(jitBias(bias).cacheHit()) << bias;
+
+    const CacheStats s0 = JitCache::instance().stats();
+    EXPECT_TRUE(jitBias(17).cacheHit());
+    const CacheStats s1 = JitCache::instance().stats();
+    EXPECT_EQ(1, s1.memoryHits - s0.memoryHits);
+    EXPECT_EQ(0, s1.diskHits - s0.diskHits);
+
+    // The first unit fell out of the 16 kept and nobody holds it.
+    EXPECT_DOUBLE_EQ(2.0, jitBias(1).invoke().asF64());
+    const CacheStats s2 = JitCache::instance().stats();
+    EXPECT_EQ(0, s2.memoryHits - s1.memoryHits);
+    EXPECT_EQ(1, s2.diskHits - s1.diskHits);
+    EXPECT_EQ(s0.misses, s2.misses);
+}
+
+TEST_F(JitCacheTest, ClearLoadedForgetsKeptModules) {
+    const std::string src = unitSource(11);
+    std::weak_ptr<NativeModule> held;
+    {
+        const CompileResult built = compileAndLoad(src, "kept_unit");
+        held = built.module;
+    }
+    EXPECT_FALSE(held.expired());  // the registry holds it
+    JitCache::instance().clearLoaded();
+    EXPECT_TRUE(held.expired());   // and let it go: dlclosed
+    EXPECT_FALSE(JitCache::instance().findLoaded(cacheKeyFor(src)));
+
+    const CompileResult again = loadCompiled(cacheKeyFor(src));
+    ASSERT_TRUE(again.module);
+    EXPECT_EQ(11, unitValue(again));
+    EXPECT_EQ(1, JitCache::instance().stats().diskHits);
+}
+
+TEST_F(JitCacheTest, DisabledCacheKeepsNoModule) {
+    setenv("WJ_CACHE", "0", 1);
+    const std::string src = unitSource(12);
+    std::weak_ptr<NativeModule> held;
+    {
+        const CompileResult built = compileAndLoad(src, "unkept_unit");
+        EXPECT_EQ(12, unitValue(built));
+        held = built.module;
+    }
+    EXPECT_TRUE(held.expired());
+    EXPECT_FALSE(JitCache::instance().findLoaded(cacheKeyFor(src)));
+}
+
+// Lookup threads (jitAsync workers, wjd's lanes) share the registry: many
+// more keys than it keeps, each hit a memory hit or a disk read and
+// dlopen, with evictions and clears releasing modules under the others.
+TEST_F(JitCacheTest, ConcurrentLookupsPastTheKeptBoundServeTheirOwnModule) {
+    constexpr int kUnits = 24;
+    std::vector<uint64_t> keys;
+    {
+        std::vector<std::future<CompileResult>> builds;
+        for (int i = 0; i < kUnits; ++i) {
+            const std::string src = unitSource(100 + i);
+            keys.push_back(cacheKeyFor(src));
+            builds.push_back(compileAndLoadAsync(src, "shared_unit", fnv1a64(src.data(), src.size())));
+        }
+        for (int i = 0; i < kUnits; ++i) EXPECT_EQ(100 + i, unitValue(builds[i].get()));
+    }
+    std::atomic<int> wrong{0};
+    std::vector<std::thread> lookups;
+    for (int t = 0; t < 4; ++t) {
+        lookups.emplace_back([&, t] {
+            for (int r = 0; r < 120; ++r) {
+                const int i = (r * 7 + t * 5) % kUnits;
+                const CompileResult res = loadCompiled(keys[i]);
+                if (!res.module || unitValue(res) != 100 + i) ++wrong;
+                if (t == 0 && r % 30 == 29) JitCache::instance().clearLoaded();
+            }
+        });
+    }
+    for (auto& th : lookups) th.join();
+    EXPECT_EQ(0, wrong.load());
+    EXPECT_EQ(kUnits, JitCache::instance().stats().misses);
+}
+
+// ---- CRC-32 (the entry and checkpoint check) -----------------------------
+
+TEST(Crc32, SlicedMatchesTheBytewiseTableAndTheCheckValue) {
+    EXPECT_EQ(0xCBF43926u, crc32("123456789", 9));
+    EXPECT_EQ(0u, crc32("", 0));
+    uint32_t table[256];
+    for (uint32_t i = 0; i < 256; ++i) {
+        uint32_t c = i;
+        for (int k = 0; k < 8; ++k) c = (c & 1u) ? (0xedb88320u ^ (c >> 1)) : (c >> 1);
+        table[i] = c;
+    }
+    auto bytewise = [&](const uint8_t* p, size_t n, uint32_t seed) {
+        uint32_t c = seed ^ 0xffffffffu;
+        for (size_t i = 0; i < n; ++i) c = table[(c ^ p[i]) & 0xffu] ^ (c >> 8);
+        return c ^ 0xffffffffu;
+    };
+    std::vector<uint8_t> buf(300 + 8);
+    uint32_t x = 12345;
+    for (auto& b : buf) b = static_cast<uint8_t>((x = x * 1103515245u + 12345u) >> 24);
+    for (size_t off = 0; off < 8; ++off) {
+        for (size_t n = 0; n < 300; ++n) {
+            ASSERT_EQ(bytewise(buf.data() + off, n, 0), crc32(buf.data() + off, n))
+                << "offset " << off << " length " << n;
+        }
+    }
+    // Incremental use: the running CRC continues across split points.
+    for (size_t cut : {0, 1, 7, 8, 9, 150, 299}) {
+        EXPECT_EQ(crc32(buf.data(), 299), crc32(buf.data() + cut, 299 - cut, crc32(buf.data(), cut)))
+            << "cut " << cut;
+    }
 }
 
 TEST_F(JitCacheTest, FlagChangeInvalidates) {

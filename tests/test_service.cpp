@@ -224,6 +224,38 @@ TEST_F(ServiceTest, PingStatsAndColdWarmCompile) {
     EXPECT_GE(counterIn(st.statsJson, "wjd.compile.ok"), 2);
 }
 
+// The module registry keeps what the lookup lane loaded: once a key has
+// been read from disk, its next hit is a map lookup, with no disk read,
+// CRC or dlopen, although no reply holds the module any more.
+TEST_F(ServiceTest, SecondHitOfAModuleIsServedFromMemory) {
+    startDaemon();
+    Client c = connect();
+    const int nonce = nonceBase() + 120;
+    const std::string src = moduleSource(nonce);
+    const std::string newExpr = "Svc" + std::to_string(nonce) + "()";
+    Client::Reply cold = c.compile(src, newExpr, "run", "4");
+    ASSERT_TRUE(cold.ok) << cold.message;
+    EXPECT_FALSE(cold.cacheHit);
+    JitCache::instance().clearLoaded();  // the first hit reads the disk, as a new daemon would
+
+    trace::Counter& memory = trace::Metrics::instance().counter("jit.cache.hits.memory");
+    trace::Counter& disk = trace::Metrics::instance().counter("jit.cache.hits.disk");
+    const int64_t memory0 = memory.value();
+    const int64_t disk0 = disk.value();
+    Client::Reply first = c.compile(src, newExpr, "run", "4");
+    ASSERT_TRUE(first.ok) << first.message;
+    EXPECT_TRUE(first.cacheHit);
+    EXPECT_EQ(0, memory.value() - memory0);
+    EXPECT_EQ(1, disk.value() - disk0);
+
+    Client::Reply second = c.compile(src, newExpr, "run", "4");
+    ASSERT_TRUE(second.ok) << second.message;
+    EXPECT_TRUE(second.cacheHit);
+    EXPECT_EQ(second.keyHex, first.keyHex);
+    EXPECT_EQ(1, memory.value() - memory0);
+    EXPECT_EQ(1, disk.value() - disk0);
+}
+
 TEST_F(ServiceTest, BundleBuiltByAnotherRecipeIsSkipped) {
     // A bundle records the key its module was built under. Once the fixed
     // compile recipe changes (here: the old -lm link instead of the lean
